@@ -1,28 +1,33 @@
 """Operator products of multi-trace series and derived operations.
 
-The product of two generators sums over every cross-contraction scheme
-of their legs.  A scheme with P pairs, I pure loops and per-component
-handle counts H_k contributes
+Every structure constant is a sum over contraction schemes, and one
+loop, ``scheme_terms``, computes that sum for the operator product
+(cross pairs between two generators) and for the kernel transport
+(self pairs of one generator).  A scheme with P pairs, I pure loops and
+per-component handle counts H_k contributes the monomial
 
-    eps^(P - I) * hbar^P * (kernel factors) * (block ratios) * W(out)
+    eps^(P - I) * hbar^P * (pair kernels) * (block ratios) * W(out)
 
-where W(out) collects surviving currents (one trace per current loop)
-and untouched traces.  Legs are numbered, so schemes that differ only
-by which equal-label leg they use still count separately.
+with weight one, where W(out) collects surviving currents (one trace
+per current loop) and untouched traces.  Legs are numbered, so schemes
+that differ only by which equal-label leg they use still count
+separately.  Scheme counts are integers; ``collect`` multiplies in the
+rational input coefficients once per output generator.
 
 Everything downstream (moments, commutators, connected parts, the
-size-squared bracket) is built from this one sum.
+size-squared bracket, the genus table) is built from this one sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections import Counter, defaultdict
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeffring import Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, ZERO
-from .observables import (Generator, Mode, ObservableError, Series, Slot, TraceWord,
+from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
+from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import (EnumerationStats, LoopReport, RibbonError, analyze,
-                     enumerate_pairings, legs_of, result_generator)
+from .ribbon import (EnumerationStats, LoopReport, analyze, enumerate_pairings,
+                     legs_of, result_generator)
 
 
 class AlgebraError(ValueError):
@@ -31,28 +36,66 @@ class AlgebraError(ValueError):
 
 MATRIX_KERNEL = KernelSymbol("g")
 
+# names the kernel factor of one contracted pair from its two slots
+PairNamer = Callable[[Slot, Slot], KernelSymbol]
 
-def scheme_coefficient(report: LoopReport, gen_a: Generator,
-                       gen_b: Generator | None, mode: Mode) -> Coefficient:
-    """Ring factor carried by one contraction scheme."""
-    kernels: list[tuple[KernelSymbol, int]] = []
+
+def product_pair_kernel(mode: Mode) -> PairNamer:
+    """Kernel of a product pair: ``g``, or ``K(u,v)`` in kernel mode."""
     if mode.kind == "matrix":
-        if report.pair_count:
-            kernels.append((MATRIX_KERNEL, report.pair_count))
-    else:
-        gens = {0: gen_a}
-        if gen_b is not None:
-            gens[1] = gen_b
-        for u, v in report.pairs:
-            su = gens[u.side].traces[u.trace].slots[u.slot]
-            sv = gens[v.side].traces[v.trace].slots[v.slot]
-            kernels.append((KernelSymbol("K", ((su.label, su.conjugated),
-                                               (sv.label, sv.conjugated))), 1))
-    mono = Monomial(eps_half=report.exponent_half_units,
+        return lambda su, sv: MATRIX_KERNEL
+    return lambda su, sv: KernelSymbol("K", ((su.label, su.conjugated),
+                                             (sv.label, sv.conjugated)))
+
+
+def scheme_coefficient(report: LoopReport, gens: Sequence[Generator | None],
+                       name_pair: PairNamer) -> Monomial:
+    """Monomial carried by one contraction scheme (its weight is one)."""
+    kernels = []
+    for u, v in report.pairs:
+        su = gens[u.side].traces[u.trace].slots[u.slot]
+        sv = gens[v.side].traces[v.trace].slots[v.slot]
+        kernels.append((name_pair(su, sv), 1))
+    return Monomial(eps_half=report.exponent_half_units,
                     hbar=report.pair_count,
                     s=report.s_exponents,
                     kernels=tuple(kernels))
-    return Coefficient.monomial(mono)
+
+
+def scheme_terms(gen_a: Generator, gen_b: Generator | None, mode: Mode,
+                 name_pair: PairNamer, max_eps_degree: int | None,
+                 flags: set[str]) -> Counter:
+    """Count the admitted schemes of one generator pair by (generator, monomial).
+
+    With ``gen_b`` None the schemes are the self pairings of ``gen_a``
+    (transport).  Weight-zero schemes are skipped; schemes above the
+    eps cap are dropped and, like a pruned branch, add "truncated" to
+    ``flags``.
+    """
+    gens = (gen_a, gen_b)
+    legs_b = None if gen_b is None else legs_of(gen_b, 1)
+    terms: Counter = Counter()
+    stats = EnumerationStats()
+    for pairing in enumerate_pairings(legs_of(gen_a, 0), legs_b,
+                                      max_eps_degree=max_eps_degree, stats=stats):
+        report = analyze(pairing, gen_a, gen_b, mode)
+        if report.weight_zero:
+            continue
+        if max_eps_degree is not None and report.exponent > max_eps_degree:
+            flags.add("truncated")
+            continue
+        terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
+    if stats.pruned_branches:
+        flags.add("truncated")
+    return terms
+
+
+def collect(terms: Counter, scale: Coefficient) -> list[tuple[Generator, Coefficient]]:
+    """One coefficient per output generator: its monomial counts times ``scale``."""
+    by_gen: dict[Generator, list] = defaultdict(list)
+    for (gen, mono), count in terms.items():
+        by_gen[gen].extend((mono.mul(m), count * q) for m, q in scale.terms)
+    return [(gen, Coefficient.build(entries)) for gen, entries in by_gen.items()]
 
 
 def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Series:
@@ -60,25 +103,13 @@ def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Serie
     if a.mode != b.mode:
         raise AlgebraError(f"mode mismatch: {a.mode} vs {b.mode}")
     mode = a.mode
+    name_pair = product_pair_kernel(mode)
     out: list[tuple[Generator, Coefficient]] = []
     flags = set(a.flags | b.flags)
     for ga, ca in a.terms:
         for gb, cb in b.terms:
-            cab = ca * cb
-            stats = EnumerationStats()
-            for pairing in enumerate_pairings(legs_of(ga, 0), legs_of(gb, 1),
-                                              max_eps_degree=max_eps_degree,
-                                              stats=stats):
-                report = analyze(pairing, ga, gb, mode)
-                if report.weight_zero:
-                    continue
-                if max_eps_degree is not None and report.exponent > max_eps_degree:
-                    flags.add("truncated")
-                    continue
-                out.append((result_generator(report),
-                            cab * scheme_coefficient(report, ga, gb, mode)))
-            if stats.pruned_branches:
-                flags.add("truncated")
+            terms = scheme_terms(ga, gb, mode, name_pair, max_eps_degree, flags)
+            out.extend(collect(terms, ca * cb))
     return Series.build(mode, out, flags)
 
 
@@ -144,8 +175,7 @@ def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
 
 
 def connected_product(factors: Sequence[Series], *,
-                      max_eps_degree: int | None = None,
-                      _memo: dict | None = None) -> Series:
+                      max_eps_degree: int | None = None) -> Series:
     """Connected part of the operator product of ``factors``.
 
     Defined by subtracting, from the full product, the classical
@@ -154,7 +184,7 @@ def connected_product(factors: Sequence[Series], *,
     """
     if not factors:
         raise AlgebraError("need at least one factor")
-    memo = {} if _memo is None else _memo
+    memo: dict[tuple[int, ...], Series] = {}
 
     def conn(indices: tuple[int, ...]) -> Series:
         if indices in memo:

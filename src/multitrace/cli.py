@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (commutator, connected_product, expectation, poisson_bracket,
-                      product, product_chain)
+from .algebra import (collect, commutator, connected_product, expectation,
+                      poisson_bracket, product_chain, product_pair_kernel, scheme_terms)
 from .coeffring import Coefficient
 from .exprparse import (ParseError, Parser, Token, parse_series, render_series,
                         series_to_json, tokenize)
 from .observables import Generator, Mode, Series, UNIT_GENERATOR
 from .oracle import OracleConfig, eval_environment, oracle_moment
-from .ribbon import analyze, enumerate_pairings, legs_of
 from .scaling import (FieldDescriptor, connected_degree_bound,
                       free_normalization_exponent,
                       interacting_normalization_exponent,
@@ -130,25 +130,20 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 def _cmd_genus_table(args: argparse.Namespace) -> int:
     a, b = _parse_inputs(args, disjoint=True)
     mode = _mode_from_args(args)
+    name_pair = product_pair_kernel(mode)
     counts: dict[int, int] = {}
-    for ga, _ in a.terms:
-        for gb, _ in b.terms:
-            for pairing in enumerate_pairings(legs_of(ga, 0), legs_of(gb, 1)):
-                report = analyze(pairing, ga, gb, mode)
-                if report.weight_zero:
-                    continue
-                counts[report.exponent] = counts.get(report.exponent, 0) + 1
-    full = product(a, b)
+    layers: dict[int, list] = {}
+    for ga, ca in a.terms:
+        for gb, cb in b.terms:
+            by_degree: dict[int, Counter] = {}
+            for key, count in scheme_terms(ga, gb, mode, name_pair, None, set()).items():
+                by_degree.setdefault(key[1].eps_degree, Counter())[key] = count
+            for degree, terms in by_degree.items():
+                counts[degree] = counts.get(degree, 0) + sum(terms.values())
+                layers.setdefault(degree, []).extend(collect(terms, ca * cb))
     for degree in sorted(counts):
-        slice_terms = []
-        for gen, coeff in full.terms:
-            kept = Coefficient.build(
-                (m, q) for m, q in coeff.terms if m.eps_degree == degree)
-            if kept:
-                slice_terms.append((gen, kept))
-        layer = Series.build(mode, slice_terms)
         print(f"eps^{degree}: {counts[degree]} schemes")
-        print("  " + render_series(layer))
+        print("  " + render_series(Series.build(mode, layers[degree])))
     return 0
 
 
@@ -321,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_transport)
 
     sub = subs.add_parser("genus-table",
-                          help="schemes of a two-factor product, by eps degree")
+                          help="schemes of a two-factor product by their eps degree; "
+                               "each layer sums the schemes of that degree times "
+                               "the input coefficients")
     _add_common(sub, count=2, with_cap=False)
     sub.set_defaults(fn=_cmd_genus_table)
 

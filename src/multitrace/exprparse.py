@@ -29,10 +29,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial,
-                        ONE, SlotRef, ZERO)
+from .coeffring import Coefficient, CoefficientError, KernelSymbol, Monomial, SlotRef
 from .observables import (Generator, Mode, ObservableError, Series, Slot,
                           TraceWord, UNIT_GENERATOR, make_generator)
 
@@ -146,18 +144,15 @@ class Parser:
     # -- grammar -------------------------------------------------------------
 
     def parse_series(self) -> Series:
-        negative = False
-        if self.at_punct("-"):
-            self.advance()
-            negative = True
-        total = self.parse_term()
-        if negative:
-            total = -total
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
+        """Signed terms, merged once at the end (linear in the term count)."""
+        entries: list[tuple[Generator, Coefficient]] = []
+        op = self.advance().text if self.at_punct("-") else "+"
+        while True:
             term = self.parse_term()
-            total = total - term if op == "-" else total + term
-        return total
+            entries.extend((g, -c if op == "-" else c) for g, c in term.terms)
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return Series.build(self.mode, entries)
+            op = self.advance().text
 
     def parse_term(self) -> Series:
         total = self.parse_factor()

@@ -32,7 +32,7 @@ ever disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord
@@ -118,7 +118,6 @@ def enumerate_pairings(legs_a: Sequence[LegId],
                        legs_b: Sequence[LegId] | None = None,
                        *,
                        max_eps_degree: int | None = None,
-                       partition: tuple[int, int] | None = None,
                        stats: EnumerationStats | None = None) -> Iterator[Pairing]:
     """Yield every admissible pairing exactly once, the empty one first.
 
@@ -127,9 +126,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     (basis-change mode).  Order is deterministic.  ``max_eps_degree``
     prunes branches whose exponent floor already exceeds the cap; the
     bound is conservative, so no admissible scheme under the cap is
-    lost.  ``partition = (k, n)`` keeps only pairings whose first pair
-    falls in residue class k mod n (the empty pairing belongs to class
-    0), so the n partitions are disjoint and jointly exhaustive.
+    lost.
     """
     if stats is None:
         stats = EnumerationStats()
@@ -146,23 +143,9 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     total_vertices = len({(leg.side, leg.trace) for leg in all_legs})
     rank = {leg: i for i, leg in enumerate(all_legs)}
 
-    def first_pair_class(pairing: Pairing) -> int:
-        if not pairing:
-            return 0
-        u, v = pairing[0]
-        return rank[u] * len(all_legs) + rank[v]
-
-    def admitted(pairing: Pairing) -> bool:
-        if partition is None:
-            return True
-        index, parts = partition
-        return first_pair_class(pairing) % parts == index % parts
-
-    def emit(chosen: list[Pair]) -> Iterator[Pairing]:
-        pairing = tuple(sorted(chosen, key=lambda p: (rank[p[0]], rank[p[1]])))
-        if admitted(pairing):
-            stats.yielded += 1
-            yield pairing
+    def emit(chosen: list[Pair]) -> Pairing:
+        stats.yielded += 1
+        return tuple(sorted(chosen, key=lambda p: (rank[p[0]], rank[p[1]])))
 
     if transport:
         ordered = sorted(legs_a, key=rank.get)
@@ -175,7 +158,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
             while idx < len(ordered) and ordered[idx] in used:
                 idx += 1
             if idx == len(ordered):
-                yield from emit(chosen)
+                yield emit(chosen)
                 return
             head = ordered[idx]
             # head stays a current
@@ -201,7 +184,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
             stats.pruned_branches += 1
             return
         if idx == len(legs_a):
-            yield from emit(chosen)
+            yield emit(chosen)
             return
         head = legs_a[idx]
         yield from walk_p(idx + 1, used_b, chosen)
@@ -257,26 +240,6 @@ class LoopReport:
         if self.exponent_half_units % 2 != 0:
             raise RibbonError("half-unit exponent escaped the counting identities")
         return self.exponent_half_units // 2
-
-    def describe(self) -> str:
-        lines = [
-            f"pairs={self.pair_count} degenerate={self.d_count} "
-            f"pure={self.pure_loop_count} current={self.current_loop_count} "
-            f"exponent={self.exponent}",
-        ]
-        for i, comp in enumerate(self.components):
-            lines.append(
-                f"  component {i}: V={comp.vertices} P={comp.pairs} "
-                f"F={comp.faces} H={comp.handles}")
-        for i, loop in enumerate(self.current_loops):
-            lines.append("  current loop %d: %s" % (
-                i, " ".join(f"{l.side}:{l.trace}:{l.slot}" for l in loop)))
-        if self.s_exponents:
-            lines.append("  block ratios: " + " ".join(
-                f"s{c}^{p}" for c, p in self.s_exponents))
-        if self.weight_zero:
-            lines.append(f"  weight zero: {self.zero_reason}")
-        return "\n".join(lines)
 
 
 def _slot(gens: dict[int, Generator], leg: LegId) -> Slot:

@@ -3,10 +3,14 @@
 Changing the two-point kernel underneath the normal ordering maps each
 generator to a finite combination of generators of the target basis.
 The sum runs over sets of disjoint leg pairs of a single generator
-(its own traces may contract into themselves), each pair contributing
+(its own traces may contract into themselves): the same scheme loop as
+the product, ``algebra.scheme_terms``, with each pair contributing
 ``hbar`` times a difference-kernel symbol whose numeric meaning is
 
     F  =  (target kernel) - (source kernel).
+
+Each output term is the sum over its schemes of that monomial, times
+the input coefficient.
 
 Single-trace self-contractions make the exponent negative (for example
 a two-leg trace closing onto itself produces two pure loops against
@@ -16,20 +20,19 @@ the result is flagged ``negative-eps`` rather than rejected.
 
 from __future__ import annotations
 
-from .coeffring import Coefficient, KernelSymbol, Monomial
-from .observables import Generator, Mode, Series
-from .ribbon import EnumerationStats, analyze, enumerate_pairings, legs_of, result_generator
+from .algebra import PairNamer, collect, scheme_terms
+from .coeffring import KernelSymbol
+from .observables import Mode, Series
+# bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
+from .ribbon import analyze, enumerate_pairings, result_generator  # noqa: F401
 
 
-def _pair_symbol(gen: Generator, pair, symbol: str, mode: Mode) -> KernelSymbol:
+def _difference_kernel(symbol: str, mode: Mode) -> PairNamer:
     if mode.kind == "matrix":
-        return KernelSymbol(symbol)
-    u, v = pair
-    su = gen.traces[u.trace].slots[u.slot]
-    sv = gen.traces[v.trace].slots[v.slot]
-    refs = sorted([(su.label, su.conjugated), (sv.label, sv.conjugated)])
+        return lambda su, sv: KernelSymbol(symbol)
     # difference kernels are symmetric, so a sorted argument order is canonical
-    return KernelSymbol(symbol, tuple(refs))
+    return lambda su, sv: KernelSymbol(symbol, tuple(sorted(
+        [(su.label, su.conjugated), (sv.label, sv.conjugated)])))
 
 
 def transport(series: Series, *, symbol: str = "F", negate: bool = False,
@@ -41,34 +44,18 @@ def transport(series: Series, *, symbol: str = "F", negate: bool = False,
     identity.
     """
     mode = series.mode
+    name_pair = _difference_kernel(symbol, mode)
     out = []
     flags = set(series.flags)
     for gen, coeff in series.terms:
-        stats = EnumerationStats()
-        for pairing in enumerate_pairings(legs_of(gen, 0),
-                                          max_eps_degree=max_eps_degree,
-                                          stats=stats):
-            report = analyze(pairing, gen, None, mode)
-            if report.weight_zero:
-                continue
-            if max_eps_degree is not None and report.exponent > max_eps_degree:
-                flags.add("truncated")
-                continue
-            if report.exponent < 0:
-                flags.add("negative-eps")
-            kernels: dict[KernelSymbol, int] = {}
-            for pair in report.pairs:
-                sym = _pair_symbol(gen, pair, symbol, mode)
-                kernels[sym] = kernels.get(sym, 0) + 1
-            mono = Monomial(eps_half=report.exponent_half_units,
-                            hbar=report.pair_count,
-                            s=report.s_exponents,
-                            kernels=tuple(kernels.items()))
-            value = -1 if (negate and report.pair_count % 2) else 1
-            out.append((result_generator(report),
-                        coeff * Coefficient.monomial(mono, value)))
-        if stats.pruned_branches:
-            flags.add("truncated")
+        terms = scheme_terms(gen, None, mode, name_pair, max_eps_degree, flags)
+        if negate:
+            for key in terms:
+                if key[1].hbar % 2:
+                    terms[key] = -terms[key]
+        if any(mono.eps_half < 0 for _, mono in terms):
+            flags.add("negative-eps")
+        out.extend(collect(terms, coeff))
     return Series.build(mode, out, flags)
 
 

@@ -8,13 +8,18 @@ import hypothesis.strategies as st
 
 from multitrace import (
     Coefficient,
+    EnumerationStats,
     KernelSymbol,
     MATRIX,
     Mode,
     Monomial,
     Series,
     Slot,
+    analyze,
+    enumerate_pairings,
+    legs_of,
     make_generator,
+    result_generator,
 )
 
 
@@ -111,3 +116,68 @@ def random_series(rng, mode):
             coeff = coeff * Coefficient.block_ratio(rng.randint(1, mode.colors))
         terms.append((gen, coeff))
     return Series.build(mode, terms)
+
+
+# -- per-scheme reference for the scheme pipeline ------------------------------
+
+
+def _reference_schemes(ga, gb, mode, max_eps_degree, flags):
+    """Admitted (report, pair slots) of one generator pair, scheme by scheme."""
+    gens = {0: ga, 1: gb}
+    legs_b = None if gb is None else legs_of(gb, 1)
+    stats = EnumerationStats()
+    for pairing in enumerate_pairings(legs_of(ga, 0), legs_b,
+                                      max_eps_degree=max_eps_degree, stats=stats):
+        report = analyze(pairing, ga, gb, mode)
+        if report.weight_zero:
+            continue
+        if max_eps_degree is not None and report.exponent > max_eps_degree:
+            flags.add("truncated")
+            continue
+        slots = [tuple(gens[leg.side].traces[leg.trace].slots[leg.slot] for leg in pair)
+                 for pair in report.pairs]
+        yield report, slots
+    if stats.pruned_branches:
+        flags.add("truncated")
+
+
+def _reference_monomial(report, kernels):
+    return Monomial(eps_half=report.exponent_half_units, hbar=report.pair_count,
+                    s=report.s_exponents, kernels=tuple((k, 1) for k in kernels))
+
+
+def reference_product(a, b, max_eps_degree=None):
+    """``product`` summed one ``Coefficient`` per scheme (slow, for tests)."""
+    out, flags = [], set(a.flags | b.flags)
+    for ga, ca in a.terms:
+        for gb, cb in b.terms:
+            for report, slots in _reference_schemes(ga, gb, a.mode, max_eps_degree, flags):
+                if a.mode.kind == "matrix":
+                    kernels = [KernelSymbol("g")] * len(slots)
+                else:
+                    kernels = [KernelSymbol("K", ((u.label, u.conjugated),
+                                                  (v.label, v.conjugated)))
+                               for u, v in slots]
+                mono = Coefficient.monomial(_reference_monomial(report, kernels))
+                out.append((result_generator(report), ca * cb * mono))
+    return Series.build(a.mode, out, flags)
+
+
+def reference_transport(series, symbol="F", negate=False, max_eps_degree=None):
+    """``transport`` summed one ``Coefficient`` per scheme (slow, for tests)."""
+    out, flags = [], set(series.flags)
+    for gen, coeff in series.terms:
+        for report, slots in _reference_schemes(gen, None, series.mode,
+                                                max_eps_degree, flags):
+            if report.exponent < 0:
+                flags.add("negative-eps")
+            if series.mode.kind == "matrix":
+                kernels = [KernelSymbol(symbol)] * len(slots)
+            else:
+                kernels = [KernelSymbol(symbol, tuple(sorted(
+                    [(u.label, u.conjugated), (v.label, v.conjugated)])))
+                    for u, v in slots]
+            sign = -1 if negate and report.pair_count % 2 else 1
+            mono = Coefficient.monomial(_reference_monomial(report, kernels), sign)
+            out.append((result_generator(report), coeff * mono))
+    return Series.build(series.mode, out, flags)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from multitrace import series_from_json
+from multitrace import MATRIX, Series, parse_series, product, series_from_json
 from multitrace.cli import main, parse_manifest_line
 
 
@@ -88,6 +88,24 @@ def test_genus_table_groups_by_degree(capsys):
     assert lines[0] == "eps^0: 3 schemes"
     assert "2*hbar^2*g^2*W{}" in lines[1]
     assert lines[2] == "eps^1: 4 schemes"
+
+
+def test_genus_table_layers_sum_to_the_product(capsys):
+    # each layer holds the schemes of its own eps degree times the input
+    # coefficients, so an eps on an input shifts the layers, not the rows
+    a, b = "eps*W{Tr[x1 x2]}", "W{Tr[y1 y2]}"
+    code, out, _ = run(capsys, "genus-table", a, b)
+    assert code == 0
+    lines = out.splitlines()
+    heads, layers = lines[0::2], lines[1::2]
+    assert heads == ["eps^0: 3 schemes", "eps^1: 4 schemes"]
+    # C(2,k)^2 k! schemes with k pairs
+    assert sum(int(h.split()[1]) for h in heads) == 1 + 4 + 2 == 7
+    assert layers[0] == "  eps*W{Tr[x1 x2] Tr[y1 y2]} + 2*eps*hbar^2*g^2*W{}"
+    total = Series.zero(MATRIX)
+    for layer in layers:
+        total = total + parse_series(layer, MATRIX)
+    assert total == product(parse_series(a, MATRIX), parse_series(b, MATRIX))
 
 
 def test_scaling_table(capsys):

@@ -50,6 +50,11 @@ class TestParsing:
         got = parse_coefficient("-eps + 2*hbar - 1", MATRIX)
         want = -Coefficient.eps() + Coefficient.hbar().scale(Fraction(2)) - ONE
         assert got == want
+        assert parse_series("W{Tr[x1]} - 2*W{Tr[x1]} + W{Tr[x1]}", MATRIX).is_zero()
+        got = parse_series("eps*W{Tr[x1]} + 1 - hbar*W{Tr[x1]} + W{Tr[x1]}", MATRIX)
+        gen = series_of((1,))
+        assert got == gen.scale(ONE + Coefficient.eps() - Coefficient.hbar()) \
+            + Series.unit(MATRIX)
 
     def test_parenthesized_powers(self):
         got = parse_coefficient("(1 + eps)^2", MATRIX)

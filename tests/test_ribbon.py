@@ -78,20 +78,6 @@ class TestEnumeration:
         with pytest.raises(RibbonError):
             list(enumerate_pairings(legs, legs))
 
-    def test_partitions_are_disjoint_and_exhaustive(self):
-        a = legs_of(shaped((2,)))
-        b = legs_of(shaped((2,), prefix="y"), side=1)
-        full = list(enumerate_pairings(a, b))
-        parts = [list(enumerate_pairings(a, b, partition=(k, 3))) for k in range(3)]
-        assert sum(len(p) for p in parts) == len(full)
-        merged = sorted(p for part in parts for p in part)
-        assert merged == sorted(full)
-        seen = set()
-        for part in parts:
-            for p in part:
-                assert p not in seen
-                seen.add(p)
-
     @pytest.mark.parametrize("shape_a,shape_b", [((3,), (3,)), ((2, 1), (2, 1))])
     def test_pruning_never_loses_an_admissible_scheme(self, shape_a, shape_b):
         ga, gb = shaped(shape_a), shaped(shape_b, prefix="y")
