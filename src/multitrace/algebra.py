@@ -68,9 +68,9 @@ def scheme_terms(gen_a: Generator, gen_b: Generator | None, mode: Mode,
     """Count the admitted schemes of one generator pair by (generator, monomial).
 
     With ``gen_b`` None the schemes are the self pairings of ``gen_a``
-    (transport).  Weight-zero schemes are skipped; schemes above the
-    eps cap are dropped and, like a pruned branch, add "truncated" to
-    ``flags``.
+    (transport).  The enumeration yields only the schemes within the
+    eps cap, and weight-zero ones are skipped.  "truncated" is added to
+    ``flags`` exactly when the cap excluded a scheme, of any weight.
     """
     gens = (gen_a, gen_b)
     legs_b = None if gen_b is None else legs_of(gen_b, 1)
@@ -79,12 +79,8 @@ def scheme_terms(gen_a: Generator, gen_b: Generator | None, mode: Mode,
     for pairing in enumerate_pairings(legs_of(gen_a, 0), legs_b,
                                       max_eps_degree=max_eps_degree, stats=stats):
         report = analyze(pairing, gen_a, gen_b, mode)
-        if report.weight_zero:
-            continue
-        if max_eps_degree is not None and report.exponent > max_eps_degree:
-            flags.add("truncated")
-            continue
-        terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
+        if not report.weight_zero:
+            terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
     if stats.pruned_branches:
         flags.add("truncated")
     return terms

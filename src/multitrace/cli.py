@@ -29,6 +29,7 @@ from .exprparse import (ParseError, Parser, Token, parse_series, render_series,
                         series_to_json, tokenize)
 from .observables import Generator, Mode, Series, UNIT_GENERATOR
 from .oracle import OracleConfig, eval_environment, oracle_moment
+from .ribbon import RibbonError
 from .scaling import (FieldDescriptor, connected_degree_bound,
                       free_normalization_exponent,
                       interacting_normalization_exponent,
@@ -342,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except RibbonError as exc:
+        # a counting invariant failed inside the engine: a bug, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -198,6 +198,12 @@ class Series:
     ``flags`` carries operational metadata ("truncated" when an eps cap
     dropped graphs, "negative-eps" when a transport produced Laurent
     terms).  Flags do not take part in equality.
+
+    "truncated" is set exactly when the cap excluded at least one
+    contraction scheme, whatever its weight: a colored scheme above the
+    cap that would have contributed zero still sets it.  So the flag
+    does not depend on how early the enumeration prunes, and a
+    truncated result can equal the uncapped one.
     """
 
     mode: Mode
@@ -207,14 +213,12 @@ class Series:
     @staticmethod
     def build(mode: Mode, entries: Iterable[tuple[Generator, Coefficient]],
               flags: Iterable[str] = ()) -> "Series":
-        acc: dict[Generator, Coefficient] = {}
+        grouped: dict[Generator, list] = {}
         for gen, coeff in entries:
-            merged = acc.get(gen, ZERO) + coeff
-            if merged:
-                acc[gen] = merged
-            else:
-                acc.pop(gen, None)
-        ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].key()))
+            grouped.setdefault(gen, []).extend(coeff.terms)
+        merged = ((gen, Coefficient.build(terms)) for gen, terms in grouped.items())
+        ordered = tuple(sorted(((gen, coeff) for gen, coeff in merged if coeff),
+                               key=lambda kv: kv[0].key()))
         return Series(mode, ordered, frozenset(flags))
 
     @staticmethod

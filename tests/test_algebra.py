@@ -95,6 +95,19 @@ def test_truncation_is_flagged_and_sound():
         assert coeff.eps_max_degree() <= 0
 
 
+def test_truncation_counts_weight_zero_schemes():
+    # both one-pair schemes sit above the cap, and both vanish: the
+    # color-1 chain of x1 x2 meets the color-2 leg y1
+    mode = Mode("matrix", 2)
+    a = series_of((2,), mode=mode, colors=(1, 1))
+    b = series_of((1,), "y", mode, colors=(2,))
+    full = product(a, b)
+    cut = product(a, b, max_eps_degree=0)
+    assert cut == full
+    assert "truncated" in cut.flags
+    assert "truncated" not in full.flags
+
+
 # -- moments ---------------------------------------------------------------
 
 def test_moment_basics():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from multitrace import MATRIX, Series, parse_series, product, series_from_json
+from multitrace import (MATRIX, RibbonError, Series, algebra, parse_series, product,
+                        series_from_json)
 from multitrace.cli import main, parse_manifest_line
 
 
@@ -62,6 +63,17 @@ def test_truncation_is_reported(capsys):
     assert code == 0
     assert "truncated" in err
     assert "eps*" not in out
+
+
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RibbonError("exponent mismatch")
+
+    monkeypatch.setattr(algebra, "analyze", broken)
+    code, out, err = run(capsys, "product", "W{Tr[x1]}", "W{Tr[y1]}")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: exponent mismatch\n"
 
 
 def test_commutator_and_poisson(capsys):

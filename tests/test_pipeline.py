@@ -3,38 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from multitrace import (
-    KERNEL,
-    MATRIX,
-    Mode,
-    Series,
-    Slot,
-    make_generator,
-    product,
-    series_to_json,
-    transport,
-)
+from multitrace import Series, product, series_to_json, transport
 
-from helpers import coefficients, reference_product, reference_transport
+from helpers import MODES, coefficients, generators, reference_product, reference_transport
 
-MODES = [MATRIX, KERNEL, Mode("matrix", 2), Mode("kernel", 2)]
 CAPS = [None, 0, 1]
-
-
-@st.composite
-def generators(draw, mode, prefix, max_legs):
-    shape = draw(st.lists(st.integers(1, 3), max_size=2)
-                 .filter(lambda lengths: sum(lengths) <= max_legs))
-    words, n = [], 0
-    for length in shape:
-        word = []
-        for _ in range(length):
-            n += 1
-            conjugated = mode.kind == "kernel" and draw(st.booleans())
-            color = draw(st.integers(1, mode.colors)) if mode.colored else None
-            word.append(Slot(f"{prefix}{n}", conjugated, color))
-        words.append(word)
-    return make_generator(words, mode)
 
 
 def series_in(mode, prefix, max_legs=4):

@@ -2,7 +2,9 @@
 
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from multitrace import (
     EnumerationStats,
@@ -15,8 +17,9 @@ from multitrace import (
     legs_of,
     result_generator,
 )
+from multitrace.ribbon import RibbonMap, exponent_bound
 
-from helpers import shaped
+from helpers import MODES, generators, reference_analyze, shaped
 
 
 def double_factorial(n):
@@ -80,21 +83,78 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("shape_a,shape_b", [((3,), (3,)), ((2, 1), (2, 1))])
     def test_pruning_never_loses_an_admissible_scheme(self, shape_a, shape_b):
+        # the cap yields exactly the schemes within it, in uncapped order
         ga, gb = shaped(shape_a), shaped(shape_b, prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
-        full = {p: analyze(p, ga, gb).exponent for p in enumerate_pairings(a, b)}
-        capped = set(enumerate_pairings(a, b, max_eps_degree=0))
-        wanted = {p for p, e in full.items() if e <= 0}
-        assert wanted <= capped
+        full = list(enumerate_pairings(a, b))
+        for cap in (0, 1):
+            wanted = [p for p in full if analyze(p, ga, gb).exponent <= cap]
+            stats = EnumerationStats()
+            assert list(enumerate_pairings(a, b, max_eps_degree=cap, stats=stats)) == wanted
+            assert stats.yielded == len(wanted)
+            assert (stats.pruned_branches > 0) == (len(wanted) < len(full))
 
     def test_pruning_actually_cuts_branches(self):
-        # a pair chain through three vertices pushes the floor past zero
+        # a pair chain through three vertices pushes the bound past zero
         ga, gb = shaped((2, 1)), shaped((2, 1), prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
         stats = EnumerationStats()
         capped = list(enumerate_pairings(a, b, max_eps_degree=0, stats=stats))
         assert stats.pruned_branches > 0
         assert len(capped) < len(list(enumerate_pairings(a, b)))
+
+    def test_planar_cap_walks_only_the_planar_schemes(self):
+        # the empty scheme and the 7 planar complete matchings, out of 130,922
+        a, b = legs_of(shaped((7,))), legs_of(shaped((7,), prefix="y"), side=1)
+        stats = EnumerationStats()
+        capped = list(enumerate_pairings(a, b, max_eps_degree=0, stats=stats))
+        assert len(capped) == stats.yielded <= 8
+
+
+def _path_bounds(pairing, rmap, heads):
+    """``exponent_bound`` at each node the enumeration passes on its way
+    to ``pairing``, then at the leaf.
+
+    A node is a head leg still unpaired when reached; the pairs chosen
+    there are those whose head comes before it, and it is the frontier.
+    """
+    edges = sorted((rmap.index[u], rmap.index[v]) for u, v in pairing)
+    mates = {j for _, j in edges}
+    bounds = []
+    for node in [k for k in range(heads) if k not in mates] + [len(rmap.legs)]:
+        alpha = list(range(len(rmap.legs)))
+        chosen = [(i, j) for i, j in edges if i < node]
+        for i, j in chosen:
+            alpha[i], alpha[j] = j, i
+        bounds.append(exponent_bound(rmap.sigma, alpha, len(chosen), node))
+    return bounds
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    legs_a = legs_of(ga)
+    legs_b = legs_of(gb, side=1) if product_mode else None
+    rmap = RibbonMap(legs_a + (legs_b or []))
+    for pairing in enumerate_pairings(legs_a, legs_b):
+        bounds = _path_bounds(pairing, rmap, len(legs_a))
+        assert bounds == sorted(bounds)
+        assert bounds[-1] == analyze(pairing, ga, gb, mode).exponent
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_analyze_matches_the_reference_walk(data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    legs_b = legs_of(gb, side=1) if product_mode else None
+    for pairing in enumerate_pairings(legs_of(ga), legs_b):
+        want = reference_analyze(pairing, ga, gb, mode)
+        assert analyze(pairing, ga, gb, mode) == want
+        # a plain tuple carries no map: analyze builds its own
+        assert analyze(tuple(pairing), ga, gb, mode) == want
 
 
 class TestCensus:
