@@ -21,6 +21,9 @@ size-squared bracket, the genus table) is built from this one sum.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import reduce
+from itertools import permutations
+from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
@@ -170,36 +173,48 @@ def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
         yield [[head]] + part
 
 
+def _ordered_products(factors: Sequence[Series], cap: int | None):
+    """Memoized product of a tuple of factor indices, in operator order;
+    each extends its prefix's product by one factor (``product_chain``'s fold)."""
+    memo: dict[tuple[int, ...], Series] = {}
+
+    def chain(seq: tuple[int, ...]) -> Series:
+        if len(seq) == 1:
+            return factors[seq[0]]
+        if seq not in memo:
+            memo[seq] = product(chain(seq[:-1]), factors[seq[-1]], max_eps_degree=cap)
+        return memo[seq]
+
+    return chain
+
+
+def _connected(chain, seq: Sequence[int]) -> list[tuple[int, Series]]:
+    """Connected part of the product of ``seq``: per set partition pi, the weight
+    (-1)^(|pi|-1) (|pi|-1)! and the classical product of its blocks' products."""
+    return [((-1) ** (len(part) - 1) * factorial(len(part) - 1),
+             reduce(classical_product, (chain(tuple(block)) for block in part)))
+            for part in _set_partitions(list(seq))]
+
+
+def _combination(mode: Mode, weighted: Sequence[tuple[int, Series]]) -> Series:
+    """Sum of integer multiples of series, merged by one ``Series.build``."""
+    entries = [(gen, coeff.scale(w)) for w, s in weighted for gen, coeff in s.terms]
+    return Series.build(mode, entries, frozenset().union(*(s.flags for _, s in weighted)))
+
+
 def connected_product(factors: Sequence[Series], *,
                       max_eps_degree: int | None = None) -> Series:
     """Connected part of the operator product of ``factors``.
 
-    Defined by subtracting, from the full product, the classical
-    products of connected parts over every proper partition of the
-    factor list.  Factor order is preserved inside each block.
+    Defined by: the full product is the sum over set partitions of the
+    factor list of the classical products of the blocks' connected
+    parts, factor order kept inside each block.  Its Moebius inversion
+    (Rota 1964) weighs a partition pi by (-1)^(|pi|-1) (|pi|-1)!.
     """
     if not factors:
         raise AlgebraError("need at least one factor")
-    memo: dict[tuple[int, ...], Series] = {}
-
-    def conn(indices: tuple[int, ...]) -> Series:
-        if indices in memo:
-            return memo[indices]
-        subset = [factors[i] for i in indices]
-        total = product_chain(subset, max_eps_degree=max_eps_degree)
-        if len(indices) > 1:
-            for part in _set_partitions(list(indices)):
-                if len(part) == 1:
-                    continue
-                piece = None
-                for block in sorted(part):
-                    factor = conn(tuple(block))
-                    piece = factor if piece is None else classical_product(piece, factor)
-                total = total - piece
-        memo[indices] = total
-        return total
-
-    return conn(tuple(range(len(factors))))
+    chain = _ordered_products(factors, max_eps_degree)
+    return _combination(factors[0].mode, _connected(chain, range(len(factors))))
 
 
 def _commutator_words(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -224,41 +239,19 @@ def nested_commutator_sym(a_list: Sequence[Series], b: Series) -> tuple[Series, 
     Returns (connected side, plain side): the sum over permutations pi
     of the connected part of [A_pi(n), [... [A_pi(1), B] ...]] and the
     same sum without taking connected parts.  The two are equal; the
-    caller asserts it.
+    caller asserts it.  Equal words of different permutations are
+    summed first, and all words share one table of ordered products.
     """
-    from itertools import permutations
-
     n = len(a_list)
-    factors = list(a_list) + [b]
-    mode = b.mode
-    words = _commutator_words(n)
-    memo: dict = {}
-    lhs = Series.zero(mode)
-    rhs = Series.zero(mode)
+    signs: Counter = Counter()
     for perm in permutations(range(n)):
-        relabel = {k: perm[k] for k in range(n)}
-        relabel[n] = n
-        for sign, word in words:
-            seq = tuple(relabel[k] for k in word)
-            plain = product_chain([factors[i] for i in seq])
-            conn = _connected_of_word(factors, seq, memo)
-            if sign > 0:
-                lhs = lhs + conn
-                rhs = rhs + plain
-            else:
-                lhs = lhs - conn
-                rhs = rhs - plain
-    return lhs, rhs
-
-
-def _connected_of_word(factors: Sequence[Series], seq: tuple[int, ...],
-                       memo: dict) -> Series:
-    if seq in memo:
-        return memo[seq]
-    sub = [factors[i] for i in seq]
-    result = connected_product(sub)
-    memo[seq] = result
-    return result
+        for sign, word in _commutator_words(n):
+            signs[tuple((*perm, n)[k] for k in word)] += sign
+    chain = _ordered_products(list(a_list) + [b], None)
+    plain = [(sign, chain(seq)) for seq, sign in signs.items()]
+    conn = [(sign * w, piece) for seq, sign in signs.items()
+            for w, piece in _connected(chain, seq)]
+    return _combination(b.mode, conn), _combination(b.mode, plain)
 
 
 def restrict_colors(series: Series, face: Sequence[int],

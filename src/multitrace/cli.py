@@ -263,17 +263,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for number, raw in enumerate(handle, start=1):
             try:
                 check = parse_manifest_line(raw)
-            except ParseError as exc:
+                if check is None:
+                    continue
+                claimed = check.claim.eval(eval_environment(check.cfg))
+                observed = oracle_moment(list(check.gens), check.cfg,
+                                         max_legs=args.max_legs)
+            except ValueError as exc:
+                # a bad line (syntax, config, symbol, oracle limits) fails alone
                 print(f"FAIL line {number}: {exc}")
                 checked += 1
                 failures += 1
                 continue
-            if check is None:
-                continue
             checked += 1
-            claimed = check.claim.eval(eval_environment(check.cfg))
-            observed = oracle_moment(list(check.gens), check.cfg,
-                                     max_legs=args.max_legs)
             ok = claimed == observed
             verdict = "PASS" if ok else "FAIL"
             print(f"{verdict} line {number}: {check.source}"
@@ -347,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         # a counting invariant failed inside the engine: a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

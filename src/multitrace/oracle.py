@@ -32,6 +32,12 @@ class OracleError(ValueError):
     pass
 
 
+# Largest assignment grid (N^legs boolean cells) the oracle allocates; the
+# sum also builds temporaries of the same size.  The shipped checks use at
+# most 3^10 = 59,049 cells.
+MAX_GRID_CELLS = 10**7
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """One finite model: size, block sizes, covariance, hbar."""
@@ -143,6 +149,11 @@ def moment_with_ordering(gens: Sequence[Generator], cfg: OracleConfig,
             "the assignment sum would be too large")
     if len(legs) % 2 != 0:
         return Fraction(0)
+    cells = cfg.n ** len(legs)
+    if cells > MAX_GRID_CELLS:
+        raise OracleError(
+            f"N={cfg.n} at {len(legs)} legs needs an assignment grid of {cells} "
+            f"cells, over the oracle cap of {MAX_GRID_CELLS}")
     c = cfg.covariance
     intra_weight = c - kappa
     total = Fraction(0)

@@ -19,9 +19,11 @@ from multitrace import (
     RibbonError,
     Series,
     Slot,
+    classical_product,
     enumerate_pairings,
     legs_of,
     make_generator,
+    product_chain,
     result_generator,
 )
 
@@ -392,3 +394,44 @@ def reference_transport(series, symbol="F", negate=False, max_eps_degree=None):
             mono = Coefficient.monomial(_reference_monomial(report, kernels), sign)
             out.append((result_generator(report), coeff * mono))
     return Series.build(series.mode, out, flags)
+
+
+# -- recursive reference for connected parts -----------------------------------
+
+
+def _set_partitions(items):
+    """All set partitions of a list, each block keeping the list order."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+        yield [[head]] + part
+
+
+def reference_connected_product(factors, max_eps_degree=None):
+    """``connected_product`` by its recursive definition (slow, for tests).
+
+    Every subset gets its own ``product_chain``, from which the classical
+    products of connected parts over each proper partition are subtracted.
+    """
+    memo = {}
+
+    def conn(indices):
+        if indices in memo:
+            return memo[indices]
+        total = product_chain([factors[i] for i in indices], max_eps_degree=max_eps_degree)
+        for part in _set_partitions(list(indices)):
+            if len(part) == 1:
+                continue
+            piece = None
+            for block in sorted(part):
+                factor = conn(tuple(block))
+                piece = factor if piece is None else classical_product(piece, factor)
+            total = total - piece
+        memo[indices] = total
+        return total
+
+    return conn(tuple(range(len(factors))))

@@ -171,12 +171,32 @@ class TestVerify:
         assert "0/1 checks passed" in out
 
     def test_unparseable_line_counts_as_failure(self, tmp_path, capsys):
+        good = "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2, c=1"
+        bad = [
+            "CHECK W{Tr[} == 1 @ N=2, c=1",
+            "CHECK W{Tr[x1@1]} W{Tr[y1@1]} == hbar*s1*g @ N=3, blocks=1,1, c=1",
+            "CHECK W{Tr[x1 x2 x3 x4 x5 x6]} W{Tr[y1 y2 y3 y4 y5 y6]} == 0 @ N=2, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == K(x1,y1) @ N=2, c=1",
+            "CHECK W{Tr[x1 x2 x3 x4 x5]} W{Tr[y1 y2 y3 y4 y5]} == 0 @ N=100, c=1",
+        ]
         path = tmp_path / "ugly.txt"
-        path.write_text("CHECK W{Tr[} == 1 @ N=2, c=1\n")
+        path.write_text("".join(f"{line}\n{good}\n" for line in bad))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        assert "FAIL line 1" in out
-        assert "0/1 checks passed" in out
+        for number in (1, 3, 5, 7, 9):
+            assert f"FAIL line {number}: " in out
+            assert f"PASS line {number + 1}: " in out
+        assert "FAIL line 3: block sizes (1, 1) do not sum" in out
+        assert "FAIL line 5: 12 legs exceed the oracle cap" in out
+        assert "FAIL line 7: no assignment for symbol 'K(x1,y1)'" in out
+        assert "FAIL line 9: N=100 at 10 legs" in out
+        assert "5/10 checks passed" in out
+
+    def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "missing.txt" in err
 
     def test_line_parser_requires_the_config(self):
         with pytest.raises(Exception):

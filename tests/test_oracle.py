@@ -67,6 +67,12 @@ class TestPlainMoments:
         with pytest.raises(OracleError, match="cap"):
             oracle_moment([shaped((6,)), shaped((6,), "y")], cfg(2))
 
+    def test_grid_cap(self):
+        # 100^10 cells would be refused by numpy too; the oracle names the size first
+        with pytest.raises(OracleError, match="N=100 at 10 legs") as info:
+            oracle_moment([shaped((5,)), shaped((5,), "y")], cfg(100))
+        assert f"{100 ** 10} cells" in str(info.value)
+
 
 class TestMixedOrdering:
     def test_kappa_endpoints(self):
