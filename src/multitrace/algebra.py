@@ -1,7 +1,7 @@
 """Operator products of multi-trace series and derived operations.
 
 Every structure constant is a sum over contraction schemes, and one
-loop, ``scheme_terms``, computes that sum for the operator product
+loop, ``scheme_series``, computes that sum for the operator product
 (cross pairs between two generators) and for the kernel transport
 (self pairs of one generator).  A scheme with P pairs, I pure loops and
 per-component handle counts H_k contributes the monomial
@@ -11,8 +11,9 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Scheme counts are integers; ``collect`` multiplies in the
-rational input coefficients once per output generator.
+separately.  Scheme counts are integers, kept per generator pair; the
+rational input coefficients are multiplied in once per (pair, output
+generator) and all pairs are merged by one ``Series.build``.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -65,51 +66,49 @@ def scheme_coefficient(report: LoopReport, gens: Sequence[Generator | None],
                     kernels=tuple(kernels))
 
 
-def scheme_terms(gen_a: Generator, gen_b: Generator | None, mode: Mode,
-                 name_pair: PairNamer, max_eps_degree: int | None,
-                 flags: set[str]) -> Counter:
-    """Count the admitted schemes of one generator pair by (generator, monomial).
+def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, Coefficient]],
+                  name_pair: PairNamer, max_eps_degree: int | None,
+                  flags: set[str], negate: bool = False) -> Series:
+    """Sum over the admitted schemes of all jobs, merged into one series.
 
-    With ``gen_b`` None the schemes are the self pairings of ``gen_a``
-    (transport).  The enumeration yields only the schemes within the
-    eps cap, and weight-zero ones are skipped.  "truncated" is added to
-    ``flags`` exactly when the cap excluded a scheme, of any weight.
+    A job ``(gen_a, gen_b, scale)`` adds the cross pairings of the two
+    generators, or the self pairings of ``gen_a`` if ``gen_b`` is None
+    (transport), times ``scale``.  Only schemes within the eps cap are
+    enumerated; weight-zero ones are skipped.  ``flags`` gains
+    "truncated" exactly when the cap excluded a scheme of any weight,
+    and "negative-eps" for a scheme of negative eps exponent.  ``negate``
+    signs each scheme by (-1)^hbar, the inverse kernel shift.
     """
-    gens = (gen_a, gen_b)
-    legs_b = None if gen_b is None else legs_of(gen_b, 1)
-    terms: Counter = Counter()
-    stats = EnumerationStats()
-    for pairing in enumerate_pairings(legs_of(gen_a, 0), legs_b,
-                                      max_eps_degree=max_eps_degree, stats=stats):
-        report = analyze(pairing, gen_a, gen_b, mode)
-        if not report.weight_zero:
-            terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
-    if stats.pruned_branches:
-        flags.add("truncated")
-    return terms
-
-
-def collect(terms: Counter, scale: Coefficient) -> list[tuple[Generator, Coefficient]]:
-    """One coefficient per output generator: its monomial counts times ``scale``."""
     by_gen: dict[Generator, list] = defaultdict(list)
-    for (gen, mono), count in terms.items():
-        by_gen[gen].extend((mono.mul(m), count * q) for m, q in scale.terms)
-    return [(gen, Coefficient.build(entries)) for gen, entries in by_gen.items()]
+    for gen_a, gen_b, scale in jobs:
+        gens = (gen_a, gen_b)
+        legs_b = None if gen_b is None else legs_of(gen_b, 1)
+        terms: Counter = Counter()
+        stats = EnumerationStats()
+        for pairing in enumerate_pairings(legs_of(gen_a, 0), legs_b,
+                                          max_eps_degree=max_eps_degree, stats=stats):
+            report = analyze(pairing, gen_a, gen_b, mode)
+            if not report.weight_zero:
+                terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
+        if stats.pruned_branches:
+            flags.add("truncated")
+        for (gen, mono), count in terms.items():
+            if mono.eps_half < 0:
+                flags.add("negative-eps")
+            sign = -1 if negate and mono.hbar % 2 else 1
+            by_gen[gen].extend((mono.mul(m), sign * count * q) for m, q in scale.terms)
+    # popping frees each entry list once its coefficient is built (peak memory)
+    merged = [(gen, Coefficient.build(by_gen.pop(gen))) for gen in list(by_gen)]
+    return Series.build(mode, merged, flags)
 
 
 def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Series:
     """Operator product, exact unless an eps cap drops schemes."""
     if a.mode != b.mode:
         raise AlgebraError(f"mode mismatch: {a.mode} vs {b.mode}")
-    mode = a.mode
-    name_pair = product_pair_kernel(mode)
-    out: list[tuple[Generator, Coefficient]] = []
-    flags = set(a.flags | b.flags)
-    for ga, ca in a.terms:
-        for gb, cb in b.terms:
-            terms = scheme_terms(ga, gb, mode, name_pair, max_eps_degree, flags)
-            out.extend(collect(terms, ca * cb))
-    return Series.build(mode, out, flags)
+    jobs = ((ga, gb, ca * cb) for ga, ca in a.terms for gb, cb in b.terms)
+    return scheme_series(a.mode, jobs, product_pair_kernel(a.mode), max_eps_degree,
+                         set(a.flags | b.flags))
 
 
 def product_chain(factors: Sequence[Series], *, max_eps_degree: int | None = None) -> Series:

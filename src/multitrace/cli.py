@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (collect, commutator, connected_product, expectation,
-                      poisson_bracket, product_chain, product_pair_kernel, scheme_terms)
+from .algebra import (commutator, connected_product, expectation, poisson_bracket,
+                      product, product_chain)
 from .coeffring import Coefficient
 from .exprparse import (ParseError, Parser, Token, parse_series, render_series,
                         series_to_json, tokenize)
@@ -131,17 +131,17 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 def _cmd_genus_table(args: argparse.Namespace) -> int:
     a, b = _parse_inputs(args, disjoint=True)
     mode = _mode_from_args(args)
-    name_pair = product_pair_kernel(mode)
-    counts: dict[int, int] = {}
-    layers: dict[int, list] = {}
+    # a product of bare generators has one unit per scheme, so a degree's
+    # rationals add up to its scheme count
+    counts: Counter = Counter()
+    layers: dict[int, list] = defaultdict(list)
     for ga, ca in a.terms:
         for gb, cb in b.terms:
-            by_degree: dict[int, Counter] = {}
-            for key, count in scheme_terms(ga, gb, mode, name_pair, None, set()).items():
-                by_degree.setdefault(key[1].eps_degree, Counter())[key] = count
-            for degree, terms in by_degree.items():
-                counts[degree] = counts.get(degree, 0) + sum(terms.values())
-                layers.setdefault(degree, []).extend(collect(terms, ca * cb))
+            scale = ca * cb
+            for gen, coeff in product(Series.of(ga, mode), Series.of(gb, mode)).terms:
+                for mono, q in coeff.terms:
+                    counts[mono.eps_degree] += q
+                    layers[mono.eps_degree].append((gen, Coefficient.monomial(mono, q) * scale))
     for degree in sorted(counts):
         print(f"eps^{degree}: {counts[degree]} schemes")
         print("  " + render_series(Series.build(mode, layers[degree])))

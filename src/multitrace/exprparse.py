@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import Coefficient, CoefficientError, KernelSymbol, Monomial, SlotRef
-from .observables import (Generator, Mode, ObservableError, Series, Slot,
-                          TraceWord, UNIT_GENERATOR, make_generator)
+from .observables import (Generator, Mode, ObservableError, Series, Slot, UNIT_GENERATOR,
+                          make_generator)
 
 
 class ParseError(ValueError):
@@ -398,18 +398,22 @@ def series_to_json(series: Series) -> str:
 
 
 def series_from_json(text: str) -> Series:
+    """Decode ``series_to_json`` output; a malformed document is a ``ValueError``."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a series document must be a JSON object")
     version = doc.get("version")
     if version != JSON_VERSION:
         raise ValueError(f"unsupported series format version {version!r}")
-    mode = Mode(doc["mode"]["kind"], int(doc["mode"]["colors"]))
-    entries = []
-    for term in doc["terms"]:
-        gen = Generator(tuple(
-            TraceWord(tuple(Slot(s["label"], bool(s["conjugated"]),
-                                 None if s["color"] is None else int(s["color"]))
-                            for s in trace))
-            for trace in term["generator"]))
-        coeff = Coefficient.build(_mono_from_obj(obj) for obj in term["coeff"])
-        entries.append((gen, coeff))
-    return Series.build(mode, entries, doc.get("flags", ()))
+    try:
+        mode = Mode(doc["mode"]["kind"], int(doc["mode"]["colors"]))
+        entries = []
+        for term in doc["terms"]:
+            gen = make_generator([[Slot(s["label"], bool(s["conjugated"]),
+                                        None if s["color"] is None else int(s["color"]))
+                                   for s in trace] for trace in term["generator"]], mode)
+            coeff = Coefficient.build(_mono_from_obj(obj) for obj in term["coeff"])
+            entries.append((gen, coeff))
+        return Series.build(mode, entries, doc.get("flags", ()))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed series document: {exc!r}") from exc

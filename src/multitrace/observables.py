@@ -81,17 +81,8 @@ class Slot:
 
 def _least_rotation(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
     keys = [s.key() for s in slots]
-    n = len(slots)
-    best = 0
-    for start in range(1, n):
-        for off in range(n):
-            a = keys[(best + off) % n]
-            b = keys[(start + off) % n]
-            if a != b:
-                if b < a:
-                    best = start
-                break
-    return tuple(slots[(best + i) % n] for i in range(n))
+    best = min(range(len(slots)), key=lambda i: keys[i:] + keys[:i])
+    return slots[best:] + slots[:best]
 
 
 @dataclass(frozen=True)

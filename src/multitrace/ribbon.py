@@ -14,8 +14,9 @@ cycles of ``sigma . alpha`` over all legs, the standard permutation
 encoding of ribbon graphs ('t Hooft 1974; Lando and Zvonkin, *Graphs
 on Surfaces and Their Applications*, ch. 1); an untouched trace is one
 cycle of ``sigma`` and so one face.  ``enumerate_pairings`` builds one
-map per generator pair, the pairings it yields carry it, and
-``analyze`` reuses it.
+map per generator pair and yields plain tuples of leg pairs;
+``analyze`` builds the map of its generator pair once and reuses it
+for the schemes that follow, as long as the pair stays the same.
 
 ``analyze`` walks the faces.  The walk convention: entering a leg on
 its row side, an uncontracted leg is recorded as a surviving current
@@ -94,7 +95,6 @@ class RibbonMap:
     the leg in the next slot of the same trace and ``vertex[i]`` the
     number of that trace, numbered in order of their first leg.  The
     legs must list whole traces: every slot 0..k-1 of a k-slot trace.
-    ``slots_of`` attaches the slots of the generators the legs name.
     """
 
     def __init__(self, legs: Sequence[LegId]) -> None:
@@ -115,31 +115,28 @@ class RibbonMap:
                 self.sigma[i] = by_slot[(slot + 1) % length]
                 self.vertex[i] = number
         self.vertex_count = len(traces)
-        self._bound: tuple | None = None
-
-    def slots_of(self, gen_a: Generator, gen_b: Generator | None
-                 ) -> tuple[list[Slot], list[tuple[Slot, ...]]] | None:
-        """The slots of ``gen_a`` (side 0) and ``gen_b`` (side 1), per leg
-        and per vertex; None unless the legs are exactly ``legs_of``
-        those generators, in that order.  The last answer is kept.
-        """
-        bound = self._bound
-        if bound is not None and bound[0] is gen_a and bound[1] is gen_b:
-            return bound[2]
-        gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
-        if list(self.legs) != [leg for side, gen in enumerate(gens)
-                               for leg in legs_of(gen, side)]:
-            return None
-        trace_slots = [t.slots for gen in gens for t in gen.traces]
-        answer = ([slot for word in trace_slots for slot in word], trace_slots)
-        self._bound = (gen_a, gen_b, answer)
-        return answer
 
 
-class _MappedPairing(tuple):
-    """A pairing that carries the ``RibbonMap`` it was enumerated on."""
+_last_map: tuple = (None, None, None)
 
-    ribbon_map: RibbonMap
+
+def _map_of(gen_a: Generator, gen_b: Generator | None
+            ) -> tuple[RibbonMap, list[Slot], list[tuple[Slot, ...]]]:
+    """The map of the legs of ``gen_a`` (side 0) and ``gen_b`` (side 1), the
+    slot of each leg and the slots of each vertex.  The last pair's answer
+    is kept, keyed by the identity of its generators (cheaper than a hash);
+    holding them keeps their identities from being reused.
+    """
+    global _last_map
+    last = _last_map
+    if last[0] is gen_a and last[1] is gen_b:
+        return last[2]
+    gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
+    rmap = RibbonMap([leg for side, gen in enumerate(gens) for leg in legs_of(gen, side)])
+    trace_slots = [t.slots for gen in gens for t in gen.traces]
+    answer = (rmap, [slot for word in trace_slots for slot in word], trace_slots)
+    _last_map = (gen_a, gen_b, answer)
+    return answer
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
@@ -234,9 +231,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
             return
         if idx == heads:
             stats.yielded += 1
-            pairing = _MappedPairing(chosen)
-            pairing.ribbon_map = rmap
-            yield pairing
+            yield tuple(chosen)
             return
         # the head leg stays uncontracted
         yield from walk(idx + 1)
@@ -297,12 +292,7 @@ class LoopReport:
 def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             mode: Mode = Mode()) -> LoopReport:
     """Walk the strands of a contraction scheme and count everything."""
-    rmap = getattr(pairing, "ribbon_map", None)
-    bound = None if rmap is None else rmap.slots_of(gen_a, gen_b)
-    if bound is None:
-        rmap = RibbonMap(legs_of(gen_a, 0) + ([] if gen_b is None else legs_of(gen_b, 1)))
-        bound = rmap.slots_of(gen_a, gen_b)
-    slots, trace_slots = bound
+    rmap, slots, trace_slots = _map_of(gen_a, gen_b)
     legs, index, sigma, vertex = rmap.legs, rmap.index, rmap.sigma, rmap.vertex
     n = len(legs)
 

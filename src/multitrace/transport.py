@@ -4,7 +4,7 @@ Changing the two-point kernel underneath the normal ordering maps each
 generator to a finite combination of generators of the target basis.
 The sum runs over sets of disjoint leg pairs of a single generator
 (its own traces may contract into themselves): the same scheme loop as
-the product, ``algebra.scheme_terms``, with each pair contributing
+the product, ``algebra.scheme_series``, with each pair contributing
 ``hbar`` times a difference-kernel symbol whose numeric meaning is
 
     F  =  (target kernel) - (source kernel).
@@ -20,7 +20,7 @@ the result is flagged ``negative-eps`` rather than rejected.
 
 from __future__ import annotations
 
-from .algebra import PairNamer, collect, scheme_terms
+from .algebra import PairNamer, scheme_series
 from .coeffring import KernelSymbol
 from .observables import Mode, Series
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
@@ -43,20 +43,9 @@ def transport(series: Series, *, symbol: str = "F", negate: bool = False,
     inverse shift; transporting with ``F`` and then with ``-F`` is the
     identity.
     """
-    mode = series.mode
-    name_pair = _difference_kernel(symbol, mode)
-    out = []
-    flags = set(series.flags)
-    for gen, coeff in series.terms:
-        terms = scheme_terms(gen, None, mode, name_pair, max_eps_degree, flags)
-        if negate:
-            for key in terms:
-                if key[1].hbar % 2:
-                    terms[key] = -terms[key]
-        if any(mono.eps_half < 0 for _, mono in terms):
-            flags.add("negative-eps")
-        out.extend(collect(terms, coeff))
-    return Series.build(mode, out, flags)
+    jobs = ((gen, None, coeff) for gen, coeff in series.terms)
+    return scheme_series(series.mode, jobs, _difference_kernel(symbol, series.mode),
+                         max_eps_degree, set(series.flags), negate)
 
 
 def transport_roundtrip_check(series: Series, *, symbol: str = "F") -> Series:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -24,6 +25,7 @@ from multitrace import (
     legs_of,
     make_generator,
     product_chain,
+    render_series,
     result_generator,
 )
 
@@ -359,9 +361,8 @@ def _reference_monomial(report, kernels):
                     s=report.s_exponents, kernels=tuple((k, 1) for k in kernels))
 
 
-def reference_product(a, b, max_eps_degree=None):
-    """``product`` summed one ``Coefficient`` per scheme (slow, for tests)."""
-    out, flags = [], set(a.flags | b.flags)
+def _reference_product_terms(a, b, max_eps_degree, flags):
+    """(eps degree, output generator, coefficient) of each admitted product scheme."""
     for ga, ca in a.terms:
         for gb, cb in b.terms:
             for report, slots in _reference_schemes(ga, gb, a.mode, max_eps_degree, flags):
@@ -372,8 +373,25 @@ def reference_product(a, b, max_eps_degree=None):
                                                   (v.label, v.conjugated)))
                                for u, v in slots]
                 mono = Coefficient.monomial(_reference_monomial(report, kernels))
-                out.append((result_generator(report), ca * cb * mono))
+                yield report.exponent, result_generator(report), ca * cb * mono
+
+
+def reference_product(a, b, max_eps_degree=None):
+    """``product`` summed one ``Coefficient`` per scheme (slow, for tests)."""
+    flags = set(a.flags | b.flags)
+    out = [(gen, coeff) for _, gen, coeff in _reference_product_terms(a, b, max_eps_degree, flags)]
     return Series.build(a.mode, out, flags)
+
+
+def reference_genus_table(a, b):
+    """The ``genus-table`` printout, scheme by scheme (slow, for tests)."""
+    counts, layers = Counter(), defaultdict(list)
+    for degree, gen, coeff in _reference_product_terms(a, b, None, set()):
+        counts[degree] += 1
+        layers[degree].append((gen, coeff))
+    return "".join(f"eps^{d}: {counts[d]} schemes\n"
+                   f"  {render_series(Series.build(a.mode, layers[d]))}\n"
+                   for d in sorted(counts))
 
 
 def reference_transport(series, symbol="F", negate=False, max_eps_degree=None):

@@ -15,6 +15,7 @@ from multitrace import (
     OracleConfig,
     Series,
     Slot,
+    UNIT_GENERATOR,
     ZERO,
     classical_product,
     commutator,
@@ -35,7 +36,7 @@ from multitrace import (
     substitute_block_ratio,
 )
 
-from helpers import series_of, shaped
+from helpers import reference_product, series_of, shaped
 
 
 # -- products ---------------------------------------------------------------
@@ -62,6 +63,17 @@ def test_product_of_two_pairs():
     assert len(glue_terms) == 4
     assert all(c == eps_hbar_g for _, c in glue_terms)
     assert expectation(out) == parse_coefficient("2*hbar^2*g^2", MATRIX)
+
+
+def test_opposite_input_pairs_cancel_in_the_merge():
+    # both pairs close to W{} with the same monomial and opposite signs
+    a = parse_series("W{Tr[x1 x2]} - W{Tr[x3 x4]}", MATRIX)
+    b = parse_series("W{Tr[y1 y2]}", MATRIX)
+    assert product(series_of((2,)), b).coefficient(UNIT_GENERATOR) \
+        == parse_coefficient("2*hbar^2*g^2", MATRIX)
+    out = product(a, b)
+    assert UNIT_GENERATOR not in [gen for gen, _ in out.terms]
+    assert out == reference_product(a, b)
 
 
 def test_product_is_associative():

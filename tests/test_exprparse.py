@@ -12,10 +12,12 @@ from multitrace import (
     KernelSymbol,
     MATRIX,
     Mode,
+    Monomial,
     ONE,
     ParseError,
     Series,
     Slot,
+    forget_labels,
     make_generator,
     parse_coefficient,
     parse_series,
@@ -177,6 +179,31 @@ def test_json_rejects_unknown_versions():
     doc["version"] = "2"
     with pytest.raises(ValueError, match="version"):
         series_from_json(json.dumps(doc))
+
+
+def _json_doc(colors=0, slot=None):
+    slot = {"label": "x1", "conjugated": False, "color": None} if slot is None else slot
+    return json.dumps({"version": "1", "mode": {"kind": "matrix", "colors": colors},
+                       "flags": [], "terms": [{"coeff": [], "generator": [[slot]]}]})
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"version": "1"}',
+    _json_doc(slot={"label": "x1", "conjugated": False}),
+    _json_doc(colors=0, slot={"label": "x1", "conjugated": False, "color": 2}),
+], ids=["not-an-object", "no-mode", "slot-without-color", "color-outside-the-mode"])
+def test_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError):
+        series_from_json(text)
+
+
+def test_json_keeps_half_units_and_repeated_labels():
+    s = forget_labels(series_of((1, 1))).scale(Coefficient.monomial(Monomial(eps_half=1)))
+    assert [slot.label for slot in s.terms[0][0].traces[1].slots] == ["x"]
+    blob = series_to_json(s)
+    assert series_from_json(blob) == s
+    assert series_to_json(series_from_json(blob)) == blob
 
 
 def test_engine_outputs_round_trip_through_text():

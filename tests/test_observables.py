@@ -13,6 +13,7 @@ from multitrace import (
     ONE,
     Series,
     Slot,
+    TraceWord,
     UNIT_GENERATOR,
     classical_product,
     forget_labels,
@@ -37,6 +38,21 @@ def test_cyclic_rotation_is_canonicalized():
     b = make_generator([word("x1", "x2", "x3")], MATRIX)
     assert a == b
     assert a.key() == b.key()
+
+
+slots = st.builds(Slot, st.sampled_from(["a", "b"]), st.booleans(),
+                  st.sampled_from([None, 1, 2]))
+
+
+@given(st.lists(slots, min_size=1, max_size=5), st.integers(1, 3), st.integers(0, 14))
+def test_least_rotation_matches_brute_force(base, period, shift):
+    # repeated bases give periodic words, whose least rotation is not unique
+    slots_in = tuple(base) * period
+    shift %= len(slots_in)
+    rotated = slots_in[shift:] + slots_in[:shift]
+    rotations = [slots_in[i:] + slots_in[:i] for i in range(len(slots_in))]
+    want = min(rotations, key=lambda w: [s.key() for s in w])
+    assert TraceWord(rotated).slots == want
 
 
 def test_trace_order_is_immaterial():

@@ -1,5 +1,6 @@
 """Pairing enumeration and the strand-walk census behind every product."""
 
+from itertools import zip_longest
 from math import comb
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from multitrace import (
     EnumerationStats,
+    Generator,
     KERNEL,
     LegId,
     Mode,
@@ -151,10 +153,25 @@ def test_analyze_matches_the_reference_walk(data, mode, product_mode):
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     legs_b = legs_of(gb, side=1) if product_mode else None
     for pairing in enumerate_pairings(legs_of(ga), legs_b):
-        want = reference_analyze(pairing, ga, gb, mode)
-        assert analyze(pairing, ga, gb, mode) == want
-        # a plain tuple carries no map: analyze builds its own
-        assert analyze(tuple(pairing), ga, gb, mode) == want
+        # pairings are plain tuples, the documented Pairing type
+        assert type(pairing) is tuple
+        assert analyze(pairing, ga, gb, mode) == reference_analyze(pairing, ga, gb, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES))
+def test_analyze_follows_alternating_generator_pairs(data, mode):
+    ga = data.draw(generators(mode, "x", 4))
+    gb, gc, gd = (data.draw(generators(mode, prefix, 3)) for prefix in "yuv")
+    copy_a = Generator(ga.traces)
+    assert copy_a == ga and copy_a is not ga
+    jobs = [(ga, gb), (gc, gd), (ga, None), (copy_a, gb), (gc, None)]
+    runs = [[(pairing, a, b) for pairing in
+             enumerate_pairings(legs_of(a), None if b is None else legs_of(b, side=1))]
+            for a, b in jobs]
+    for step in zip_longest(*runs):
+        for pairing, a, b in filter(None, step):
+            assert analyze(pairing, a, b, mode) == reference_analyze(pairing, a, b, mode)
 
 
 class TestCensus:
