@@ -11,9 +11,11 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Scheme counts are integers, kept per generator pair; the
-rational input coefficients are multiplied in once per (pair, output
-generator) and all pairs are merged by one ``Series.build``.
+separately.  Per generator pair, ``ribbon.census`` reduces each scheme
+to an integer key, the schemes are counted per key, and each distinct
+key is assembled once into its output generator and monomial
+(``scheme_coefficient``) times the rational input coefficients; all
+pairs are merged by one ``Series.build``.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -22,7 +24,7 @@ size-squared bracket, the genus table) is built from this one sum.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,8 +32,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import (EnumerationStats, LoopReport, analyze, enumerate_pairings,
-                     legs_of, result_generator)
+from .ribbon import EnumerationStats, census, enumerate_pairings, legs_of, rank_slots
+# bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
+from .ribbon import analyze, result_generator  # noqa: F401
 
 
 class AlgebraError(ValueError):
@@ -40,34 +43,34 @@ class AlgebraError(ValueError):
 
 MATRIX_KERNEL = KernelSymbol("g")
 
-# names the kernel factor of one contracted pair from its two slots
-PairNamer = Callable[[Slot, Slot], KernelSymbol]
+# the kernel of a contracted pair: one symbol for every pair (matrix mode),
+# or a function naming it from the pair's two slots (kernel mode)
+PairKernel = KernelSymbol | Callable[[Slot, Slot], KernelSymbol]
 
 
-def product_pair_kernel(mode: Mode) -> PairNamer:
+def product_pair_kernel(mode: Mode) -> PairKernel:
     """Kernel of a product pair: ``g``, or ``K(u,v)`` in kernel mode."""
     if mode.kind == "matrix":
-        return lambda su, sv: MATRIX_KERNEL
+        return MATRIX_KERNEL
     return lambda su, sv: KernelSymbol("K", ((su.label, su.conjugated),
                                              (sv.label, sv.conjugated)))
 
 
-def scheme_coefficient(report: LoopReport, gens: Sequence[Generator | None],
-                       name_pair: PairNamer) -> Monomial:
-    """Monomial carried by one contraction scheme (its weight is one)."""
-    kernels = []
-    for u, v in report.pairs:
-        su = gens[u.side].traces[u.trace].slots[u.slot]
-        sv = gens[v.side].traces[v.trace].slots[v.slot]
-        kernels.append((name_pair(su, sv), 1))
-    return Monomial(eps_half=report.exponent_half_units,
-                    hbar=report.pair_count,
-                    s=report.s_exponents,
-                    kernels=tuple(kernels))
+def scheme_coefficient(key: tuple,
+                       kernel: KernelSymbol | Callable[[int, int], KernelSymbol]) -> Monomial:
+    """Monomial of the schemes of one ``census`` key (each has weight one).
+
+    ``kernel`` is the one kernel symbol of matrix mode, or names the
+    kernel of a pair from its two slot ranks.
+    """
+    _, eps_half, s, pairs = key
+    if isinstance(pairs, int):
+        return Monomial(eps_half, pairs, s, ((kernel, pairs),))
+    return Monomial(eps_half, len(pairs), s, tuple((kernel(u, v), 1) for u, v in pairs))
 
 
 def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, Coefficient]],
-                  name_pair: PairNamer, max_eps_degree: int | None,
+                  kernel: PairKernel, max_eps_degree: int | None,
                   flags: set[str], negate: bool = False) -> Series:
     """Sum over the admitted schemes of all jobs, merged into one series.
 
@@ -81,22 +84,25 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     """
     by_gen: dict[Generator, list] = defaultdict(list)
     for gen_a, gen_b, scale in jobs:
-        gens = (gen_a, gen_b)
         legs_b = None if gen_b is None else legs_of(gen_b, 1)
-        terms: Counter = Counter()
         stats = EnumerationStats()
-        for pairing in enumerate_pairings(legs_of(gen_a, 0), legs_b,
-                                          max_eps_degree=max_eps_degree, stats=stats):
-            report = analyze(pairing, gen_a, gen_b, mode)
-            if not report.weight_zero:
-                terms[result_generator(report), scheme_coefficient(report, gens, name_pair)] += 1
+        counts = Counter(filter(None, (
+            census(pairing, gen_a, gen_b, mode) for pairing in enumerate_pairings(
+                legs_of(gen_a, 0), legs_b, max_eps_degree=max_eps_degree, stats=stats))))
         if stats.pruned_branches:
             flags.add("truncated")
-        for (gen, mono), count in terms.items():
+        slots = rank_slots(gen_a, gen_b) if counts else []
+        # each output generator and each pair kernel is built once per job
+        output = cache(lambda words: Generator(tuple(
+            TraceWord(tuple(slots[r] for r in word)) for word in words)))
+        name = kernel if mode.kind == "matrix" else cache(
+            lambda u, v: kernel(slots[u], slots[v]))
+        for key, count in counts.items():
+            mono = scheme_coefficient(key, name)
             if mono.eps_half < 0:
                 flags.add("negative-eps")
             sign = -1 if negate and mono.hbar % 2 else 1
-            by_gen[gen].extend((mono.mul(m), sign * count * q) for m, q in scale.terms)
+            by_gen[output(key[0])].extend((mono.mul(m), sign * count * q) for m, q in scale.terms)
     # popping frees each entry list once its coefficient is built (peak memory)
     merged = [(gen, Coefficient.build(by_gen.pop(gen))) for gen in list(by_gen)]
     return Series.build(mode, merged, flags)

@@ -285,8 +285,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # every option but -h is a "--" long option, so an argument that starts
+    # with a single "-" is a series literal with a negative leading term
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="multitrace",
         description="exact size-expansion algebra of multi-trace observables")
     subs = top.add_subparsers(dest="command", required=True)

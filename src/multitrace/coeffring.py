@@ -116,6 +116,8 @@ class Monomial:
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, other: "Monomial") -> "Monomial":
+        if other == _UNIT_MONOMIAL:
+            return self
         return Monomial(
             self.eps_half + other.eps_half,
             self.hbar + other.hbar,

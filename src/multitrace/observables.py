@@ -79,10 +79,13 @@ class Slot:
         return text
 
 
-def _least_rotation(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
-    keys = [s.key() for s in slots]
-    best = min(range(len(slots)), key=lambda i: keys[i:] + keys[:i])
-    return slots[best:] + slots[:best]
+def least_rotation(keys: list) -> int:
+    """Where the least rotation of ``keys`` starts (the first such place)."""
+    low = min(keys)
+    if keys.count(low) == 1:
+        return keys.index(low)
+    return min((i for i, key in enumerate(keys) if key == low),
+               key=lambda i: keys[i:] + keys[:i])
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ class TraceWord:
     def __post_init__(self) -> None:
         if not self.slots:
             raise ObservableError("trace words must contain at least one slot")
-        object.__setattr__(self, "slots", _least_rotation(tuple(self.slots)))
+        slots = tuple(self.slots)
+        k = least_rotation([s.key() for s in slots])
+        object.__setattr__(self, "slots", slots[k:] + slots[:k])
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -204,10 +209,13 @@ class Series:
     @staticmethod
     def build(mode: Mode, entries: Iterable[tuple[Generator, Coefficient]],
               flags: Iterable[str] = ()) -> "Series":
-        grouped: dict[Generator, list] = {}
+        grouped: dict[Generator, list[Coefficient]] = {}
         for gen, coeff in entries:
-            grouped.setdefault(gen, []).extend(coeff.terms)
-        merged = ((gen, Coefficient.build(terms)) for gen, terms in grouped.items())
+            grouped.setdefault(gen, []).append(coeff)
+        # a coefficient is canonical, so one that meets no other is kept as it is
+        merged = ((gen, coeffs[0] if len(coeffs) == 1 else
+                   Coefficient.build(term for coeff in coeffs for term in coeff.terms))
+                  for gen, coeffs in grouped.items())
         ordered = tuple(sorted(((gen, coeff) for gen, coeff in merged if coeff),
                                key=lambda kv: kv[0].key()))
         return Series(mode, ordered, frozenset(flags))

@@ -14,33 +14,34 @@ cycles of ``sigma . alpha`` over all legs, the standard permutation
 encoding of ribbon graphs ('t Hooft 1974; Lando and Zvonkin, *Graphs
 on Surfaces and Their Applications*, ch. 1); an untouched trace is one
 cycle of ``sigma`` and so one face.  ``enumerate_pairings`` builds one
-map per generator pair and yields plain tuples of leg pairs;
-``analyze`` builds the map of its generator pair once and reuses it
-for the schemes that follow, as long as the pair stays the same.
+map per generator pair and yields plain tuples of leg pairs.
 
-``analyze`` walks the faces.  The walk convention: entering a leg on
-its row side, an uncontracted leg is recorded as a surviving current
-and exited on its column side, while a contracted leg hands the strand
-to its partner; either way the walk then follows the trace corner to
-the next slot, so one step is ``leg -> sigma[alpha[leg]]``.  Corners
-carry the projector colors of a colored model.
+``census`` walks the faces, one step ``leg -> sigma[alpha[leg]]``: an
+uncontracted leg is a surviving current, a contracted one hands the
+strand to its partner, and corners carry the projector colors of a
+colored model.  It keeps the map of its generator pair, with each
+leg's slot rank (its slot's place among the pair's distinct slots, in
+``Slot.key`` order), for the schemes that follow.  The loops are
 
-Loop taxonomy:
+* degenerate: one per trace with no contracted leg (``d_count``, not
+  counted as a face),
+* current: carry a surviving leg; each becomes one output trace,
+* pure: no surviving leg; each is one power of the matrix size (times
+  a block ratio when colored).
 
-* degenerate loops: one per vertex (trace) with no contracted leg;
-  counted by ``d_count`` and kept out of the face count,
-* current loops: carry at least one surviving leg; each becomes one
-  output trace, slots in traversal order,
-* pure loops: closed index lines with no surviving leg; each
-  contributes one power of the matrix size (times a block ratio when
-  colored).
+A scheme's term is told by an integer key: its output traces as
+sorted, least-rotated tuples of slot ranks (rank order is slot order,
+so these name the canonical trace words), its eps half-units, its
+block-ratio exponents, and its kernels (the pair count in matrix mode,
+the sorted rank pairs of its pairs in kernel mode).  The product loop
+counts schemes per key and builds each term once per distinct key
+(``algebra.scheme_series``).  ``analyze`` runs the same walk and
+returns the full ``LoopReport``.
 
-The eps exponent of a scheme is computed from first principles as the
-normalization mismatch minus the pure-loop count, which reduces to
-``P - I`` (pairs minus pure loops).  ``analyze`` cross-checks it
+The eps exponent is the normalization mismatch minus the pure-loop
+count, ``P - I`` (pairs minus pure loops).  Every scheme is checked
 against the per-component form ``J + 2*H + V - 2`` implied by the
-Euler relation ``F - P + V = 2 - 2*H`` and fails loudly if the two
-ever disagree.
+Euler relation ``F - P + V = 2 - 2*H``.
 
 The eps cap.  With every face counted (``F = I + J + D``) the exponent
 is ``P - F + (faces holding an uncontracted leg)``.  On a partial
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .observables import Generator, Mode, Slot, TraceWord
+from .observables import Generator, Mode, Slot, TraceWord, least_rotation
 
 
 class RibbonError(ValueError):
@@ -120,12 +121,12 @@ class RibbonMap:
 _last_map: tuple = (None, None, None)
 
 
-def _map_of(gen_a: Generator, gen_b: Generator | None
-            ) -> tuple[RibbonMap, list[Slot], list[tuple[Slot, ...]]]:
+def _map_of(gen_a: Generator, gen_b: Generator | None) -> tuple:
     """The map of the legs of ``gen_a`` (side 0) and ``gen_b`` (side 1), the
-    slot of each leg and the slots of each vertex.  The last pair's answer
-    is kept, keyed by the identity of its generators (cheaper than a hash);
-    holding them keeps their identities from being reused.
+    slot of each leg, each leg's slot rank, the distinct slots in rank
+    (``Slot.key``) order, and the ranks of each vertex's slots.  The last
+    pair's answer is kept, keyed by the identity of its generators (cheaper
+    than a hash); holding them keeps their identities from being reused.
     """
     global _last_map
     last = _last_map
@@ -133,8 +134,11 @@ def _map_of(gen_a: Generator, gen_b: Generator | None
         return last[2]
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
     rmap = RibbonMap([leg for side, gen in enumerate(gens) for leg in legs_of(gen, side)])
-    trace_slots = [t.slots for gen in gens for t in gen.traces]
-    answer = (rmap, [slot for word in trace_slots for slot in word], trace_slots)
+    slots = [slot for gen in gens for t in gen.traces for slot in t.slots]
+    by_rank = sorted(set(slots), key=Slot.key)
+    rank = {slot: r for r, slot in enumerate(by_rank)}
+    answer = (rmap, slots, [rank[slot] for slot in slots], by_rank,
+              [tuple(rank[slot] for slot in t.slots) for gen in gens for t in gen.traces])
     _last_map = (gen_a, gen_b, answer)
     return answer
 
@@ -292,7 +296,24 @@ class LoopReport:
 def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             mode: Mode = Mode()) -> LoopReport:
     """Walk the strands of a contraction scheme and count everything."""
-    rmap, slots, trace_slots = _map_of(gen_a, gen_b)
+    report: dict = {}
+    census(pairing, gen_a, gen_b, mode, report)
+    return LoopReport(pairs=tuple(pairing), **report)
+
+
+def rank_slots(gen_a: Generator, gen_b: Generator | None = None) -> list[Slot]:
+    """The slot of each rank in the census keys of this generator pair."""
+    return _map_of(gen_a, gen_b)[3]
+
+
+def census(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
+           mode: Mode = Mode(), report: dict | None = None) -> tuple | None:
+    """The integer key of a contraction scheme's term (see the module
+    docstring), or ``None`` if its weight is zero.  The Euler and half-unit
+    checks run on every scheme.  ``report``, when a dict, also gets the
+    other fields of the scheme's ``LoopReport``.
+    """
+    rmap, slots, ranks, by_rank, vertex_ranks = _map_of(gen_a, gen_b)
     legs, index, sigma, vertex = rmap.legs, rmap.index, rmap.sigma, rmap.vertex
     n = len(legs)
 
@@ -314,15 +335,16 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
         touched[vertex[i]] = touched[vertex[j]] = True
 
     # Face walk over the legs of contracted vertices.
-    colored = mode.colored
+    full, colored = report is not None, mode.colored
     seen = [False] * n
     pure_count = 0
+    words: list[tuple[int, ...]] = []   # rank words of the output traces
     current_loops: list[tuple[LegId, ...]] = []
+    output_words: list[tuple[Slot, ...]] = []
     loop_colors: list[object] = []
     face_vertices: list[int] = []
     s_exp: dict[int, int] = {}
     zero_reason = None
-    output_words: list[tuple[Slot, ...]] = []
     for start in range(n):
         if seen[start] or not touched[vertex[start]]:
             continue
@@ -347,71 +369,69 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             elif colored:
                 s_exp[color] = s_exp.get(color, 0) + 1
         else:
-            current_loops.append(tuple(legs[c] for c in currents))
-            output_words.append(tuple(slots[c] for c in currents))
+            word = [ranks[c] for c in currents]
+            k = least_rotation(word)
+            words.append(tuple(word[k:] + word[:k]))
             if colored and not _chains_monochrome(corners, alpha, slots):
                 zero_reason = zero_reason or "mixed-color projector chain between currents"
-
+            if full:
+                current_loops.append(tuple(legs[c] for c in currents))
+                output_words.append(tuple(slots[c] for c in currents))
+    current_count = len(words)
     isolated = [v for v in range(rmap.vertex_count) if not touched[v]]
-    output_words.extend(trace_slots[v] for v in isolated)
+    words += [vertex_ranks[v] for v in isolated]
+    if full:
+        output_words += [tuple(by_rank[r] for r in vertex_ranks[v]) for v in isolated]
 
-    # Components over contracted vertices: union-find, the first leg's root wins.
-    parent = list(range(rmap.vertex_count))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    # Components over contracted vertices: a pair merges the component of
+    # its second leg into that of its first.
+    comp = list(range(rmap.vertex_count))
     for i, j in edges:
-        ra, rb = find(vertex[i]), find(vertex[j])
-        if ra != rb:
-            parent[rb] = ra
-    roots = [find(v) for v in range(rmap.vertex_count)]
-    counts: dict[int, list[int]] = {}   # root -> [vertices, pairs, faces]
-    for v, root in enumerate(roots):
+        keep, drop = comp[vertex[i]], comp[vertex[j]]
+        if keep != drop:
+            comp = [keep if c == drop else c for c in comp]
+    counts: dict[int, list[int]] = {}   # component -> [vertices, pairs, faces]
+    for v in range(rmap.vertex_count):
         if touched[v]:
-            counts.setdefault(root, [0, 0, 0])[0] += 1
+            counts.setdefault(comp[v], [0, 0, 0])[0] += 1
     for i, _ in edges:
-        counts[roots[vertex[i]]][1] += 1
+        counts[comp[vertex[i]]][1] += 1
     for v in face_vertices:
-        counts[roots[v]][2] += 1
+        counts[comp[v]][2] += 1
 
+    # Exponent from normalization bookkeeping, cross-checked per component.
+    check = current_count
     components = []
-    for root in sorted(counts):
-        v_k, p_k, f_k = counts[root]
+    for name in sorted(counts):
+        v_k, p_k, f_k = counts[name]
         euler_defect = 2 - (f_k - p_k + v_k)
         if euler_defect < 0 or euler_defect % 2 != 0:
             raise RibbonError(
                 f"Euler relation violated on a component: F={f_k} P={p_k} V={v_k}")
-        components.append(ComponentStats(v_k, p_k, f_k, euler_defect // 2))
-
-    # Exponent from normalization bookkeeping, cross-checked per component.
-    total_out = sum(len(w) for w in output_words)
-    half_units = (n - total_out) - 2 * pure_count
+        check += euler_defect + v_k - 2
+        if full:
+            components.append(ComponentStats(v_k, p_k, f_k, euler_defect // 2))
+    half_units = (n - sum(map(len, words))) - 2 * pure_count
     if half_units != 2 * (len(edges) - pure_count):
         raise RibbonError("leg bookkeeping does not match the pair count")
-    check = len(current_loops) + sum(2 * c.handles + c.vertices - 2 for c in components)
     if half_units != 2 * check:
         raise RibbonError(
             f"exponent mismatch: first-principles {half_units}/2 vs "
             f"component form {check}")
 
-    return LoopReport(
-        pairs=tuple(pairing),
-        d_count=len(isolated),
-        pure_loop_count=pure_count,
-        current_loop_count=len(current_loops),
-        current_loops=tuple(current_loops),
-        loop_colors=tuple(loop_colors),
-        components=tuple(components),
-        exponent_half_units=half_units,
-        s_exponents=tuple(sorted(s_exp.items())),
-        weight_zero=zero_reason is not None,
-        zero_reason=zero_reason,
-        output_words=tuple(output_words),
-    )
+    s_exponents = tuple(sorted(s_exp.items()))
+    if full:
+        report.update(d_count=len(isolated), pure_loop_count=pure_count,
+                      current_loop_count=current_count, current_loops=tuple(current_loops),
+                      loop_colors=tuple(loop_colors), components=tuple(components),
+                      exponent_half_units=half_units, s_exponents=s_exponents,
+                      weight_zero=zero_reason is not None, zero_reason=zero_reason,
+                      output_words=tuple(output_words))
+    if zero_reason is not None:
+        return None
+    kernels = (len(edges) if mode.kind == "matrix"
+               else tuple(sorted((ranks[i], ranks[j]) for i, j in edges)))
+    return tuple(sorted(words)), half_units, s_exponents, kernels
 
 
 def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) -> bool:

@@ -20,16 +20,16 @@ the result is flagged ``negative-eps`` rather than rejected.
 
 from __future__ import annotations
 
-from .algebra import PairNamer, scheme_series
+from .algebra import PairKernel, scheme_series
 from .coeffring import KernelSymbol
 from .observables import Mode, Series
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, enumerate_pairings, result_generator  # noqa: F401
 
 
-def _difference_kernel(symbol: str, mode: Mode) -> PairNamer:
+def _difference_kernel(symbol: str, mode: Mode) -> PairKernel:
     if mode.kind == "matrix":
-        return lambda su, sv: KernelSymbol(symbol)
+        return KernelSymbol(symbol)
     # difference kernels are symmetric, so a sorted argument order is canonical
     return lambda su, sv: KernelSymbol(symbol, tuple(sorted(
         [(su.label, su.conjugated), (sv.label, sv.conjugated)])))

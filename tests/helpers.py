@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import comb, factorial
 
 import hypothesis.strategies as st
 
@@ -356,7 +357,16 @@ def _reference_schemes(ga, gb, mode, max_eps_degree, flags):
         yield report, slots
 
 
-def _reference_monomial(report, kernels):
+def reference_scheme_monomial(report, slots, mode, symbol=None):
+    """Monomial of one scheme from its pairs' slots: a product's ``g`` or
+    ``K(u,v)`` kernels, or, with ``symbol``, a transport's symmetric ones."""
+    refs = [((u.label, u.conjugated), (v.label, v.conjugated)) for u, v in slots]
+    if mode.kind == "matrix":
+        kernels = [KernelSymbol(symbol or "g")] * len(refs)
+    elif symbol is None:
+        kernels = [KernelSymbol("K", ref) for ref in refs]
+    else:
+        kernels = [KernelSymbol(symbol, tuple(sorted(ref))) for ref in refs]
     return Monomial(eps_half=report.exponent_half_units, hbar=report.pair_count,
                     s=report.s_exponents, kernels=tuple((k, 1) for k in kernels))
 
@@ -366,13 +376,7 @@ def _reference_product_terms(a, b, max_eps_degree, flags):
     for ga, ca in a.terms:
         for gb, cb in b.terms:
             for report, slots in _reference_schemes(ga, gb, a.mode, max_eps_degree, flags):
-                if a.mode.kind == "matrix":
-                    kernels = [KernelSymbol("g")] * len(slots)
-                else:
-                    kernels = [KernelSymbol("K", ((u.label, u.conjugated),
-                                                  (v.label, v.conjugated)))
-                               for u, v in slots]
-                mono = Coefficient.monomial(_reference_monomial(report, kernels))
+                mono = Coefficient.monomial(reference_scheme_monomial(report, slots, a.mode))
                 yield report.exponent, result_generator(report), ca * cb * mono
 
 
@@ -402,14 +406,9 @@ def reference_transport(series, symbol="F", negate=False, max_eps_degree=None):
                                                 max_eps_degree, flags):
             if report.exponent < 0:
                 flags.add("negative-eps")
-            if series.mode.kind == "matrix":
-                kernels = [KernelSymbol(symbol)] * len(slots)
-            else:
-                kernels = [KernelSymbol(symbol, tuple(sorted(
-                    [(u.label, u.conjugated), (v.label, v.conjugated)])))
-                    for u, v in slots]
             sign = -1 if negate and report.pair_count % 2 else 1
-            mono = Coefficient.monomial(_reference_monomial(report, kernels), sign)
+            mono = Coefficient.monomial(
+                reference_scheme_monomial(report, slots, series.mode, symbol), sign)
             out.append((result_generator(report), coeff * mono))
     return Series.build(series.mode, out, flags)
 
@@ -453,3 +452,32 @@ def reference_connected_product(factors, max_eps_degree=None):
         return total
 
     return conn(tuple(range(len(factors))))
+
+
+# -- closed forms, independent of the engine -----------------------------------
+
+
+def product_scheme_count(a, b):
+    """Sets of disjoint pairs joining a legs to b legs: sum_k C(a,k) C(b,k) k!."""
+    return sum(comb(a, k) * comb(b, k) * factorial(k) for k in range(min(a, b) + 1))
+
+
+def transport_scheme_count(n):
+    """Telephone number: sets of disjoint pairs among n legs (9,496 at 10)."""
+    return sum(comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
+               for k in range(n // 2 + 1))
+
+
+def harer_zagier(n):
+    """{g: eps_g(n)}, the gluings of a 2n-gon into a genus-g surface, from
+    (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), e_0(0) = 1
+    (Harer and Zagier, Invent. Math. 85, 1986)."""
+    table = {(0, 0): 1}
+    for m in range(1, n + 1):
+        for g in range(m // 2 + 1):
+            rhs = 2 * (2 * m - 1) * table.get((g, m - 1), 0)
+            if g >= 1:
+                rhs += (m - 1) * (2 * m - 1) * (2 * m - 3) * table.get((g - 1, m - 2), 0)
+            assert rhs % (m + 1) == 0
+            table[g, m] = rhs // (m + 1)
+    return {g: table[g, n] for g in range(n // 2 + 1)}

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from multitrace import (MATRIX, RibbonError, Series, algebra, parse_series, product,
-                        series_from_json)
+                        render_series, series_from_json)
 from multitrace.cli import main, parse_manifest_line
 
 
@@ -69,11 +69,31 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RibbonError("exponent mismatch")
 
-    monkeypatch.setattr(algebra, "analyze", broken)
+    monkeypatch.setattr(algebra, "census", broken)
     code, out, err = run(capsys, "product", "W{Tr[x1]}", "W{Tr[y1]}")
     assert code == 3
     assert out == ""
     assert err == "internal error: exponent mismatch\n"
+
+
+def test_a_leading_minus_literal_is_a_series(capsys):
+    code, out, err = run(capsys, "product", "-W{Tr[x1]}", "W{Tr[y1]}")
+    assert (code, out, err) == (0, "-1*W{Tr[x1] Tr[y1]} - hbar*g*W{}\n", "")
+    code, out, _ = run(capsys, "moment", "W{Tr[x1]}", "-hbar*W{Tr[y1]}", "--max-eps", "-1")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "moment", "-hbar*W{Tr[x1]}", "W{Tr[y1]}")
+    assert (code, out) == (0, "-hbar^2*g\n")
+    with pytest.raises(SystemExit) as help_exit:
+        main(["product", "-h"])
+    assert help_exit.value.code == 0 and "series literals" in capsys.readouterr().out
+
+
+def test_a_rendered_negative_result_feeds_back(capsys):
+    code, first, _ = run(capsys, "product", "-W{Tr[x1 x2]}", "W{Tr[y1 y2]}")
+    assert code == 0 and first.startswith("-")
+    code, out, _ = run(capsys, "product", first.strip(), "W{Tr[z1]}")
+    want = product(parse_series(first, MATRIX), parse_series("W{Tr[z1]}", MATRIX))
+    assert code == 0 and out == render_series(want) + "\n"
 
 
 def test_commutator_and_poisson(capsys):

@@ -1,7 +1,6 @@
 """Pairing enumeration and the strand-walk census behind every product."""
 
 from itertools import zip_longest
-from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -19,31 +18,11 @@ from multitrace import (
     legs_of,
     result_generator,
 )
-from multitrace.ribbon import RibbonMap, exponent_bound
+from multitrace import ribbon
+from multitrace.ribbon import RibbonMap, census, exponent_bound
 
-from helpers import MODES, generators, reference_analyze, shaped
-
-
-def double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def product_pairing_count(na, nb):
-    out = 0
-    fact = 1
-    for k in range(min(na, nb) + 1):
-        fact *= max(k, 1)
-        out += comb(na, k) * comb(nb, k) * fact
-    return out
-
-
-def transport_pairing_count(n):
-    return sum(comb(n, 2 * k) * double_factorial(2 * k - 1)
-               for k in range(n // 2 + 1))
+from helpers import (MODES, generators, product_scheme_count, reference_analyze, shaped,
+                     transport_scheme_count)
 
 
 class TestEnumeration:
@@ -57,12 +36,12 @@ class TestEnumeration:
     def test_product_counts_match_the_closed_form(self, na, nb):
         a = legs_of(shaped((na,)))
         b = legs_of(shaped((nb,), prefix="y"), side=1)
-        assert len(list(enumerate_pairings(a, b))) == product_pairing_count(na, nb)
+        assert len(list(enumerate_pairings(a, b))) == product_scheme_count(na, nb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_transport_counts(self, n):
         legs = legs_of(shaped((n,)))
-        assert len(list(enumerate_pairings(legs))) == transport_pairing_count(n)
+        assert len(list(enumerate_pairings(legs))) == transport_scheme_count(n)
 
     def test_empty_pairing_comes_first_and_order_is_stable(self):
         a = legs_of(shaped((2,)))
@@ -289,3 +268,32 @@ def test_kernel_mode_reports_match_matrix_counts():
     a, b = legs_of(ga), legs_of(gb, side=1)
     reports = [analyze(p, ga, gb, mode=KERNEL) for p in enumerate_pairings(a, b)]
     assert sorted(r.exponent for r in reports) == [0, 0, 0, 1, 1, 1, 1]
+
+
+def _split_first_trace(rmap, tables):
+    """The first trace's legs each made a loop of their own, against its vertex."""
+    broken = RibbonMap(rmap.legs)
+    for i, leg in enumerate(rmap.legs):
+        if (leg.side, leg.trace) == (0, 0):
+            broken.sigma[i] = i
+    return (broken, *tables)
+
+
+def _shorten_first_trace(rmap, tables):
+    """The first trace's rank word one slot short."""
+    slots, ranks, by_rank, vertex_ranks = tables
+    return (rmap, slots, ranks, by_rank, [vertex_ranks[0][1:]] + vertex_ranks[1:])
+
+
+@pytest.mark.parametrize("corrupt, pairing, message", [
+    (_split_first_trace, lambda a, b: ((a[0], b[0]),), "Euler relation violated"),
+    (_shorten_first_trace, lambda a, b: (), "leg bookkeeping"),
+])
+def test_census_refuses_an_inconsistent_map(monkeypatch, corrupt, pairing, message):
+    ga, gb = shaped((2,)), shaped((2,), prefix="y")
+    a, b = legs_of(ga), legs_of(gb, side=1)
+    census(pairing(a, b), ga, gb)  # the map of the pair is now the kept one
+    rmap, *tables = ribbon._last_map[2]
+    monkeypatch.setattr(ribbon, "_last_map", (ga, gb, corrupt(rmap, tables)))
+    with pytest.raises(RibbonError, match=message):
+        census(pairing(a, b), ga, gb)
