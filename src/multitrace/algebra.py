@@ -12,10 +12,11 @@ with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
 separately.  Per generator pair, ``ribbon.census`` reduces each scheme
-to an integer key, the schemes are counted per key, and each distinct
-key is assembled once into its output generator and monomial
-(``scheme_coefficient``) times the rational input coefficients; all
-pairs are merged by one ``Series.build``.
+to an integer key on the pair's map (``ribbon.map_of``, built once),
+the schemes are counted per key, and each distinct key is assembled
+once into its output generator and monomial (``scheme_coefficient``)
+times the rational input coefficients; all pairs are merged by one
+``Series.build``.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import EnumerationStats, census, enumerate_pairings, legs_of, rank_slots
+from .ribbon import EnumerationStats, census, enumerate_pairings, legs_of, map_of
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, result_generator  # noqa: F401
 
@@ -84,14 +85,15 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     """
     by_gen: dict[Generator, list] = defaultdict(list)
     for gen_a, gen_b, scale in jobs:
+        pair_map = map_of(gen_a, gen_b)
         legs_b = None if gen_b is None else legs_of(gen_b, 1)
         stats = EnumerationStats()
         counts = Counter(filter(None, (
-            census(pairing, gen_a, gen_b, mode) for pairing in enumerate_pairings(
+            census(pairing, pair_map, mode) for pairing in enumerate_pairings(
                 legs_of(gen_a, 0), legs_b, max_eps_degree=max_eps_degree, stats=stats))))
         if stats.pruned_branches:
             flags.add("truncated")
-        slots = rank_slots(gen_a, gen_b) if counts else []
+        slots = pair_map.by_rank
         # each output generator and each pair kernel is built once per job
         output = cache(lambda words: Generator(tuple(
             TraceWord(tuple(slots[r] for r in word)) for word in words)))
@@ -117,14 +119,28 @@ def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Serie
                          set(a.flags | b.flags))
 
 
+def _ordered_products(factors: Sequence[Series], cap: int | None):
+    """Memoized product of a tuple of factor indices, in operator order: the
+    left fold of ``product``, each extending its prefix's product by one factor.
+    ``chain`` does not call itself, so no reference cycle keeps the memo alive
+    once the caller drops it."""
+    memo: dict[tuple[int, ...], Series] = {(i,): f for i, f in enumerate(factors)}
+
+    def chain(seq: tuple[int, ...]) -> Series:
+        for k in range(2, len(seq) + 1):
+            if seq[:k] not in memo:
+                memo[seq[:k]] = product(memo[seq[:k - 1]], factors[seq[k - 1]],
+                                        max_eps_degree=cap)
+        return memo[seq]
+
+    return chain
+
+
 def product_chain(factors: Sequence[Series], *, max_eps_degree: int | None = None) -> Series:
     """Left-to-right fold of ``product`` (associative, so the fold is a choice)."""
     if not factors:
         raise AlgebraError("need at least one factor")
-    acc = factors[0]
-    for nxt in factors[1:]:
-        acc = product(acc, nxt, max_eps_degree=max_eps_degree)
-    return acc
+    return _ordered_products(factors, max_eps_degree)(tuple(range(len(factors))))
 
 
 def expectation(series: Series) -> Coefficient:
@@ -176,21 +192,6 @@ def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
         for i in range(len(part)):
             yield part[:i] + [[head] + part[i]] + part[i + 1:]
         yield [[head]] + part
-
-
-def _ordered_products(factors: Sequence[Series], cap: int | None):
-    """Memoized product of a tuple of factor indices, in operator order;
-    each extends its prefix's product by one factor (``product_chain``'s fold)."""
-    memo: dict[tuple[int, ...], Series] = {}
-
-    def chain(seq: tuple[int, ...]) -> Series:
-        if len(seq) == 1:
-            return factors[seq[0]]
-        if seq not in memo:
-            memo[seq] = product(chain(seq[:-1]), factors[seq[-1]], max_eps_degree=cap)
-        return memo[seq]
-
-    return chain
 
 
 def _connected(chain, seq: Sequence[int]) -> list[tuple[int, Series]]:

@@ -50,48 +50,25 @@ class Token:
     column: int
 
 
-_PUNCT = set("~@+-*^(),{}[]=")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
+# one alternative per token kind; a newline, blanks and a comment give no token
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[~@+\-*^(),{}\[\]=])")
 _RESERVED_BLOCK = re.compile(r"s\d+\Z")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    i = 0
+    line, line_start, i = 1, 0, 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        col = i - line_start + 1
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            tokens.append(Token("num", m.group(), line, col))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    end_col = len(text) - line_start + 1
-    tokens.append(Token("end", "", line, end_col))
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
+        i = m.end()
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, i
+        elif m.lastgroup:
+            tokens.append(Token(m.lastgroup, m.group(), line, m.start() - line_start + 1))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -319,7 +296,11 @@ def parse_coefficient(text: str, mode: Mode) -> Coefficient:
 
 
 def render_series(series: Series) -> str:
-    """Canonical text; ``parse_series`` inverts it exactly."""
+    """Canonical text; ``parse_series`` inverts it exactly.
+
+    The text form needs distinct slot labels within each generator, so a
+    generator that repeats one (say, after ``forget_labels``) is refused.
+    """
     if series.is_zero():
         return "0"
 
@@ -331,6 +312,11 @@ def render_series(series: Series) -> str:
 
     pieces: list[tuple[str, str]] = []
     for gen, coeff in sorted(series.terms, key=term_sort_key):
+        labels = [s.label for t in gen.traces for s in t.slots]
+        if len(set(labels)) != len(labels):
+            repeated = next(lab for lab in labels if labels.count(lab) > 1)
+            raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "
+                             "form needs distinct labels within a generator; use the JSON form")
         if len(coeff.terms) == 1:
             mono, q = coeff.terms[0]
             sign = "-" if q < 0 else "+"

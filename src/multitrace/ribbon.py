@@ -19,9 +19,9 @@ map per generator pair and yields plain tuples of leg pairs.
 ``census`` walks the faces, one step ``leg -> sigma[alpha[leg]]``: an
 uncontracted leg is a surviving current, a contracted one hands the
 strand to its partner, and corners carry the projector colors of a
-colored model.  It keeps the map of its generator pair, with each
-leg's slot rank (its slot's place among the pair's distinct slots, in
-``Slot.key`` order), for the schemes that follow.  The loops are
+colored model.  Its caller hands it the map of the generator pair
+(``map_of``), with each leg's slot rank (its slot's place among the
+pair's distinct slots, in ``Slot.key`` order).  The loops are
 
 * degenerate: one per trace with no contracted leg (``d_count``, not
   counted as a face),
@@ -118,29 +118,31 @@ class RibbonMap:
         self.vertex_count = len(traces)
 
 
-_last_map: tuple = (None, None, None)
-
-
-def _map_of(gen_a: Generator, gen_b: Generator | None) -> tuple:
-    """The map of the legs of ``gen_a`` (side 0) and ``gen_b`` (side 1), the
-    slot of each leg, each leg's slot rank, the distinct slots in rank
-    (``Slot.key``) order, and the ranks of each vertex's slots.  The last
-    pair's answer is kept, keyed by the identity of its generators (cheaper
-    than a hash); holding them keeps their identities from being reused.
+class PairMap(NamedTuple):
+    """The map of one generator pair: the ``RibbonMap`` of the legs of
+    ``gen_a`` (side 0) and ``gen_b`` (side 1), the slot of each leg, each
+    leg's slot rank, the distinct slots in rank (``Slot.key``) order, the
+    ranks of each vertex's slots, and whether pairs must join the two sides.
     """
-    global _last_map
-    last = _last_map
-    if last[0] is gen_a and last[1] is gen_b:
-        return last[2]
+
+    ribbon: RibbonMap
+    slots: list[Slot]
+    ranks: list[int]
+    by_rank: list[Slot]
+    vertex_ranks: list[tuple[int, ...]]
+    product: bool
+
+
+def map_of(gen_a: Generator, gen_b: Generator | None = None) -> PairMap:
+    """The ``PairMap`` of a product pair, or of ``gen_a`` alone (transport)."""
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
     rmap = RibbonMap([leg for side, gen in enumerate(gens) for leg in legs_of(gen, side)])
     slots = [slot for gen in gens for t in gen.traces for slot in t.slots]
     by_rank = sorted(set(slots), key=Slot.key)
     rank = {slot: r for r, slot in enumerate(by_rank)}
-    answer = (rmap, slots, [rank[slot] for slot in slots], by_rank,
-              [tuple(rank[slot] for slot in t.slots) for gen in gens for t in gen.traces])
-    _last_map = (gen_a, gen_b, answer)
-    return answer
+    return PairMap(rmap, slots, [rank[slot] for slot in slots], by_rank,
+                   [tuple(rank[slot] for slot in t.slots) for gen in gens for t in gen.traces],
+                   gen_b is not None)
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
@@ -297,23 +299,18 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             mode: Mode = Mode()) -> LoopReport:
     """Walk the strands of a contraction scheme and count everything."""
     report: dict = {}
-    census(pairing, gen_a, gen_b, mode, report)
+    census(pairing, map_of(gen_a, gen_b), mode, report)
     return LoopReport(pairs=tuple(pairing), **report)
 
 
-def rank_slots(gen_a: Generator, gen_b: Generator | None = None) -> list[Slot]:
-    """The slot of each rank in the census keys of this generator pair."""
-    return _map_of(gen_a, gen_b)[3]
-
-
-def census(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
-           mode: Mode = Mode(), report: dict | None = None) -> tuple | None:
+def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
+           report: dict | None = None) -> tuple | None:
     """The integer key of a contraction scheme's term (see the module
     docstring), or ``None`` if its weight is zero.  The Euler and half-unit
     checks run on every scheme.  ``report``, when a dict, also gets the
     other fields of the scheme's ``LoopReport``.
     """
-    rmap, slots, ranks, by_rank, vertex_ranks = _map_of(gen_a, gen_b)
+    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
     legs, index, sigma, vertex = rmap.legs, rmap.index, rmap.sigma, rmap.vertex
     n = len(legs)
 
@@ -328,7 +325,7 @@ def census(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             raise RibbonError(f"leg {u} paired with itself")
         if alpha[i] != i or alpha[j] != j:
             raise RibbonError(f"leg {u if alpha[i] != i else v} appears in two pairs")
-        if gen_b is not None and legs[i].side == legs[j].side:
+        if product and legs[i].side == legs[j].side:
             raise RibbonError("product pairings must join the two factors")
         alpha[i], alpha[j] = j, i
         edges.append((i, j))

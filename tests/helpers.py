@@ -98,6 +98,11 @@ def coefficients(even_eps=True):
     ).map(Coefficient.build)
 
 
+# eps, hbar and a rational: coefficients that survive the command line in every mode
+scalars = st.builds(lambda k, h, q: Coefficient.monomial(Monomial(eps_half=2 * k, hbar=h), q),
+                    st.integers(-2, 2), st.integers(0, 2), rationals.filter(bool))
+
+
 def random_series(rng, mode):
     """Small arbitrary series for round-trip corpora, any mode."""
     terms = []

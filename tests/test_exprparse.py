@@ -27,6 +27,7 @@ from multitrace import (
     series_to_json,
     transport,
 )
+from multitrace.exprparse import tokenize
 
 from helpers import random_series, series_of
 
@@ -74,6 +75,15 @@ class TestParsing:
     def test_comments_and_whitespace(self):
         got = parse_series("  1*W{} # the unit\n + eps*W{}", MATRIX)
         assert got == Series.unit(MATRIX).scale(ONE + Coefficient.eps())
+        got = parse_series("W{Tr[x1\u2003x2]}\n\t+\xa0eps*W{}", MATRIX)
+        assert got == parse_series("W{Tr[x1 x2]} + eps*W{}", MATRIX)
+
+    def test_tokens_carry_lines_and_columns(self):
+        got = [(t.kind, t.text, t.line, t.column) for t in tokenize("eps # c\n  3/2*W{}")]
+        assert got == [("ident", "eps", 1, 1), ("num", "3/2", 2, 3), ("punct", "*", 2, 6),
+                       ("ident", "W", 2, 7), ("punct", "{", 2, 8), ("punct", "}", 2, 9),
+                       ("end", "", 2, 10)]
+        assert [(t.kind, t.line, t.column) for t in tokenize("")] == [("end", 1, 1)]
 
 
 class TestParseErrors:
@@ -102,8 +112,15 @@ class TestParseErrors:
         assert "negative powers" in message
 
     def test_positions_are_reported(self):
-        message = self.err("1 + $")
-        assert "line 1" in message and "column 5" in message
+        for text, line, column, char in [
+            ("1 + $", 1, 5, "$"),
+            ("1*W{}\n  + eps*W{Tr[x1]}\n\t+ $", 3, 4, "$"),
+            ("# a comment\n1 +\xa0\u2003&", 2, 6, "&"),  # unicode blanks count one column
+            ("W{Tr[x1 \u00e9]}", 1, 9, "\u00e9"),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_series(text, MATRIX)
+            assert str(info.value) == f"line {line} column {column}: unexpected character {char!r}"
 
     def test_trailing_input(self):
         assert "trailing" in self.err("1*W{} 2")
@@ -141,6 +158,13 @@ class TestRendering:
     def test_rendering_orders_by_eps_degree(self):
         out = transport(series_of((2,)))
         assert render_series(out) == "eps^-1*hbar*F*W{} + 1*W{Tr[x1 x2]}"
+
+    def test_repeated_labels_are_refused(self):
+        # the parser would reject the text, so the renderer does not write it
+        folded = forget_labels(series_of((1, 1)))
+        with pytest.raises(ValueError, match="'x' repeats in W{Tr\\[x\\] Tr\\[x\\]}.*JSON"):
+            render_series(folded)
+        assert series_from_json(series_to_json(folded)) == folded
 
 
 MODES = [MATRIX, KERNEL, Mode("matrix", 2), Mode("kernel", 3)]

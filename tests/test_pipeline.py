@@ -16,13 +16,13 @@ from multitrace import (KERNEL, MATRIX, Coefficient, Generator, KernelSymbol, Mo
                         transport)
 from multitrace.algebra import product_pair_kernel, scheme_coefficient
 from multitrace.cli import main
-from multitrace.ribbon import census, rank_slots
+from multitrace.ribbon import census, map_of
 from multitrace.transport import _difference_kernel
 
 from helpers import (MODES, coefficients, generators, harer_zagier, product_scheme_count,
-                     rationals, reference_connected_product, reference_genus_table,
-                     reference_product, reference_scheme_monomial, reference_transport,
-                     series_of, transport_scheme_count)
+                     reference_connected_product, reference_genus_table, reference_product,
+                     reference_scheme_monomial, reference_transport, scalars, series_of,
+                     transport_scheme_count)
 
 CAPS = [None, 0, 1]
 
@@ -104,11 +104,6 @@ def genus_table(a, b):
     return out.getvalue()
 
 
-# eps, hbar and a rational: coefficients that survive the command line in every mode
-scalars = st.builds(lambda k, h, q: Coefficient.monomial(Monomial(eps_half=2 * k, hbar=h), q),
-                    st.integers(-2, 2), st.integers(0, 2), rationals.filter(bool))
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(MODES))
 def test_genus_table_matches_the_per_scheme_reference(data, mode):
@@ -139,14 +134,14 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     kernel = product_pair_kernel(mode) if product_mode else _difference_kernel("F", mode)
-    gens = (ga, gb)
+    gens, pair_map = (ga, gb), map_of(ga, gb)
+    slots = pair_map.by_rank
     for pairing in enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)):
-        key = census(pairing, ga, gb, mode)
+        key = census(pairing, pair_map, mode)
         report = analyze(pairing, ga, gb, mode)
         assert (key is None) == report.weight_zero
         if key is None:
             continue
-        slots = rank_slots(ga, gb)
         built = Generator(tuple(TraceWord(tuple(slots[r] for r in word)) for word in key[0]))
         pair_slots = [tuple(gens[leg.side].traces[leg.trace].slots[leg.slot] for leg in pair)
                       for pair in report.pairs]

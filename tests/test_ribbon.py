@@ -11,6 +11,7 @@ from multitrace import (
     Generator,
     KERNEL,
     LegId,
+    MATRIX,
     Mode,
     RibbonError,
     analyze,
@@ -18,8 +19,7 @@ from multitrace import (
     legs_of,
     result_generator,
 )
-from multitrace import ribbon
-from multitrace.ribbon import RibbonMap, census, exponent_bound
+from multitrace.ribbon import RibbonMap, census, exponent_bound, map_of
 
 from helpers import (MODES, generators, product_scheme_count, reference_analyze, shaped,
                      transport_scheme_count)
@@ -270,30 +270,56 @@ def test_kernel_mode_reports_match_matrix_counts():
     assert sorted(r.exponent for r in reports) == [0, 0, 0, 1, 1, 1, 1]
 
 
-def _split_first_trace(rmap, tables):
+def _split_first_trace(pair_map):
     """The first trace's legs each made a loop of their own, against its vertex."""
-    broken = RibbonMap(rmap.legs)
-    for i, leg in enumerate(rmap.legs):
+    broken = RibbonMap(pair_map.ribbon.legs)
+    for i, leg in enumerate(broken.legs):
         if (leg.side, leg.trace) == (0, 0):
             broken.sigma[i] = i
-    return (broken, *tables)
+    return pair_map._replace(ribbon=broken)
 
 
-def _shorten_first_trace(rmap, tables):
+def _shorten_first_trace(pair_map):
     """The first trace's rank word one slot short."""
-    slots, ranks, by_rank, vertex_ranks = tables
-    return (rmap, slots, ranks, by_rank, [vertex_ranks[0][1:]] + vertex_ranks[1:])
+    words = pair_map.vertex_ranks
+    return pair_map._replace(vertex_ranks=[words[0][1:]] + words[1:])
 
 
 @pytest.mark.parametrize("corrupt, pairing, message", [
     (_split_first_trace, lambda a, b: ((a[0], b[0]),), "Euler relation violated"),
     (_shorten_first_trace, lambda a, b: (), "leg bookkeeping"),
 ])
-def test_census_refuses_an_inconsistent_map(monkeypatch, corrupt, pairing, message):
+def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
     ga, gb = shaped((2,)), shaped((2,), prefix="y")
     a, b = legs_of(ga), legs_of(gb, side=1)
-    census(pairing(a, b), ga, gb)  # the map of the pair is now the kept one
-    rmap, *tables = ribbon._last_map[2]
-    monkeypatch.setattr(ribbon, "_last_map", (ga, gb, corrupt(rmap, tables)))
+    pair_map = map_of(ga, gb)
+    census(pairing(a, b), pair_map, MATRIX)  # the map as built is consistent
     with pytest.raises(RibbonError, match=message):
-        census(pairing(a, b), ga, gb)
+        census(pairing(a, b), corrupt(pair_map), MATRIX)
+
+
+def test_census_reads_the_side_rule_from_the_map():
+    ga, gb = shaped((2,)), shaped((2,), prefix="y")
+    a = legs_of(ga)
+    assert census(((a[0], a[1]),), map_of(ga), MATRIX) is not None
+    with pytest.raises(RibbonError, match="join the two factors"):
+        census(((a[0], a[1]),), map_of(ga, gb), MATRIX)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES))
+def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
+    jobs = [(data.draw(generators(mode, "x", 4)), data.draw(generators(mode, "y", 3))),
+            (data.draw(generators(mode, "u", 4)), None)]
+    schemes = [list(enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)))
+               for ga, gb in jobs]
+    maps = [map_of(ga, gb) for ga, gb in jobs]
+    one_by_one = [[census(p, pair_map, mode) for p in pairings]
+                  for pair_map, pairings in zip(maps, schemes)]
+    # the pairs taken alternately (A, B, A, ...), each census on a fresh map
+    alternating = [[], []]
+    for step in zip_longest(*schemes):
+        for k, ((ga, gb), p) in enumerate(zip(jobs, step)):
+            if p is not None:
+                alternating[k].append(census(p, map_of(ga, gb), mode))
+    assert alternating == one_by_one

@@ -3,14 +3,18 @@
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from multitrace import (
     Coefficient,
     KERNEL,
     KernelSymbol,
     MATRIX,
+    Mode,
     OracleConfig,
+    Series,
     Slot,
     ZERO,
     expectation,
@@ -19,11 +23,12 @@ from multitrace import (
     oracle_moment,
     parse_series,
     product,
+    star,
     transport,
     transport_roundtrip_check,
 )
 
-from helpers import series_of, shaped
+from helpers import MODES, generators, scalars, series_of, shaped
 
 F_SYM = KernelSymbol("F")
 G_SYM = KernelSymbol("g")
@@ -116,3 +121,56 @@ def test_transport_is_an_algebra_map(sa, sb):
     rhs = product(transport(a), transport(b)).map_coefficients(
         lambda c: c.substitute({"g": g_plus_f}))
     assert lhs == rhs
+
+
+# -- the *-isomorphism laws on random multi-term series ------------------------
+
+
+def scalar_series(mode, prefix, max_legs):
+    """One to three terms with kernel-free coefficients, so that a kernel
+    substitution reaches only the kernels the engine wrote."""
+    terms = st.tuples(generators(mode, prefix, max_legs), scalars)
+    return st.lists(terms, min_size=1, max_size=3).map(lambda entries: Series.build(mode, entries))
+
+
+def substitute_kernels(series, name, value):
+    """Replace every kernel symbol called ``name`` by the coefficient ``value(symbol)``."""
+    return series.map_coefficients(lambda c: c.substitute(
+        {sym.render(): value(sym) for mono, _ in c.terms for sym, _ in mono.kernels
+         if sym.name == name}))
+
+
+def kernels(*names):
+    """The sum of the kernel symbols ``names`` over the arguments of a symbol."""
+    return lambda sym: sum((Coefficient.kernel(KernelSymbol(n, sym.args)) for n in names), ZERO)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES))
+def test_transports_compose_by_adding_their_shifts(data, mode):
+    s = data.draw(scalar_series(mode, "x", 4))
+    twice = transport(transport(s, symbol="F"), symbol="G")
+    once = substitute_kernels(transport(s, symbol="H"), "H", kernels("F", "G"))
+    assert twice.terms == once.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES))
+def test_transport_is_an_algebra_map_on_series(data, mode):
+    # the product pair weight shifts by the difference kernel: g -> g + F, and
+    # K(u,v) -> K(u,v) + F(u,v) with F's arguments in its sorted order
+    a, b = data.draw(scalar_series(mode, "x", 3)), data.draw(scalar_series(mode, "y", 3))
+    if mode.kind == "matrix":
+        name, shift = "g", kernels("g", "F")
+    else:
+        name, shift = "K", lambda sym: Coefficient.kernel(sym) + Coefficient.kernel(
+            KernelSymbol("F", tuple(sorted(sym.args))))
+    rhs = substitute_kernels(product(transport(a), transport(b)), name, shift)
+    assert transport(product(a, b)).terms == rhs.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([MATRIX, Mode("matrix", 2)]))
+def test_star_commutes_with_transport_in_matrix_mode(data, mode):
+    s = data.draw(scalar_series(mode, "x", 5))
+    assert star(transport(s)).terms == transport(star(s)).terms
