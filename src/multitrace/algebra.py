@@ -14,9 +14,11 @@ that differ only by which equal-label leg they use still count
 separately.  Per generator pair, ``ribbon.census`` reduces each scheme
 to an integer key on the pair's map (``ribbon.map_of``, built once),
 the schemes are counted per key, and each distinct key is assembled
-once into its output generator and monomial (``scheme_coefficient``)
-times the rational input coefficients; all pairs are merged by one
-``Series.build``.
+once into its output generator (``output_generators``) and monomial
+(``scheme_coefficient``) times the rational input coefficients; all
+pairs are merged by one ``Series.build``.  The key is already in
+canonical order, so both values are built from it as they are, with
+their keys, and are never rotated or sorted again.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import EnumerationStats, census, enumerate_pairings, legs_of, map_of
+from .ribbon import EnumerationStats, PairMap, census, enumerate_pairings, legs_of, map_of
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, result_generator  # noqa: F401
 
@@ -62,12 +64,38 @@ def scheme_coefficient(key: tuple,
     """Monomial of the schemes of one ``census`` key (each has weight one).
 
     ``kernel`` is the one kernel symbol of matrix mode, or names the
-    kernel of a pair from its two slot ranks.
+    kernel of a pair from its two slot ranks.  The key's block ratios
+    come sorted by color, and its rank pairs sorted in the order of
+    their kernel symbols: the labels of a kernel-mode job are distinct
+    (``scheme_series`` refuses a repeat), so rank order is label order.
     """
     _, eps_half, s, pairs = key
     if isinstance(pairs, int):
-        return Monomial(eps_half, pairs, s, ((kernel, pairs),))
-    return Monomial(eps_half, len(pairs), s, tuple((kernel(u, v), 1) for u, v in pairs))
+        return Monomial._canonical(eps_half, pairs, s, ((kernel, pairs),) if pairs else ())
+    return Monomial._canonical(eps_half, len(pairs), s,
+                               tuple((kernel(u, v), 1) for u, v in pairs))
+
+
+def output_generators(pair_map: PairMap, gen_a: Generator,
+                      gen_b: Generator | None) -> Callable[[tuple], Generator]:
+    """Builds the output generator of a ``census`` key's words on the map of
+    ``gen_a`` and ``gen_b``, once per distinct words and each trace word once.
+
+    The words come least-rotated and sorted on slot ranks, and rank order
+    is ``Slot.key`` order, so they are already in canonical form.  A word
+    that names an input trace is that trace, shared with the input.
+    """
+    by_rank = pair_map.by_rank
+    traces = gen_a.traces + (() if gen_b is None else gen_b.traces)
+    words = dict(zip(pair_map.vertex_ranks, traces))
+
+    def word(ranks: tuple[int, ...]) -> TraceWord:
+        trace = words.get(ranks)
+        if trace is None:
+            trace = words[ranks] = TraceWord._canonical(tuple(by_rank[r] for r in ranks))
+        return trace
+
+    return cache(lambda key_words: Generator._canonical(tuple(map(word, key_words))))
 
 
 def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, Coefficient]],
@@ -82,10 +110,20 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     "truncated" exactly when the cap excluded a scheme of any weight,
     and "negative-eps" for a scheme of negative eps exponent.  ``negate``
     signs each scheme by (-1)^hbar, the inverse kernel shift.
+
+    In kernel mode a pair kernel names its two slots by label, so a job
+    whose generators repeat a label is refused.
     """
     by_gen: dict[Generator, list] = defaultdict(list)
     for gen_a, gen_b, scale in jobs:
         pair_map = map_of(gen_a, gen_b)
+        labels = [slot.label for slot in pair_map.slots] if mode.kind == "kernel" else []
+        if len(set(labels)) < len(labels):
+            repeated = next(label for label in labels if labels.count(label) > 1)
+            raise AlgebraError(
+                f"slot label {repeated!r} repeats in "
+                f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
+                "kernel-mode pair kernels need distinct labels")
         legs_b = None if gen_b is None else legs_of(gen_b, 1)
         stats = EnumerationStats()
         counts = Counter(filter(None, (
@@ -95,8 +133,7 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
             flags.add("truncated")
         slots = pair_map.by_rank
         # each output generator and each pair kernel is built once per job
-        output = cache(lambda words: Generator(tuple(
-            TraceWord(tuple(slots[r] for r in word)) for word in words)))
+        output = output_generators(pair_map, gen_a, gen_b)
         name = kernel if mode.kind == "matrix" else cache(
             lambda u, v: kernel(slots[u], slots[v]))
         for key, count in counts.items():
@@ -111,9 +148,18 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
 
 
 def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Series:
-    """Operator product, exact unless an eps cap drops schemes."""
+    """Operator product, exact unless an eps cap drops schemes.
+
+    The factors must not share a slot label: an output generator holds
+    the surviving slots of both, and the pair kernels name slots by label.
+    """
     if a.mode != b.mode:
         raise AlgebraError(f"mode mismatch: {a.mode} vs {b.mode}")
+    shared = ({label for gen, _ in a.terms for label in gen.labels()}
+              & {label for gen, _ in b.terms for label in gen.labels()})
+    if shared:
+        raise AlgebraError(f"slot label {min(shared)!r} appears in both factors; "
+                           "factors need disjoint labels so outputs stay unambiguous")
     jobs = ((ga, gb, ca * cb) for ga, ca in a.terms for gb, cb in b.terms)
     return scheme_series(a.mode, jobs, product_pair_kernel(a.mode), max_eps_degree,
                          set(a.flags | b.flags))

@@ -15,11 +15,15 @@ Coefficients are sparse polynomials with rational coefficients in:
   possibly conjugated slots.  ``K(x,y)`` and ``K(y,x)`` are distinct.
 
 Everything is immutable and exact; no floats enter at any point.
+Kernel symbols and monomials, like the slots, trace words and
+generators of ``observables``, carry their canonical keys
+(``KeyedValue``): the key and its hash are computed once, when a value
+is built, and equality, hashing and sorting read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -30,6 +34,58 @@ class CoefficientError(ValueError):
     """Raised for malformed monomials, bad evaluations, half-unit leaks."""
 
 
+class KeyedValue:
+    """Base of the immutable value types that carry their canonical key.
+
+    A subclass (a frozen, slotted dataclass) names itself exactly by the
+    tuple ``_make_key()`` returns, of plain values or of its parts' keys
+    (shared, not copied) or keyed parts.  That key and its hash are
+    computed once, when the value is built, and equality, hashing,
+    ordering and ``key()`` read the stored pair.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    @classmethod
+    def _canonical(cls, *values):
+        """A value from field values (in field order) already in canonical
+        form, built without the checks and the sorting of the constructor."""
+        value = object.__new__(cls)
+        for name, field_value in zip(cls.__match_args__, values):
+            object.__setattr__(value, name, field_value)
+        value._keep_key()
+        return value
+
+    def _make_key(self) -> tuple:
+        raise NotImplementedError
+
+    def _keep_key(self) -> None:
+        key = self._make_key()
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key < other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a stored hash of strings is only
+        # valid in the process that computed it
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
 SlotRef = tuple[str, bool]  # (label, conjugated)
 
 
@@ -38,9 +94,9 @@ def render_slot_ref(ref: SlotRef) -> str:
     return ("~" + label) if conjugated else label
 
 
-@dataclass(frozen=True, order=True)
-class KernelSymbol:
-    """A named scalar kernel factor.
+@dataclass(frozen=True, slots=True, eq=False)
+class KernelSymbol(KeyedValue):
+    """A named scalar kernel factor, ordered by its key ``(name, args)``.
 
     ``args`` is empty for bare model-wide symbols (``g``, a transport
     difference symbol, ...) and has exactly two entries for pointwise
@@ -55,6 +111,10 @@ class KernelSymbol:
             raise CoefficientError(f"bad kernel symbol name {self.name!r}")
         if len(self.args) not in (0, 2):
             raise CoefficientError("kernel symbols take zero or two slot arguments")
+        self._keep_key()
+
+    def _make_key(self) -> tuple:
+        return self.name, self.args
 
     def star(self) -> "KernelSymbol":
         """Adjoint: swap the two arguments and conjugate each label."""
@@ -80,9 +140,13 @@ def _sorted_powers(pairs, what):
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """One multi-degree: eps half-units, hbar, block ratios, kernels."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Monomial(KeyedValue):
+    """One multi-degree: eps half-units, hbar, block ratios, kernels.
+
+    The ``s`` and ``kernels`` lists are kept sorted with merged powers,
+    and the key (``sort_key``) holds them as they are.
+    """
 
     eps_half: int = 0
     hbar: int = 0
@@ -97,6 +161,10 @@ class Monomial:
             if color < 1:
                 raise CoefficientError(f"color indices start at 1, got {color}")
         object.__setattr__(self, "kernels", _sorted_powers(self.kernels, "kernel"))
+        self._keep_key()
+
+    def _make_key(self) -> tuple:
+        return self.eps_half, self.hbar, self.s, self.kernels
 
     # -- queries ---------------------------------------------------------
 
@@ -111,13 +179,16 @@ class Monomial:
         return self.eps_half // 2
 
     def sort_key(self):
-        return (self.eps_half, self.hbar, self.s, self.kernels)
+        return self._key
 
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, other: "Monomial") -> "Monomial":
         if other == _UNIT_MONOMIAL:
             return self
+        if not other.s and not other.kernels:
+            return Monomial._canonical(self.eps_half + other.eps_half, self.hbar + other.hbar,
+                                       self.s, self.kernels)
         return Monomial(
             self.eps_half + other.eps_half,
             self.hbar + other.hbar,
@@ -161,12 +232,10 @@ class Coefficient:
     def build(entries: Iterable[tuple[Monomial, RationalLike]]) -> "Coefficient":
         acc: dict[Monomial, Fraction] = {}
         for mono, value in entries:
-            q = acc.get(mono, Fraction(0)) + Fraction(value)
-            if q == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = q
-        return Coefficient(tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
+            q = acc.get(mono)
+            acc[mono] = Fraction(value) if q is None else q + Fraction(value)
+        return Coefficient(tuple(sorted(((mono, q) for mono, q in acc.items() if q),
+                                        key=lambda kv: kv[0]._key)))
 
     @staticmethod
     def rational(value: RationalLike) -> "Coefficient":
@@ -327,14 +396,7 @@ class Coefficient:
             return "0"
         chunks = []
         for i, (mono, q) in enumerate(self.terms):
-            body = mono.render()
-            mag = abs(q)
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = str(mag)
+            text = render_term(mono, abs(q))
             if i == 0:
                 chunks.append(("-" if q < 0 else "") + text)
             else:
@@ -343,6 +405,14 @@ class Coefficient:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Coefficient<{self.render()}>"
+
+
+def render_term(mono: Monomial, magnitude: Fraction) -> str:
+    """One term's text without its sign, e.g. ``3/2*eps^2``, ``hbar`` or ``2``."""
+    body = mono.render()
+    if not body:
+        return str(magnitude)
+    return body if magnitude == 1 else f"{magnitude}*{body}"
 
 
 ZERO = Coefficient()

@@ -30,7 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import Coefficient, CoefficientError, KernelSymbol, Monomial, SlotRef
+from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, SlotRef,
+                        render_term)
 from .observables import (Generator, Mode, ObservableError, Series, Slot, UNIT_GENERATOR,
                           make_generator)
 
@@ -87,6 +88,8 @@ class Parser:
         self.tokens = tokens
         self.mode = mode
         self.pos = 0
+        # one Slot value (and so one key tuple) per distinct slot of the text
+        self.slots: dict[tuple[str, bool, int | None], Slot] = {}
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -271,10 +274,13 @@ class Parser:
             if "/" in num.text:
                 raise ParseError("colors are integers", num.line, num.column)
             color = int(num.text)
-        try:
-            return Slot(tok.text, conjugated, color)
-        except ObservableError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+        slot = self.slots.get((tok.text, conjugated, color))
+        if slot is None:
+            try:
+                slot = self.slots[tok.text, conjugated, color] = Slot(tok.text, conjugated, color)
+            except ObservableError as exc:
+                raise ParseError(str(exc), tok.line, tok.column) from None
+        return slot
 
 
 def parse_series(text: str, mode: Mode) -> Series:
@@ -310,9 +316,9 @@ def render_series(series: Series) -> str:
         # larger generators first within a degree, so the unit lands last
         return (0 if degree is None else degree, -gen.size, gen.key())
 
-    pieces: list[tuple[str, str]] = []
+    pieces: list[str] = []
     for gen, coeff in sorted(series.terms, key=term_sort_key):
-        labels = [s.label for t in gen.traces for s in t.slots]
+        labels = gen.labels()
         if len(set(labels)) != len(labels):
             repeated = next(lab for lab in labels if labels.count(lab) > 1)
             raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "
@@ -320,16 +326,14 @@ def render_series(series: Series) -> str:
         if len(coeff.terms) == 1:
             mono, q = coeff.terms[0]
             sign = "-" if q < 0 else "+"
-            body = Coefficient.monomial(mono, abs(q)).render()
+            body = render_term(mono, abs(q))
         else:
             sign = "+"
             body = "(" + coeff.render() + ")"
-        pieces.append((sign, f"{body}*{gen.render()}"))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        pieces.append(f"{sign} {body}*{gen.render()}")
+    text = " ".join(pieces)
+    # the first term carries its sign only when it is negative
+    return ("-" if text[0] == "-" else "") + text[2:]
 
 
 # -- JSON codec ----------------------------------------------------------------

@@ -9,7 +9,11 @@ inside its trace.
 
 Canonical form: every trace word is rotated to its least cyclic
 rotation and the traces of a generator are sorted, so two generators
-compare equal exactly when they name the same observable.
+compare equal exactly when they name the same observable.  Slots, trace
+words and generators carry their canonical keys (``KeyedValue``): the
+key of a word is the tuple of its slots' keys and that of a generator
+the tuple of its words' keys, each computed once at construction and
+shared, not copied, by the values built from it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .coeffring import Coefficient, CoefficientError, ONE, ZERO
+from .coeffring import Coefficient, CoefficientError, KeyedValue, ONE, ZERO
 
 
 class ObservableError(ValueError):
@@ -51,9 +55,9 @@ MATRIX = Mode("matrix")
 KERNEL = Mode("kernel")
 
 
-@dataclass(frozen=True, order=True)
-class Slot:
-    """One field factor inside a trace.
+@dataclass(frozen=True, slots=True, eq=False)
+class Slot(KeyedValue):
+    """One field factor inside a trace, ordered by its key.
 
     ``color`` is the projector index following this factor; it is
     ``None`` exactly in uncolored modes.
@@ -68,9 +72,10 @@ class Slot:
             raise ObservableError(f"bad slot label {self.label!r}")
         if self.color is not None and self.color < 1:
             raise ObservableError("slot colors start at 1")
+        self._keep_key()
 
-    def key(self):
-        return (self.label, self.conjugated, -1 if self.color is None else self.color)
+    def _make_key(self) -> tuple:
+        return self.label, self.conjugated, -1 if self.color is None else self.color
 
     def render(self) -> str:
         text = ("~" + self.label) if self.conjugated else self.label
@@ -88,8 +93,8 @@ def least_rotation(keys: list) -> int:
                key=lambda i: keys[i:] + keys[:i])
 
 
-@dataclass(frozen=True)
-class TraceWord:
+@dataclass(frozen=True, slots=True, eq=False)
+class TraceWord(KeyedValue):
     """A cyclic word of slots, stored in its least rotation."""
 
     slots: tuple[Slot, ...]
@@ -98,27 +103,32 @@ class TraceWord:
         if not self.slots:
             raise ObservableError("trace words must contain at least one slot")
         slots = tuple(self.slots)
-        k = least_rotation([s.key() for s in slots])
+        k = least_rotation([s._key for s in slots])
         object.__setattr__(self, "slots", slots[k:] + slots[:k])
+        self._keep_key()
+
+    def _make_key(self) -> tuple:
+        return tuple([s._key for s in self.slots])
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def key(self):
-        return tuple(s.key() for s in self.slots)
 
     def render(self) -> str:
         return "Tr[" + " ".join(s.render() for s in self.slots) + "]"
 
 
-@dataclass(frozen=True)
-class Generator:
+@dataclass(frozen=True, slots=True, eq=False)
+class Generator(KeyedValue):
     """A normalized multi-trace word; ``Generator(())`` is the unit."""
 
     traces: tuple[TraceWord, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "traces", tuple(sorted(self.traces, key=TraceWord.key)))
+        self._keep_key()
+
+    def _make_key(self) -> tuple:
+        return tuple([t._key for t in self.traces])
 
     @property
     def trace_lengths(self) -> tuple[int, ...]:
@@ -133,9 +143,6 @@ class Generator:
     def size(self) -> int:
         """Total slot count across traces."""
         return sum(len(t) for t in self.traces)
-
-    def key(self):
-        return tuple(t.key() for t in self.traces)
 
     def labels(self) -> list[str]:
         return [s.label for t in self.traces for s in t.slots]

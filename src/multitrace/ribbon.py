@@ -33,10 +33,11 @@ A scheme's term is told by an integer key: its output traces as
 sorted, least-rotated tuples of slot ranks (rank order is slot order,
 so these name the canonical trace words), its eps half-units, its
 block-ratio exponents, and its kernels (the pair count in matrix mode,
-the sorted rank pairs of its pairs in kernel mode).  The product loop
-counts schemes per key and builds each term once per distinct key
-(``algebra.scheme_series``).  ``analyze`` runs the same walk and
-returns the full ``LoopReport``.
+the sorted rank pairs of its pairs in kernel mode, each a (side A, side
+B) pair in a product and a (least, greatest) pair in a transport, whose
+kernels are symmetric).  The product loop counts schemes per key and
+builds each term once per distinct key (``algebra.scheme_series``).
+``analyze`` runs the same walk and returns the full ``LoopReport``.
 
 The eps exponent is the normalization mismatch minus the pure-loop
 count, ``P - I`` (pairs minus pure loops).  Every scheme is checked
@@ -345,20 +346,23 @@ def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
     for start in range(n):
         if seen[start] or not touched[vertex[start]]:
             continue
-        corners = []
+        currents, corners = [], []   # corners only when colored
         leg = start
         while not seen[leg]:
             seen[leg] = True
             corner = alpha[leg]
-            corners.append(corner)
+            if corner == leg:   # an uncontracted leg is its own corner
+                currents.append(leg)
+            if colored:
+                corners.append(corner)
             leg = sigma[corner]
         face_vertices.append(vertex[start])
-        currents = [c for c in corners if alpha[c] == c]
         color = None
         if colored:
             palette = {slots[c].color for c in corners}
             color = palette.pop() if len(palette) == 1 else "mixed"
-        loop_colors.append(color)
+        if full:
+            loop_colors.append(color)
         if not currents:
             pure_count += 1
             if color == "mixed":
@@ -426,8 +430,13 @@ def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
                       output_words=tuple(output_words))
     if zero_reason is not None:
         return None
-    kernels = (len(edges) if mode.kind == "matrix"
-               else tuple(sorted((ranks[i], ranks[j]) for i, j in edges)))
+    if mode.kind == "matrix":
+        kernels = len(edges)
+    elif product:
+        kernels = tuple(sorted((ranks[i], ranks[j]) for i, j in edges))
+    else:   # a transport kernel is symmetric in its pair: (least, greatest) rank
+        kernels = tuple(sorted((ranks[i], ranks[j]) if ranks[i] < ranks[j]
+                               else (ranks[j], ranks[i]) for i, j in edges))
     return tuple(sorted(words)), half_units, s_exponents, kernels
 
 

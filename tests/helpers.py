@@ -137,17 +137,21 @@ MODES = [MATRIX, KERNEL, Mode("matrix", 2), Mode("kernel", 2)]
 
 @st.composite
 def generators(draw, mode, prefix, max_legs):
-    """Zero to two traces of one to three slots, at most ``max_legs`` slots."""
+    """Zero to two traces of one to three slots, at most ``max_legs`` slots.
+
+    The labels prefix1, prefix2, ... come in a drawn order, so label
+    order need not follow leg order.
+    """
     shape = draw(st.lists(st.integers(1, 3), max_size=2)
                  .filter(lambda lengths: sum(lengths) <= max_legs))
-    words, n = [], 0
+    numbers = iter(draw(st.permutations(range(1, sum(shape) + 1))))
+    words = []
     for length in shape:
         word = []
         for _ in range(length):
-            n += 1
             conjugated = mode.kind == "kernel" and draw(st.booleans())
             color = draw(st.integers(1, mode.colors)) if mode.colored else None
-            word.append(Slot(f"{prefix}{n}", conjugated, color))
+            word.append(Slot(f"{prefix}{next(numbers)}", conjugated, color))
         words.append(word)
     return make_generator(words, mode)
 

@@ -34,6 +34,7 @@ from multitrace import (
     star,
     strip_colors,
     substitute_block_ratio,
+    transport,
 )
 
 from helpers import reference_product, series_of, shaped
@@ -51,6 +52,27 @@ def test_unit_is_neutral():
 def test_product_of_two_singletons():
     out = product(series_of((1,)), series_of((1,), prefix="y"))
     assert out == parse_series("1*W{Tr[x1] Tr[y1]} + hbar*g*W{}", MATRIX)
+
+
+def test_products_refuse_factors_that_share_a_label():
+    a, b = series_of((2,)), series_of((1,), prefix="x") + series_of((1,), prefix="y")
+    c = series_of((1,), prefix="z")
+    for call in (lambda: product(a, b), lambda: commutator(b, a),
+                 lambda: product_chain([a, c, b]), lambda: connected_product([c, b, a]),
+                 lambda: moment([shaped((2,)), shaped((1,))], MATRIX)):
+        with pytest.raises(AlgebraError, match="'x1' appears in both factors"):
+            call()
+
+
+def test_kernel_mode_refuses_a_generator_that_repeats_a_label():
+    # K(x1,y1) would name two different pairs of legs
+    twice = [[Slot("x1"), Slot("x1", True)]]
+    with pytest.raises(AlgebraError, match="'x1' repeats in W"):
+        transport(Series.of(make_generator(twice, KERNEL), KERNEL))
+    with pytest.raises(AlgebraError, match="'x1' repeats in W"):
+        product(Series.of(make_generator(twice, KERNEL), KERNEL), series_of((1,), "y", KERNEL))
+    # a matrix-mode kernel names no slot
+    assert transport(Series.of(make_generator(twice, MATRIX), MATRIX))
 
 
 def test_product_of_two_pairs():

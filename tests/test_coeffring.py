@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from multitrace import (
@@ -14,7 +15,7 @@ from multitrace import (
     ZERO,
 )
 
-from helpers import EVAL_ENV, coefficients, rationals
+from helpers import EVAL_ENV, coefficients, monomials, rationals
 
 G = KernelSymbol("g")
 K_XY = KernelSymbol("K", (("x1", False), ("y2", False)))
@@ -46,6 +47,19 @@ class TestRingLaws:
         # are fine until something tries to print or evaluate them
         assert a + a == a.scale(Fraction(2))
         assert a - a == ZERO
+
+
+@given(monomials(even_eps=False), st.randoms())
+def test_unsorted_lists_build_equal_monomials(mono, rnd):
+    # fresh symbols, every power split into unit entries, in a shuffled order
+    s = [(color, 1) for color, power in mono.s for _ in range(power)]
+    kernels = [(KernelSymbol(sym.name, sym.args), 1)
+               for sym, power in mono.kernels for _ in range(power)]
+    rnd.shuffle(s)
+    rnd.shuffle(kernels)
+    again = Monomial(mono.eps_half, mono.hbar, tuple(s), tuple(kernels))
+    assert again == mono and hash(again) == hash(mono) and again.sort_key() == mono.sort_key()
+    assert (again.s, again.kernels) == (mono.s, mono.kernels)
 
 
 class TestEvaluation:

@@ -1,11 +1,14 @@
 """Canonical forms of generators and the classical series layer."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from multitrace import (
     Coefficient,
+    Generator,
     KERNEL,
     MATRIX,
     Mode,
@@ -18,6 +21,7 @@ from multitrace import (
     classical_product,
     forget_labels,
     make_generator,
+    parse_series,
     product,
     series_degree,
     star,
@@ -53,6 +57,27 @@ def test_least_rotation_matches_brute_force(base, period, shift):
     rotations = [slots_in[i:] + slots_in[:i] for i in range(len(slots_in))]
     want = min(rotations, key=lambda w: [s.key() for s in w])
     assert TraceWord(rotated).slots == want
+
+
+@given(st.lists(st.lists(slots, min_size=1, max_size=4), max_size=3), st.randoms())
+def test_rotated_words_and_shuffled_traces_build_equal_values(words, rnd):
+    # fresh slot objects, so equality cannot rest on identity
+    turned = [[Slot(s.label, s.conjugated, s.color) for s in w[k:] + w[:k]]
+              for w in words for k in [rnd.randrange(len(w))]]
+    rnd.shuffle(turned)
+    first = Generator(tuple(TraceWord(tuple(w)) for w in words))
+    again = Generator(tuple(TraceWord(tuple(w)) for w in turned))
+    assert first == again and hash(first) == hash(again) and first.key() == again.key()
+    assert first.traces == again.traces
+    assert [hash(t) for t in first.traces] == [hash(t) for t in again.traces]
+
+
+def test_values_survive_pickling():
+    series = parse_series("(2*eps*K(x1,~y1) + s2)*W{Tr[x1@1 ~y1@2] Tr[x2@2]}",
+                          Mode("kernel", 2))
+    again = pickle.loads(pickle.dumps(series))
+    assert again == series and [hash(g) for g, _ in again.terms] == \
+        [hash(g) for g, _ in series.terms]
 
 
 def test_trace_order_is_immaterial():

@@ -14,7 +14,7 @@ from multitrace import (KERNEL, MATRIX, Coefficient, Generator, KernelSymbol, Mo
                         expectation, legs_of, nested_commutator_sym, parse_series, product,
                         product_chain, render_series, result_generator, series_to_json,
                         transport)
-from multitrace.algebra import product_pair_kernel, scheme_coefficient
+from multitrace.algebra import output_generators, product_pair_kernel, scheme_coefficient
 from multitrace.cli import main
 from multitrace.ribbon import census, map_of
 from multitrace.transport import _difference_kernel
@@ -52,6 +52,20 @@ def test_transport_matches_the_per_scheme_reference(data, mode, cap, negate):
     src = data.draw(series_in(mode, "x", max_legs=5))
     got = transport(src, negate=negate, max_eps_degree=cap)
     assert same(got, reference_transport(src, "F", negate, cap))
+
+
+def test_kernel_transport_pairs_name_their_kernels_by_label():
+    # x10 sorts before x2, so the kernel order is not the leg order
+    src = parse_series("W{Tr[" + " ".join(f"x{i}" for i in range(1, 11)) + "]}", KERNEL)
+    assert same(transport(src), reference_transport(src))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), colors=st.sampled_from([0, 2]), negate=st.booleans())
+def test_kernel_transports_of_permuted_labels_match_the_reference(data, colors, negate):
+    mode = Mode("kernel", colors)
+    src = Series.of(data.draw(generators(mode, "x", 6)), mode)
+    assert same(transport(src, negate=negate), reference_transport(src, "F", negate))
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,19 +150,25 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     kernel = product_pair_kernel(mode) if product_mode else _difference_kernel("F", mode)
     gens, pair_map = (ga, gb), map_of(ga, gb)
     slots = pair_map.by_rank
+    output = output_generators(pair_map, ga, gb)
+    name = kernel if mode.kind == "matrix" else lambda u, v: kernel(slots[u], slots[v])
     for pairing in enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)):
         key = census(pairing, pair_map, mode)
         report = analyze(pairing, ga, gb, mode)
         assert (key is None) == report.weight_zero
         if key is None:
             continue
-        built = Generator(tuple(TraceWord(tuple(slots[r] for r in word)) for word in key[0]))
+        # the values built from the key as it is, against the public constructors
+        built = output(key[0])
+        public = Generator(tuple(TraceWord(tuple(slots[r] for r in word)) for word in key[0]))
+        assert built == public == result_generator(report) and hash(built) == hash(public)
+        assert built.traces == public.traces and built.key() == public.key()
         pair_slots = [tuple(gens[leg.side].traces[leg.trace].slots[leg.slot] for leg in pair)
                       for pair in report.pairs]
-        assert built == result_generator(report)
-        name = kernel if mode.kind == "matrix" else lambda u, v: kernel(slots[u], slots[v])
-        assert scheme_coefficient(key, name) == reference_scheme_monomial(
-            report, pair_slots, mode, None if product_mode else "F")
+        mono = scheme_coefficient(key, name)
+        want = reference_scheme_monomial(report, pair_slots, mode, None if product_mode else "F")
+        assert mono == want and hash(mono) == hash(want)
+        assert (mono.s, mono.kernels) == (want.s, want.kernels)
 
 
 def traced(monkeypatch):
