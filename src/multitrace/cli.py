@@ -213,7 +213,7 @@ def _parse_config(parser: Parser) -> OracleConfig:
                 sizes.append(int(parser.expect("num").text))
             blocks = tuple(sizes)
         elif key in ("N", "c", "hbar"):
-            values[key] = Fraction(parser.expect("num").text)
+            values[key] = parser.parse_rational()
         else:
             raise parser.fail(f"unknown configuration key {key!r}")
         if parser.at_punct(","):

@@ -14,9 +14,11 @@ Expression grammar (full EBNF in docs/grammar.ebnf):
 ``eps``, ``hbar`` and ``s<digits>`` are reserved idents for the two
 grading variables and the block ratios; any other ident is a kernel
 symbol, bare (``g``, ``F``) or applied to two possibly conjugated slot
-labels (``K(x1,~y2)``).  Multiplication may involve at most one
-generator-bearing operand; contracting two generator series is the
-product engine's job, not the parser's.
+labels (``K(x1,~y2)``).  A term is evaluated as one rational times one
+monomial (eps half-units, hbar, block ratios and kernels, a power adding
+to an exponent) times any parenthesized scalar sums, on at most one
+generator-bearing factor: ``W{}`` is the scalar 1, and contracting two
+generator series is the product engine's job, not the parser's.
 
 The JSON codec (version "1") is lossless and canonical: terms arrive
 sorted, field order is fixed, rationals are strings, so serializing
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, SlotRef,
-                        render_term)
+from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, SlotRef,
+                        ZERO, render_term)
 from .observables import (Generator, Mode, ObservableError, Series, Slot, UNIT_GENERATOR,
                           make_generator)
 
@@ -43,42 +45,36 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num", "ident", "punct", "end"
     text: str
     line: int
     column: int
 
 
-# one alternative per token kind; a newline, blanks and a comment give no token
-_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)"
-                       r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[~@+\-*^(),{}\[\]=])")
+# one alternative per token kind, then any other character; blanks and comments give no token
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_]"
+                       r"[A-Za-z0-9_]*)|(?P<punct>[~@+\-*^(),{}\[\]=])|(?P<bad>.)")
 _RESERVED_BLOCK = re.compile(r"s\d+\Z")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, i = 1, 0, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
-        i = m.end()
-        if m.lastgroup == "newline":
-            line, line_start = line + 1, i
-        elif m.lastgroup:
-            tokens.append(Token(m.lastgroup, m.group(), line, m.start() - line_start + 1))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
+        elif kind:
+            tokens.append(Token(kind, m[0], line, m.start() - line_start + 1))
     tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
 def _is_scalar(series: Series) -> bool:
     return all(gen == UNIT_GENERATOR for gen, _ in series.terms)
-
-
-def _scalar_value(series: Series) -> Coefficient:
-    return series.coefficient(UNIT_GENERATOR)
 
 
 class Parser:
@@ -94,16 +90,16 @@ class Parser:
     # -- cursor helpers ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]  # look ahead only from before the end token
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             got = tok.text or "end of input"
@@ -115,8 +111,8 @@ class Parser:
         return ParseError(message, tok.line, tok.column)
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+        # a punctuation character is a token of its own kind
+        return self.tokens[self.pos].text == text
 
     def done(self) -> bool:
         return self.peek().kind == "end"
@@ -126,81 +122,105 @@ class Parser:
     def parse_series(self) -> Series:
         """Signed terms, merged once at the end (linear in the term count)."""
         entries: list[tuple[Generator, Coefficient]] = []
-        op = self.advance().text if self.at_punct("-") else "+"
+        negate = self.at_punct("-") and bool(self.advance())
         while True:
-            term = self.parse_term()
-            entries.extend((g, -c if op == "-" else c) for g, c in term.terms)
+            entries.extend(self.parse_term(negate))
             if not (self.at_punct("+") or self.at_punct("-")):
                 return Series.build(self.mode, entries)
-            op = self.advance().text
+            negate = self.advance().text == "-"
 
-    def parse_term(self) -> Series:
-        total = self.parse_factor()
-        while self.at_punct("*"):
-            star = self.peek()
-            self.advance()
-            factor = self.parse_factor()
-            if _is_scalar(factor):
-                total = total.scale(_scalar_value(factor))
-            elif _is_scalar(total):
-                total = factor.scale(_scalar_value(total))
+    def parse_term(self, negate: bool) -> list[tuple[Generator, Coefficient]]:
+        """A term's entries, evaluated as the module docstring says."""
+        q = Fraction(-1 if negate else 1)
+        mono: dict = {"eps_half": 0, "hbar": 0, "s": [], "kernels": []}
+        scalars, bearing, star = [], None, None
+        while True:
+            kind, value = self.parse_factor()
+            if kind == "q":
+                q *= value
+            elif kind in ("eps_half", "hbar"):
+                mono[kind] += value
+            elif kind in ("s", "kernels"):
+                mono[kind].append(value)
+            elif kind == "scalar":
+                scalars.append(value)
+            elif bearing is None or not all(scalars):
+                bearing = value  # a term that is zero so far is scalar
             else:
-                raise ParseError(
-                    "cannot multiply two generator series here; "
-                    "that contraction needs the product engine",
-                    star.line, star.column)
-        return total
+                raise ParseError("cannot multiply two generator series here; that contraction "
+                                 "needs the product engine", star.line, star.column)
+            if not self.at_punct("*"):
+                break
+            star = self.advance()
+        if not all(scalars):
+            return []
+        coeff = Coefficient(((Monomial(**mono), q),))
+        for value in scalars:
+            coeff = value * coeff
+        return [(gen, coeff if c is ONE else c * coeff)
+                for gen, c in bearing or ((UNIT_GENERATOR, ONE),)]
 
-    def parse_factor(self) -> Series:
-        base = self.parse_atom()
-        if not self.at_punct("^"):
-            return base
-        caret = self.advance()
-        sign = 1
-        if self.at_punct("-"):
-            self.advance()
-            sign = -1
-        tok = self.expect("num")
-        if "/" in tok.text:
-            raise ParseError("exponents must be integers", tok.line, tok.column)
-        exponent = sign * int(tok.text)
-        if _is_scalar(base):
+    def parse_factor(self) -> tuple[str, object]:
+        """An atom to its power, tagged with the part of a term it enters."""
+        kind, base = self.parse_atom()
+        exponent = 1
+        if self.at_punct("^"):
+            caret = self.advance()
+            sign = -1 if self.at_punct("-") and self.advance() else 1
+            tok = self.expect("num")
+            if "/" in tok.text:
+                raise ParseError("exponents must be integers", tok.line, tok.column)
+            exponent = sign * int(tok.text)
+            if kind == "bearing" and exponent != 1:
+                raise ParseError("exponents on generator series are not supported",
+                                 caret.line, caret.column)
             try:
-                coeff = _scalar_value(base).power(exponent)
+                if exponent < 0 and kind in ("hbar", "s", "kernels"):
+                    raise CoefficientError("negative powers are only supported on "
+                                           "rationals and eps")
+                base = base.power(exponent) if kind == "scalar" else base
             except CoefficientError as exc:
                 raise ParseError(str(exc), caret.line, caret.column) from None
-            return Series.of(UNIT_GENERATOR, self.mode, coeff)
-        if exponent == 1:
-            return base
-        raise ParseError("exponents on generator series are not supported",
-                         caret.line, caret.column)
+        if kind == "q":
+            return kind, base ** exponent
+        if kind in ("s", "kernels"):
+            return kind, (base, exponent)
+        return kind, base * exponent if kind in ("eps_half", "hbar") else base
 
-    def parse_atom(self) -> Series:
+    def parse_atom(self) -> tuple[str, object]:
         tok = self.peek()
         if tok.kind == "num":
-            self.advance()
-            return Series.of(UNIT_GENERATOR, self.mode,
-                             Coefficient.rational(Fraction(tok.text)))
+            q = self.parse_rational()
+            return ("q", q) if q else ("scalar", ZERO)  # a zero makes its term scalar
         if self.at_punct("("):
             self.advance()
             inner = self.parse_series()
             self.expect("punct", ")")
-            return inner
+            if _is_scalar(inner):
+                return "scalar", inner.coefficient(UNIT_GENERATOR)
+            return "bearing", inner.terms
         if tok.kind == "ident":
             if tok.text == "W" and self.peek(1).kind == "punct" and self.peek(1).text == "{":
-                gen = self.parse_generator()
-                return Series.of(gen, self.mode)
-            return Series.of(UNIT_GENERATOR, self.mode, self.parse_symbol())
+                gen = self.parse_generator()  # W{} is the scalar 1
+                return ("q", Fraction(1)) if gen == UNIT_GENERATOR else ("bearing", ((gen, ONE),))
+            return self.parse_symbol()
         raise self.fail(f"expected a number, symbol, W{{...}} or parenthesis, "
                         f"found {tok.text or 'end of input'!r}")
 
-    def parse_symbol(self) -> Coefficient:
+    def parse_rational(self) -> Fraction:
+        tok = self.expect("num")
+        try:
+            return Fraction(tok.text)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {tok.text}", tok.line, tok.column) from None
+
+    def parse_symbol(self) -> tuple[str, object]:
         tok = self.expect("ident")
         name = tok.text
         if name == "eps":
-            return Coefficient.eps()
+            return "eps_half", 2
         if name == "hbar":
-            return Coefficient.hbar()
+            return "hbar", 1
         if name == "Tr":
             raise ParseError("trace words only appear inside W{...}",
                              tok.line, tok.column)
@@ -212,7 +232,7 @@ class Parser:
             if not (1 <= color <= self.mode.colors):
                 raise ParseError(f"block ratio {name} outside 1..{self.mode.colors}",
                                  tok.line, tok.column)
-            return Coefficient.block_ratio(color)
+            return "s", color
         args: tuple[SlotRef, ...] = ()
         if self.at_punct("("):
             self.advance()
@@ -222,7 +242,7 @@ class Parser:
             self.expect("punct", ")")
             args = (first, second)
         try:
-            return Coefficient.kernel(KernelSymbol(name, args))
+            return "kernels", KernelSymbol(name, args)
         except CoefficientError as exc:
             raise ParseError(str(exc), tok.line, tok.column) from None
 
@@ -295,7 +315,7 @@ def parse_coefficient(text: str, mode: Mode) -> Coefficient:
     series = parse_series(text, mode)
     if not _is_scalar(series):
         raise ParseError("expected a scalar expression, found generators", 1, 1)
-    return _scalar_value(series)
+    return series.coefficient(UNIT_GENERATOR)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -405,5 +425,5 @@ def series_from_json(text: str) -> Series:
             coeff = Coefficient.build(_mono_from_obj(obj) for obj in term["coeff"])
             entries.append((gen, coeff))
         return Series.build(mode, entries, doc.get("flags", ()))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed series document: {exc!r}") from exc

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from multitrace import (
     Coefficient,
+    CoefficientError,
     ComponentStats,
     KERNEL,
     KernelSymbol,
@@ -18,9 +19,11 @@ from multitrace import (
     MATRIX,
     Mode,
     Monomial,
+    ParseError,
     RibbonError,
     Series,
     Slot,
+    UNIT_GENERATOR,
     classical_product,
     enumerate_pairings,
     legs_of,
@@ -29,6 +32,7 @@ from multitrace import (
     render_series,
     result_generator,
 )
+from multitrace.exprparse import Parser, tokenize
 
 
 def shaped(shape, prefix="x", mode=MATRIX, colors=None):
@@ -490,3 +494,156 @@ def harer_zagier(n):
             assert rhs % (m + 1) == 0
             table[g, m] = rhs // (m + 1)
     return {g: table[g, n] for g in range(n // 2 + 1)}
+
+
+# -- reference text parser -------------------------------------------------------
+
+
+def _is_scalar(series):
+    return all(gen == UNIT_GENERATOR for gen, _ in series.terms)
+
+
+class _ReferenceParser(Parser):
+    """The text parser with every atom and factor evaluated as a ``Series``
+    (slow, for tests); it shares the cursor, the literals, the symbol checks and
+    the generators."""
+
+    def parse_series(self):
+        entries = []
+        op = self.advance().text if self.at_punct("-") else "+"
+        while True:
+            term = self.parse_term()
+            entries.extend((g, -c if op == "-" else c) for g, c in term.terms)
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return Series.build(self.mode, entries)
+            op = self.advance().text
+
+    def parse_term(self):
+        total = self.parse_factor()
+        while self.at_punct("*"):
+            star = self.advance()
+            factor = self.parse_factor()
+            if _is_scalar(factor):
+                total = total.scale(factor.coefficient(UNIT_GENERATOR))
+            elif _is_scalar(total):
+                total = factor.scale(total.coefficient(UNIT_GENERATOR))
+            else:
+                raise ParseError(
+                    "cannot multiply two generator series here; "
+                    "that contraction needs the product engine",
+                    star.line, star.column)
+        return total
+
+    def parse_factor(self):
+        base = self.parse_atom()
+        if not self.at_punct("^"):
+            return base
+        caret = self.advance()
+        sign = 1
+        if self.at_punct("-"):
+            self.advance()
+            sign = -1
+        tok = self.expect("num")
+        if "/" in tok.text:
+            raise ParseError("exponents must be integers", tok.line, tok.column)
+        exponent = sign * int(tok.text)
+        if _is_scalar(base):
+            try:
+                coeff = base.coefficient(UNIT_GENERATOR).power(exponent)
+            except CoefficientError as exc:
+                raise ParseError(str(exc), caret.line, caret.column) from None
+            return Series.of(UNIT_GENERATOR, self.mode, coeff)
+        if exponent == 1:
+            return base
+        raise ParseError("exponents on generator series are not supported",
+                         caret.line, caret.column)
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            return Series.of(UNIT_GENERATOR, self.mode,
+                             Coefficient.rational(self.parse_rational()))
+        if self.at_punct("("):
+            self.advance()
+            inner = self.parse_series()
+            self.expect("punct", ")")
+            return inner
+        if tok.kind == "ident":
+            if tok.text == "W" and self.peek(1).kind == "punct" and self.peek(1).text == "{":
+                return Series.of(self.parse_generator(), self.mode)
+            return Series.of(UNIT_GENERATOR, self.mode, self.parse_symbol())
+        raise self.fail(f"expected a number, symbol, W{{...}} or parenthesis, "
+                        f"found {tok.text or 'end of input'!r}")
+
+    def parse_symbol(self):
+        kind, value = super().parse_symbol()
+        if kind == "eps_half":
+            return Coefficient.eps()
+        if kind == "hbar":
+            return Coefficient.hbar()
+        if kind == "s":
+            return Coefficient.block_ratio(value)
+        return Coefficient.kernel(value)
+
+
+def reference_parse_series(text, mode):
+    """``parse_series`` with one ``Series`` per atom and factor (slow, for tests)."""
+    parser = _ReferenceParser(tokenize(text), mode)
+    result = parser.parse_series()
+    if not parser.done():
+        raise parser.fail(f"trailing input {parser.peek().text!r}")
+    return result
+
+
+_RATIONAL_TEXTS = ("0", "1", "2", "3/2", "0/3")
+_SYMBOL_TEXTS = ("eps", "eps", "hbar", "g", "F", "K(x1,~y1)", "K(y1,x1)")
+# weights of the atom kinds; parentheses come last, so a depth-0 draw drops them
+_FACTOR_KINDS = (("rational",) * 5 + ("ratio", "zero-denominator") + ("symbol",) * 5
+                 + ("generator",) * 4 + ("parenthesized",) * 4)
+
+
+@st.composite
+def expression_texts(draw, mode, depth=2):
+    """Series texts over the whole term grammar, valid and not: signed sums,
+    products, rationals (0 and 1/0 among them), powers with negative exponents,
+    bare and applied kernel symbols, block ratios (s1..s3, so some outside the
+    mode), nested parenthesized sums, ``W{}`` and generators."""
+
+    def generator():
+        labels = draw(st.permutations(["x1", "x2", "y1", "y2"]))
+        sizes = draw(st.lists(st.integers(1, 2), max_size=2))
+        words, used = [], 0
+        for size in sizes:
+            slots = []
+            for label in labels[used:used + size]:
+                tilde = "~" if mode.kind == "kernel" and draw(st.booleans()) else ""
+                color = f"@{draw(st.integers(1, mode.colors))}" if mode.colored else ""
+                slots.append(tilde + label + color)
+            used += size
+            words.append("Tr[" + " ".join(slots) + "]")
+        return "W{" + " ".join(words) + "}"
+
+    def factor():
+        kind = draw(st.sampled_from(_FACTOR_KINDS if depth else _FACTOR_KINDS[:-4]))
+        if kind == "rational":
+            atom = draw(st.sampled_from(_RATIONAL_TEXTS))
+        elif kind == "symbol":
+            atom = draw(st.sampled_from(_SYMBOL_TEXTS))
+        elif kind == "ratio":
+            atom = f"s{draw(st.integers(1, 3))}"
+        elif kind == "zero-denominator":
+            atom = "1/0"
+        elif kind == "generator":
+            atom = generator()
+        else:
+            atom = "(" + draw(expression_texts(mode, depth - 1)) + ")"
+        if draw(st.integers(0, 3)) == 0:
+            atom += "^" + str(draw(st.integers(-2, 3)))
+        return atom
+
+    text = "-" if draw(st.booleans()) else ""
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            text += draw(st.sampled_from([" + ", " - "]))
+        text += "*".join(factor() for _ in range(draw(st.integers(1, 3))))
+    return text

@@ -163,6 +163,11 @@ def test_parse_errors_exit_with_two(capsys):
     assert "empty trace" in err
 
 
+def test_zero_denominators_are_bad_input(capsys):
+    code, out, err = run(capsys, "product", "1/0*W{Tr[x1]}", "W{Tr[y1]}")
+    assert (code, out, err) == (2, "", "error: line 1 column 1: zero denominator in 1/0\n")
+
+
 class TestVerify:
     GOOD = "\n".join([
         "# a pair of squares",
@@ -198,19 +203,23 @@ class TestVerify:
             "CHECK W{Tr[x1 x2 x3 x4 x5 x6]} W{Tr[y1 y2 y3 y4 y5 y6]} == 0 @ N=2, c=1",
             "CHECK W{Tr[x1]} W{Tr[y1]} == K(x1,y1) @ N=2, c=1",
             "CHECK W{Tr[x1 x2 x3 x4 x5]} W{Tr[y1 y2 y3 y4 y5]} == 0 @ N=100, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=1/0, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2, c=1/0",
         ]
         path = tmp_path / "ugly.txt"
         path.write_text("".join(f"{line}\n{good}\n" for line in bad))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        for number in (1, 3, 5, 7, 9):
+        for number in (1, 3, 5, 7, 9, 11, 13):
             assert f"FAIL line {number}: " in out
             assert f"PASS line {number + 1}: " in out
         assert "FAIL line 3: block sizes (1, 1) do not sum" in out
         assert "FAIL line 5: 12 legs exceed the oracle cap" in out
         assert "FAIL line 7: no assignment for symbol 'K(x1,y1)'" in out
         assert "FAIL line 9: N=100 at 10 legs" in out
-        assert "5/10 checks passed" in out
+        assert "FAIL line 11: line 1 column 41: zero denominator in 1/0" in out
+        assert "FAIL line 13: line 1 column 46: zero denominator in 1/0" in out
+        assert "7/14 checks passed" in out
 
     def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))

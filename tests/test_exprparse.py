@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitrace import (
     Coefficient,
@@ -29,7 +31,7 @@ from multitrace import (
 )
 from multitrace.exprparse import tokenize
 
-from helpers import random_series, series_of
+from helpers import expression_texts, random_series, reference_parse_series, series_of
 
 
 class TestParsing:
@@ -122,6 +124,12 @@ class TestParseErrors:
                 parse_series(text, MATRIX)
             assert str(info.value) == f"line {line} column {column}: unexpected character {char!r}"
 
+    def test_zero_denominators(self):
+        with pytest.raises(ParseError) as info:
+            parse_series("eps + 3*W{}\n - 2/0*W{Tr[x1]}", MATRIX)
+        assert (str(info.value), info.value.line, info.value.column) == \
+            ("line 2 column 4: zero denominator in 2/0", 2, 4)
+
     def test_trailing_input(self):
         assert "trailing" in self.err("1*W{} 2")
 
@@ -205,10 +213,10 @@ def test_json_rejects_unknown_versions():
         series_from_json(json.dumps(doc))
 
 
-def _json_doc(colors=0, slot=None):
+def _json_doc(colors=0, slot=None, coeff=()):
     slot = {"label": "x1", "conjugated": False, "color": None} if slot is None else slot
     return json.dumps({"version": "1", "mode": {"kind": "matrix", "colors": colors},
-                       "flags": [], "terms": [{"coeff": [], "generator": [[slot]]}]})
+                       "flags": [], "terms": [{"coeff": list(coeff), "generator": [[slot]]}]})
 
 
 @pytest.mark.parametrize("text", [
@@ -216,7 +224,9 @@ def _json_doc(colors=0, slot=None):
     '{"version": "1"}',
     _json_doc(slot={"label": "x1", "conjugated": False}),
     _json_doc(colors=0, slot={"label": "x1", "conjugated": False, "color": 2}),
-], ids=["not-an-object", "no-mode", "slot-without-color", "color-outside-the-mode"])
+    _json_doc(coeff=[{"rational": "1/0", "eps_half": 0, "hbar": 0, "s": [], "kernels": []}]),
+], ids=["not-an-object", "no-mode", "slot-without-color", "color-outside-the-mode",
+        "zero-denominator"])
 def test_json_rejects_malformed_documents(text):
     with pytest.raises(ValueError):
         series_from_json(text)
@@ -231,7 +241,60 @@ def test_json_keeps_half_units_and_repeated_labels():
 
 
 def test_engine_outputs_round_trip_through_text():
-    out = product(series_of((2,)), series_of((2,), prefix="y"))
-    assert parse_series(render_series(out), MATRIX) == out
-    kern = product(series_of((2,), mode=KERNEL), series_of((2,), "y", KERNEL))
-    assert parse_series(render_series(kern), KERNEL) == kern
+    # the largest are the 727 terms of a (5)x(5) product and the 122 of a kernel (4)x(4)
+    for shape, mode, size in [((2,), MATRIX, 6), ((5,), MATRIX, 727),
+                              ((2,), KERNEL, 6), ((4,), KERNEL, 122)]:
+        out = product(series_of(shape, mode=mode), series_of(shape, "y", mode))
+        assert len(out.terms) == size
+        assert parse_series(render_series(out), mode) == out
+
+
+def _parse_outcome(parse, text, mode):
+    try:
+        return parse(text, mode)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["matrix", "kernel", "mat2", "ker3"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_series_reference(mode, data):
+    text = data.draw(expression_texts(mode), label="text")
+    assert _parse_outcome(parse_series, text, mode) == \
+        _parse_outcome(reference_parse_series, text, mode)
+
+
+@pytest.mark.parametrize("text", [
+    "W{}^2*W{Tr[x1]} + W{}*W{Tr[y1]} + W{}^-3",
+    "(W{} + 1)*W{Tr[x1]}*2",
+    "(W{Tr[x1]} - W{Tr[x1]})*W{Tr[y1]}",
+    "(W{Tr[x1]} + eps - W{Tr[x1]})^-1*W{Tr[y1]}",
+    "0*W{Tr[x1]}*W{Tr[y1]} + W{Tr[x1]}*0^2*W{Tr[y1]}",
+    "W{Tr[x1]}*W{Tr[y1]}*0",
+    "(1 - 1)*hbar*W{Tr[x1]}*W{Tr[y1]}",
+    "0^0*W{Tr[x1]}^1*(2*eps)^-2*hbar^0*g^0",
+    "0^-1", "(1 + eps)^-1", "g^-2", "W{Tr[x1]}^0", "W{Tr[x1]}^-1",
+    "-(1 + eps)^3*W{Tr[x1]} + (eps*W{Tr[x1]} + W{Tr[y1]})*2*eps*g*g^2",
+])
+def test_term_rules_match_the_series_reference(text):
+    # W{} is the scalar 1, and a term that is zero so far (a zero factor, or
+    # a parenthesized sum that cancels) may take one more generator factor
+    for mode in (MATRIX, KERNEL):
+        assert _parse_outcome(parse_series, text, mode) == \
+            _parse_outcome(reference_parse_series, text, mode)
+
+
+def test_symbol_powers_build_one_monomial(monkeypatch):
+    calls = []
+    multiply = Coefficient.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        assert len(calls) <= 1, "a power multiplied coefficients repeatedly"
+        return multiply(self, other)
+
+    monkeypatch.setattr(Coefficient, "__mul__", counting)
+    got = parse_coefficient("eps^1000000*hbar^1000000*g^3", MATRIX)
+    want = Monomial(eps_half=2000000, hbar=1000000, kernels=((KernelSymbol("g"), 3),))
+    assert got == Coefficient.monomial(want)
