@@ -291,9 +291,13 @@ class Coefficient:
     def power(self, exponent: int) -> "Coefficient":
         if exponent < 0:
             return self._invert().power(-exponent)
-        acc = ONE
-        for _ in range(exponent):
-            acc = acc * self
+        acc, square = ONE, self   # repeated squaring: O(log exponent) products
+        while exponent:
+            if exponent & 1:
+                acc = acc * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return acc
 
     def _invert(self) -> "Coefficient":

@@ -28,7 +28,9 @@ the same series twice yields identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,6 +58,19 @@ class Token(NamedTuple):
 _TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_]"
                        r"[A-Za-z0-9_]*)|(?P<punct>[~@+\-*^(),{}\[\]=])|(?P<bad>.)")
 _RESERVED_BLOCK = re.compile(r"s\d+\Z")
+_LOG10_2 = math.log10(2)
+
+
+def _over_digit_limit(value: int, exponent: int, limit: int) -> bool:
+    """Whether ``value ** exponent`` (exponent >= 0) has more than ``limit``
+    decimal digits, judged from the bit length before any power is taken.
+    """
+    bits = value.bit_length()
+    if exponent * (bits - 1) * _LOG10_2 > limit + 1:   # at least 2^(e(bits-1))
+        return True
+    if exponent * bits * _LOG10_2 < limit - 1:         # below 2^(e*bits)
+        return False
+    return value ** exponent >= 10 ** limit   # near the limit: about limit digits
 
 
 def tokenize(text: str) -> list[Token]:
@@ -162,6 +177,7 @@ class Parser:
 
     def parse_factor(self) -> tuple[str, object]:
         """An atom to its power, tagged with the part of a term it enters."""
+        start = self.peek()
         kind, base = self.parse_atom()
         exponent = 1
         if self.at_punct("^"):
@@ -182,6 +198,11 @@ class Parser:
             except CoefficientError as exc:
                 raise ParseError(str(exc), caret.line, caret.column) from None
         if kind == "q":
+            limit = _int_digit_limit()
+            if limit and abs(exponent) > 1 and any(
+                    _over_digit_limit(part, abs(exponent), limit)
+                    for part in (base.numerator, base.denominator)):
+                raise ParseError(_too_long(limit), start.line, start.column)
             return kind, base ** exponent
         if kind in ("s", "kernels"):
             return kind, (base, exponent)
@@ -213,6 +234,8 @@ class Parser:
             return Fraction(tok.text)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {tok.text}", tok.line, tok.column) from None
+        except ValueError:   # the token is digits, so a part is over the digit limit
+            raise ParseError(_too_long(_int_digit_limit()), tok.line, tok.column) from None
 
     def parse_symbol(self) -> tuple[str, object]:
         tok = self.expect("ident")
@@ -301,6 +324,16 @@ class Parser:
             except ObservableError as exc:
                 raise ParseError(str(exc), tok.line, tok.column) from None
         return slot
+
+
+def _int_digit_limit() -> int:
+    """The interpreter's int/str conversion limit in digits; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(limit: int) -> str:
+    return (f"rational literal too large: a numerator or denominator over {limit} digits "
+            "(the int/str limit, see sys.set_int_max_str_digits)")
 
 
 def parse_series(text: str, mode: Mode) -> Series:

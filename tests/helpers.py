@@ -467,6 +467,23 @@ def reference_connected_product(factors, max_eps_degree=None):
     return conn(tuple(range(len(factors))))
 
 
+def reference_exponent_bound(sigma, alpha, pairs, frontier):
+    """``P - F + J_dec``, the eps cap's bound without its lone-face term: P
+    pairs, F the cycles of ``sigma . alpha``, J_dec the faces holding an
+    unpaired leg below ``frontier``."""
+    seen, bound = set(), pairs
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        decided, leg = False, start
+        while leg not in seen:
+            seen.add(leg)
+            decided = decided or (alpha[leg] == leg and leg < frontier)
+            leg = sigma[alpha[leg]]
+        bound += decided - 1
+    return bound
+
+
 # -- closed forms, independent of the engine -----------------------------------
 
 

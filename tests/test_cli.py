@@ -163,6 +163,12 @@ def test_parse_errors_exit_with_two(capsys):
     assert "empty trace" in err
 
 
+def test_oversized_rational_literals_are_bad_input(capsys):
+    code, out, err = run(capsys, "product", "2^20000*W{Tr[x1]}", "W{Tr[y1]}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1 column 1: rational literal too large")
+
+
 def test_zero_denominators_are_bad_input(capsys):
     code, out, err = run(capsys, "product", "1/0*W{Tr[x1]}", "W{Tr[y1]}")
     assert (code, out, err) == (2, "", "error: line 1 column 1: zero denominator in 1/0\n")

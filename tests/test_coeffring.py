@@ -1,6 +1,7 @@
 """Ring laws, evaluation, and rendering of exact coefficients."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 import hypothesis.strategies as st
@@ -133,6 +134,18 @@ class TestPowers:
     def test_zeroth_power(self):
         assert Coefficient.hbar(3).power(0) == ONE
         assert ZERO.power(0) == ONE
+
+    @given(coefficients())
+    def test_powers_equal_repeated_multiplication(self, a):
+        acc = ONE
+        for exponent in range(10):
+            assert a.power(exponent) == acc
+            acc = acc * a
+
+    def test_binomial_powers(self):
+        power = (ONE + Coefficient.eps()).power(64)
+        assert [(m.eps_degree, q) for m, q in power.terms] == \
+            [(k, comb(64, k)) for k in range(65)]
 
     def test_uninvertible_raise(self):
         with pytest.raises(CoefficientError):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,30 @@ class TestParseErrors:
             with pytest.raises(ParseError) as info:
                 parse_series(text, MATRIX)
             assert str(info.value) == f"line {line} column {column}: unexpected character {char!r}"
+
+    @pytest.mark.parametrize("text, column", [
+        ("2^20000*W{Tr[x1]}", 1),
+        ("eps + 2^99999999", 7),      # refused from the bit length, before any power
+        ("1/3^-99999", 1),            # a negative power: 3^99999 becomes the numerator
+        ("10^4300", 1),               # 4,301 digits, one over the default limit
+        ("1" * 4301 + "*W{}", 1),
+        ("1/" + "7" * 4301, 1),
+    ])
+    def test_oversized_rational_literals(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_series(text, MATRIX)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert "over 4300 digits" in str(info.value)
+
+    def test_rational_literals_at_the_digit_limit_parse(self):
+        assert parse_series("10^4299", MATRIX) == parse_series(str(10 ** 4299), MATRIX)
+        assert parse_series("(1/2)^14284", MATRIX) == parse_series("1/2^14284", MATRIX)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)   # no limit
+        try:
+            assert parse_coefficient("2^20000", MATRIX).rational_value() == 2 ** 20000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_zero_denominators(self):
         with pytest.raises(ParseError) as info:

@@ -21,8 +21,8 @@ from multitrace import (
 )
 from multitrace.ribbon import RibbonMap, census, exponent_bound, map_of
 
-from helpers import (MODES, generators, product_scheme_count, reference_analyze, shaped,
-                     transport_scheme_count)
+from helpers import (MODES, generators, product_scheme_count, reference_analyze,
+                     reference_exponent_bound, shaped, transport_scheme_count)
 
 
 class TestEnumeration:
@@ -91,10 +91,40 @@ class TestEnumeration:
         capped = list(enumerate_pairings(a, b, max_eps_degree=0, stats=stats))
         assert len(capped) == stats.yielded <= 8
 
+    @pytest.mark.parametrize("shape_a,shape_b,cap,kept,most_cut", [
+        ((7,), (7,), 1, 302, 3962),   # P - F + J_dec alone cuts 17,892
+        ((12,), None, 0, 1718, 6744),   # and 12,205
+    ])
+    def test_lone_faces_cut_branches_early(self, shape_a, shape_b, cap, kept, most_cut):
+        a = legs_of(shaped(shape_a))
+        b = None if shape_b is None else legs_of(shaped(shape_b, prefix="y"), side=1)
+        stats = EnumerationStats()
+        assert sum(1 for _ in enumerate_pairings(a, b, max_eps_degree=cap, stats=stats)) == kept
+        assert stats.yielded == kept
+        assert 0 < stats.pruned_branches <= most_cut
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_capped_enumeration_is_the_filtered_uncapped_list(data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    legs_a = legs_of(ga)
+    legs_b = legs_of(gb, side=1) if product_mode else None
+    full = [(p, analyze(p, ga, gb, mode).exponent) for p in enumerate_pairings(legs_a, legs_b)]
+    for cap in range(-2, 3):
+        wanted = [p for p, exponent in full if exponent <= cap]
+        stats = EnumerationStats()
+        assert list(enumerate_pairings(legs_a, legs_b, max_eps_degree=cap, stats=stats)) \
+            == wanted
+        assert stats.yielded == len(wanted)
+        assert (stats.pruned_branches > 0) == (len(wanted) < len(full))
+
 
 def _path_bounds(pairing, rmap, heads):
     """``exponent_bound`` at each node the enumeration passes on its way
-    to ``pairing``, then at the leaf.
+    to ``pairing``, then at the leaf, each checked to be at least
+    ``reference_exponent_bound`` there.
 
     A node is a head leg still unpaired when reached; the pairs chosen
     there are those whose head comes before it, and it is the frontier.
@@ -107,7 +137,8 @@ def _path_bounds(pairing, rmap, heads):
         chosen = [(i, j) for i, j in edges if i < node]
         for i, j in chosen:
             alpha[i], alpha[j] = j, i
-        bounds.append(exponent_bound(rmap.sigma, alpha, len(chosen), node))
+        bounds.append(exponent_bound(rmap.sigma, alpha, len(chosen), node, heads))
+        assert bounds[-1] >= reference_exponent_bound(rmap.sigma, alpha, len(chosen), node)
     return bounds
 
 
