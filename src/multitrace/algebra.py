@@ -11,14 +11,19 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Per generator pair, ``ribbon.census`` reduces each scheme
-to an integer key on the pair's map (``ribbon.map_of``, built once),
-the schemes are counted per key, and each distinct key is assembled
-once into its output generator (``output_generators``) and monomial
-(``scheme_coefficient``) times the rational input coefficients; all
-pairs are merged by one ``Series.build``.  The key is already in
-canonical order, so both values are built from it as they are, with
-their keys, and are never rotated or sorted again.
+separately.  Per generator pair, ``ribbon.enumerate_pairings`` yields
+each scheme as leg-number pairs, ``ribbon.census`` reduces it to an
+integer key on the pair's map (``ribbon.map_of``, built once), and the
+schemes are counted per key.  A key is its output words and its
+monomial part (eps half-units, block ratios, kernels).  Each distinct
+words is built once into its output generator (``output_generators``),
+and each distinct monomial part once into its monomial
+(``scheme_coefficient``): the ``(6)x(6)`` matrix pair has 5,122 keys
+but 19 monomials.  A key adds its monomial times the rational input
+coefficients, counted and signed; all pairs are merged by one
+``Series.build``.  The key is
+already in canonical order, so both values are built from it as they
+are, with their keys, and are never rotated or sorted again.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -136,10 +141,15 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
         output = output_generators(pair_map, gen_a, gen_b)
         name = kernel if mode.kind == "matrix" else cache(
             lambda u, v: kernel(slots[u], slots[v]))
+        # one monomial per distinct part key[1:] of the job's keys
+        monomials: dict[tuple, Monomial] = {}
         for key, count in counts.items():
-            mono = scheme_coefficient(key, name)
-            if mono.eps_half < 0:
-                flags.add("negative-eps")
+            part = key[1:]
+            mono = monomials.get(part)
+            if mono is None:
+                mono = monomials[part] = scheme_coefficient(key, name)
+                if mono.eps_half < 0:
+                    flags.add("negative-eps")
             sign = -1 if negate and mono.hbar % 2 else 1
             by_gen[output(key[0])].extend((mono.mul(m), sign * count * q) for m, q in scale.terms)
     # popping frees each entry list once its coefficient is built (peak memory)

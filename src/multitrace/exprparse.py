@@ -32,7 +32,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, SlotRef,
                         ZERO, render_term)
@@ -150,16 +150,18 @@ class Parser:
         mono: dict = {"eps_half": 0, "hbar": 0, "s": [], "kernels": []}
         scalars, bearing, star = [], None, None
         while True:
+            start = self.peek()
             kind, value = self.parse_factor()
             if kind == "q":
                 q *= value
+                _guard_digits((q,), 1, start, "product of rationals")
             elif kind in ("eps_half", "hbar"):
                 mono[kind] += value
             elif kind in ("s", "kernels"):
                 mono[kind].append(value)
             elif kind == "scalar":
-                scalars.append(value)
-            elif bearing is None or not all(scalars):
+                scalars.append((value, start))
+            elif bearing is None or not all(value for value, _ in scalars):
                 bearing = value  # a term that is zero so far is scalar
             else:
                 raise ParseError("cannot multiply two generator series here; that contraction "
@@ -167,11 +169,12 @@ class Parser:
             if not self.at_punct("*"):
                 break
             star = self.advance()
-        if not all(scalars):
+        if not all(value for value, _ in scalars):
             return []
         coeff = Coefficient(((Monomial(**mono), q),))
-        for value in scalars:
+        for value, start in scalars:
             coeff = value * coeff
+            _guard_digits((r for _, r in coeff.terms), 1, start, "product of rationals")
         return [(gen, coeff if c is ONE else c * coeff)
                 for gen, c in bearing or ((UNIT_GENERATOR, ONE),)]
 
@@ -194,15 +197,16 @@ class Parser:
                 if exponent < 0 and kind in ("hbar", "s", "kernels"):
                     raise CoefficientError("negative powers are only supported on "
                                            "rationals and eps")
-                base = base.power(exponent) if kind == "scalar" else base
+                if kind == "scalar":
+                    if len(base.terms) == 1:   # q^|e| exactly: judged before the power
+                        _guard_digits((base.terms[0][1],), abs(exponent), start, "scalar power")
+                    base = base.power(exponent)
+                    _guard_digits((r for _, r in base.terms), 1, start, "scalar power")
             except CoefficientError as exc:
                 raise ParseError(str(exc), caret.line, caret.column) from None
         if kind == "q":
-            limit = _int_digit_limit()
-            if limit and abs(exponent) > 1 and any(
-                    _over_digit_limit(part, abs(exponent), limit)
-                    for part in (base.numerator, base.denominator)):
-                raise ParseError(_too_long(limit), start.line, start.column)
+            if abs(exponent) > 1:
+                _guard_digits((base,), abs(exponent), start, "rational literal")
             return kind, base ** exponent
         if kind in ("s", "kernels"):
             return kind, (base, exponent)
@@ -331,9 +335,19 @@ def _int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _too_long(limit: int) -> str:
-    return (f"rational literal too large: a numerator or denominator over {limit} digits "
+def _too_long(limit: int, what: str = "rational literal") -> str:
+    return (f"{what} too large: a numerator or denominator over {limit} digits "
             "(the int/str limit, see sys.set_int_max_str_digits)")
+
+
+def _guard_digits(values: Iterable[Fraction], exponent: int, at: Token, what: str) -> None:
+    """Refuse, at token ``at``, a rational whose ``exponent``-th power would
+    have a numerator or denominator over the int/str digit limit: such a
+    value could not be rendered, so it is caught before any engine work."""
+    limit = _int_digit_limit()
+    if limit and any(_over_digit_limit(abs(part), exponent, limit)
+                     for q in values for part in (q.numerator, q.denominator)):
+        raise ParseError(_too_long(limit, what), at.line, at.column)
 
 
 def parse_series(text: str, mode: Mode) -> Series:

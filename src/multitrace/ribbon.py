@@ -14,14 +14,22 @@ cycles of ``sigma . alpha`` over all legs, the standard permutation
 encoding of ribbon graphs ('t Hooft 1974; Lando and Zvonkin, *Graphs
 on Surfaces and Their Applications*, ch. 1); an untouched trace is one
 cycle of ``sigma`` and so one face.  ``enumerate_pairings`` builds one
-map per generator pair and yields plain tuples of leg pairs.
+map per generator pair and yields each scheme as a plain tuple of
+leg-number pairs ``(head, mate)``, numbered on the map of ``legs_a +
+legs_b``.
 
-``census`` walks the faces, one step ``leg -> sigma[alpha[leg]]``: an
-uncontracted leg is a surviving current, a contracted one hands the
-strand to its partner, and corners carry the projector colors of a
-colored model.  Its caller hands it the map of the generator pair
-(``map_of``), with each leg's slot rank (its slot's place among the
-pair's distinct slots, in ``Slot.key`` order).  The loops are
+``census`` takes those pairs as they come and does not check them
+again: it builds ``alpha`` from them and walks the faces once, one step
+``leg -> sigma[alpha[leg]]``.  An uncontracted leg is a surviving
+current, a contracted one hands the strand to its partner, and corners
+carry the projector colors of a colored model.  Its caller hands it the
+map of the generator pair (``map_of``), with each leg's slot rank (its
+slot's place among the pair's distinct slots, in ``Slot.key`` order);
+each output trace's rank word is built during the walk, and the
+per-component vertex, pair and face counts are kept in flat lists.
+``analyze`` is the entry for hand-built ``LegId`` pairings: it refuses
+an unknown, reused or self-paired leg and a same-side product pair,
+numbers the pairing on the map and calls ``census``.  The loops are
 
 * degenerate: one per trace with no contracted leg (``d_count``, not
   counted as a face),
@@ -36,7 +44,8 @@ block-ratio exponents, and its kernels (the pair count in matrix mode,
 the sorted rank pairs of its pairs in kernel mode, each a (side A, side
 B) pair in a product and a (least, greatest) pair in a transport, whose
 kernels are symmetric).  The product loop counts schemes per key and
-builds each term once per distinct key (``algebra.scheme_series``).
+builds each output generator once per distinct words and each monomial
+once per distinct rest of the key (``algebra.scheme_series``).
 ``analyze`` runs the same walk and returns the full ``LoopReport``.
 
 The eps exponent is the normalization mismatch minus the pure-loop
@@ -78,6 +87,8 @@ class LegId(NamedTuple):
 
 Pair = tuple[LegId, LegId]
 Pairing = tuple[Pair, ...]
+# a scheme as the enumerator yields it: leg-number pairs (head, mate)
+Scheme = tuple[tuple[int, int], ...]
 
 
 def legs_of(gen: Generator, side: int = 0) -> list[LegId]:
@@ -101,6 +112,8 @@ class RibbonMap:
     the leg in the next slot of the same trace and ``vertex[i]`` the
     number of that trace, numbered in order of their first leg.  The
     legs must list whole traces: every slot 0..k-1 of a k-slot trace.
+    ``leg_ids`` and ``vertex_ids`` are the identity lists that ``census``
+    copies as a scheme's ``alpha`` and component labels.
     """
 
     def __init__(self, legs: Sequence[LegId]) -> None:
@@ -121,6 +134,8 @@ class RibbonMap:
                 self.sigma[i] = by_slot[(slot + 1) % length]
                 self.vertex[i] = number
         self.vertex_count = len(traces)
+        self.leg_ids = list(range(len(self.legs)))
+        self.vertex_ids = list(range(self.vertex_count))
 
 
 class PairMap(NamedTuple):
@@ -220,11 +235,14 @@ def enumerate_pairings(legs_a: Sequence[LegId],
                        legs_b: Sequence[LegId] | None = None,
                        *,
                        max_eps_degree: int | None = None,
-                       stats: EnumerationStats | None = None) -> Iterator[Pairing]:
+                       stats: EnumerationStats | None = None) -> Iterator[Scheme]:
     """Yield every admissible pairing exactly once, the empty one first.
 
-    With ``legs_b`` given, pairs join one leg of each side (product
-    mode).  Without it, any two distinct legs of ``legs_a`` may pair
+    Each scheme is a tuple of leg-number pairs ``(head, mate)``, the
+    legs numbered by their place in ``legs_a + legs_b``; the head comes
+    first in the list (in a product, it is the side-A leg).  With
+    ``legs_b`` given, pairs join one leg of each side (product mode).
+    Without it, any two distinct legs of ``legs_a`` may pair
     (basis-change mode).  The legs must list whole traces.  Order is
     deterministic: each head leg, in the order given, first stays
     uncontracted and then pairs with each free mate in turn.
@@ -248,12 +266,12 @@ def enumerate_pairings(legs_a: Sequence[LegId],
         if overlap:
             raise RibbonError(f"legs shared between sides: {sorted(overlap)}")
         rmap, first_mate = RibbonMap(legs_a + legs_b), heads
-    legs, sigma = rmap.legs, rmap.sigma
-    n = len(legs)
+    sigma = rmap.sigma
+    n = len(sigma)
     alpha = list(range(n))
-    chosen: list[Pair] = []
+    chosen: list[tuple[int, int]] = []
 
-    def walk(idx: int) -> Iterator[Pairing]:
+    def walk(idx: int) -> Iterator[Scheme]:
         while idx < heads and alpha[idx] != idx:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
@@ -270,7 +288,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
             if alpha[mate] != mate:
                 continue
             alpha[idx], alpha[mate] = mate, idx
-            chosen.append((legs[idx], legs[mate]))
+            chosen.append((idx, mate))
             yield from walk(idx + 1)
             chosen.pop()
             alpha[idx], alpha[mate] = idx, mate
@@ -322,113 +340,133 @@ class LoopReport:
 
 def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             mode: Mode = Mode()) -> LoopReport:
-    """Walk the strands of a contraction scheme and count everything."""
-    report: dict = {}
-    census(pairing, map_of(gen_a, gen_b), mode, report)
-    return LoopReport(pairs=tuple(pairing), **report)
+    """Walk the strands of a hand-built ``LegId`` pairing and count everything.
 
-
-def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
-           report: dict | None = None) -> tuple | None:
-    """The integer key of a contraction scheme's term (see the module
-    docstring), or ``None`` if its weight is zero.  The Euler and half-unit
-    checks run on every scheme.  ``report``, when a dict, also gets the
-    other fields of the scheme's ``LoopReport``.
+    The pairing is checked (every leg a leg of the generators, used once,
+    never paired with itself, and across the two factors of a product),
+    numbered on the map of the generators and handed to ``census``.
     """
-    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
-    legs, index, sigma, vertex = rmap.legs, rmap.index, rmap.sigma, rmap.vertex
-    n = len(legs)
-
-    alpha = list(range(n))
-    edges: list[tuple[int, int]] = []
-    touched = [False] * rmap.vertex_count
+    pair_map = map_of(gen_a, gen_b)
+    index, legs = pair_map.ribbon.index, pair_map.ribbon.legs
+    pairs: list[tuple[int, int]] = []
+    used: set[int] = set()
     for u, v in pairing:
         i, j = index.get(u), index.get(v)
         if i is None or j is None:
             raise RibbonError(f"leg {u if i is None else v} is not a leg of the generators")
         if i == j:
             raise RibbonError(f"leg {u} paired with itself")
-        if alpha[i] != i or alpha[j] != j:
-            raise RibbonError(f"leg {u if alpha[i] != i else v} appears in two pairs")
-        if product and legs[i].side == legs[j].side:
+        if i in used or j in used:
+            raise RibbonError(f"leg {u if i in used else v} appears in two pairs")
+        if pair_map.product and legs[i].side == legs[j].side:
             raise RibbonError("product pairings must join the two factors")
-        alpha[i], alpha[j] = j, i
-        edges.append((i, j))
-        touched[vertex[i]] = touched[vertex[j]] = True
+        used.update((i, j))
+        pairs.append((i, j))
+    report: dict = {}
+    census(pairs, pair_map, mode, report)
+    return LoopReport(pairs=tuple(pairing), **report)
 
-    # Face walk over the legs of contracted vertices.
+
+def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
+           report: dict | None = None) -> tuple | None:
+    """The integer key of a contraction scheme's term (see the module
+    docstring), or ``None`` if its weight is zero.
+
+    ``pairs`` are leg-number pairs on ``pair_map`` as ``enumerate_pairings``
+    yields them (in a product, the side-A leg first) and are not checked
+    again.  The Euler and half-unit checks run on every scheme.
+    ``report``, when a dict, also gets the other fields of the scheme's
+    ``LoopReport``.
+    """
+    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
+    sigma, vertex, vertex_count = rmap.sigma, rmap.vertex, rmap.vertex_count
+    n = len(sigma)
+
+    # alpha, each vertex's contracted legs, and the components over the
+    # vertices: a pair merges the component of its second leg into that
+    # of its first
+    alpha = rmap.leg_ids.copy()
+    degree = [0] * vertex_count
+    comp = rmap.vertex_ids.copy()
+    for i, j in pairs:
+        alpha[i] = j
+        alpha[j] = i
+        vi, vj = vertex[i], vertex[j]
+        degree[vi] += 1
+        degree[vj] += 1
+        keep, drop = comp[vi], comp[vj]
+        if keep != drop:
+            comp = [keep if c == drop else c for c in comp]
+
+    # Face walk over the legs of contracted vertices; faces are counted
+    # per component, and each current loop's rank word is built on the way.
     full, colored = report is not None, mode.colored
+    keep_corners = full or colored
     seen = [False] * n
+    faces = [0] * vertex_count
     pure_count = 0
     words: list[tuple[int, ...]] = []   # rank words of the output traces
     current_loops: list[tuple[LegId, ...]] = []
     output_words: list[tuple[Slot, ...]] = []
     loop_colors: list[object] = []
-    face_vertices: list[int] = []
     s_exp: dict[int, int] = {}
     zero_reason = None
     for start in range(n):
-        if seen[start] or not touched[vertex[start]]:
+        if seen[start] or not degree[vertex[start]]:
             continue
-        currents, corners = [], []   # corners only when colored
+        word, corners = [], []   # corners only when kept
         leg = start
         while not seen[leg]:
             seen[leg] = True
             corner = alpha[leg]
             if corner == leg:   # an uncontracted leg is its own corner
-                currents.append(leg)
-            if colored:
+                word.append(ranks[leg])
+            if keep_corners:
                 corners.append(corner)
             leg = sigma[corner]
-        face_vertices.append(vertex[start])
+        faces[comp[vertex[start]]] += 1
         color = None
         if colored:
             palette = {slots[c].color for c in corners}
             color = palette.pop() if len(palette) == 1 else "mixed"
         if full:
             loop_colors.append(color)
-        if not currents:
+        if not word:
             pure_count += 1
             if color == "mixed":
                 zero_reason = zero_reason or "mixed-color pure loop"
             elif colored:
                 s_exp[color] = s_exp.get(color, 0) + 1
-        else:
-            word = [ranks[c] for c in currents]
+            continue
+        if len(word) > 1:   # a one-letter word is its own least rotation
             k = least_rotation(word)
-            words.append(tuple(word[k:] + word[:k]))
-            if colored and not _chains_monochrome(corners, alpha, slots):
-                zero_reason = zero_reason or "mixed-color projector chain between currents"
-            if full:
-                current_loops.append(tuple(legs[c] for c in currents))
-                output_words.append(tuple(slots[c] for c in currents))
+            if k:
+                word = word[k:] + word[:k]
+        words.append(tuple(word))
+        if colored and not _chains_monochrome(corners, alpha, slots):
+            zero_reason = zero_reason or "mixed-color projector chain between currents"
+        if full:
+            currents = [c for c in corners if alpha[c] == c]
+            current_loops.append(tuple(rmap.legs[c] for c in currents))
+            output_words.append(tuple(slots[c] for c in currents))
     current_count = len(words)
-    isolated = [v for v in range(rmap.vertex_count) if not touched[v]]
+    isolated = [v for v in range(vertex_count) if not degree[v]]
     words += [vertex_ranks[v] for v in isolated]
     if full:
         output_words += [tuple(by_rank[r] for r in vertex_ranks[v]) for v in isolated]
 
-    # Components over contracted vertices: a pair merges the component of
-    # its second leg into that of its first.
-    comp = list(range(rmap.vertex_count))
-    for i, j in edges:
-        keep, drop = comp[vertex[i]], comp[vertex[j]]
-        if keep != drop:
-            comp = [keep if c == drop else c for c in comp]
-    counts: dict[int, list[int]] = {}   # component -> [vertices, pairs, faces]
-    for v in range(rmap.vertex_count):
-        if touched[v]:
-            counts.setdefault(comp[v], [0, 0, 0])[0] += 1
-    for i, _ in edges:
-        counts[comp[vertex[i]]][1] += 1
-    for v in face_vertices:
-        counts[comp[v]][2] += 1
-
     # Exponent from normalization bookkeeping, cross-checked per component.
+    vertices, pair_ends = [0] * vertex_count, [0] * vertex_count
+    for v in range(vertex_count):
+        if degree[v]:
+            vertices[comp[v]] += 1
+            pair_ends[comp[v]] += degree[v]
     check = current_count
     components = []
-    for name in sorted(counts):
-        v_k, p_k, f_k = counts[name]
+    for c in range(vertex_count):
+        if not vertices[c]:
+            continue
+        v_k, p_k, f_k = vertices[c], pair_ends[c] // 2, faces[c]
         euler_defect = 2 - (f_k - p_k + v_k)
         if euler_defect < 0 or euler_defect % 2 != 0:
             raise RibbonError(
@@ -437,14 +475,14 @@ def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
         if full:
             components.append(ComponentStats(v_k, p_k, f_k, euler_defect // 2))
     half_units = (n - sum(map(len, words))) - 2 * pure_count
-    if half_units != 2 * (len(edges) - pure_count):
+    if half_units != 2 * (len(pairs) - pure_count):
         raise RibbonError("leg bookkeeping does not match the pair count")
     if half_units != 2 * check:
         raise RibbonError(
             f"exponent mismatch: first-principles {half_units}/2 vs "
             f"component form {check}")
 
-    s_exponents = tuple(sorted(s_exp.items()))
+    s_exponents = tuple(sorted(s_exp.items())) if s_exp else ()
     if full:
         report.update(d_count=len(isolated), pure_loop_count=pure_count,
                       current_loop_count=current_count, current_loops=tuple(current_loops),
@@ -455,12 +493,12 @@ def census(pairing: Pairing, pair_map: PairMap, mode: Mode,
     if zero_reason is not None:
         return None
     if mode.kind == "matrix":
-        kernels = len(edges)
+        kernels = len(pairs)
     elif product:
-        kernels = tuple(sorted((ranks[i], ranks[j]) for i, j in edges))
+        kernels = tuple(sorted((ranks[i], ranks[j]) for i, j in pairs))
     else:   # a transport kernel is symmetric in its pair: (least, greatest) rank
         kernels = tuple(sorted((ranks[i], ranks[j]) if ranks[i] < ranks[j]
-                               else (ranks[j], ranks[i]) for i, j in edges))
+                               else (ranks[j], ranks[i]) for i, j in pairs))
     return tuple(sorted(words)), half_units, s_exponents, kernels
 
 

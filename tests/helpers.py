@@ -160,6 +160,12 @@ def generators(draw, mode, prefix, max_legs):
     return make_generator(words, mode)
 
 
+def named(pairing, legs):
+    """A leg-number pairing as ``enumerate_pairings`` yields it, as ``LegId``
+    pairs: ``legs`` is the list it numbered (``legs_a + legs_b``)."""
+    return tuple((legs[i], legs[j]) for i, j in pairing)
+
+
 # -- reference strand walk: LegId-keyed dictionaries, no integer map ------------
 
 
@@ -357,9 +363,9 @@ def _reference_schemes(ga, gb, mode, max_eps_degree, flags):
     cap, weight-zero or not, sets "truncated".
     """
     gens = {0: ga, 1: gb}
-    legs_b = None if gb is None else legs_of(gb, 1)
-    for pairing in enumerate_pairings(legs_of(ga, 0), legs_b):
-        report = reference_analyze(pairing, ga, gb, mode)
+    legs_a, legs_b = legs_of(ga, 0), None if gb is None else legs_of(gb, 1)
+    for pairing in enumerate_pairings(legs_a, legs_b):
+        report = reference_analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
         if max_eps_degree is not None and report.exponent > max_eps_degree:
             flags.add("truncated")
             continue

@@ -53,7 +53,7 @@ from multitrace import (
 )
 from multitrace.cli import main as cli_main
 
-from helpers import random_series, series_of, shaped
+from helpers import named, random_series, series_of, shaped
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "acceptance.txt"
 
@@ -132,8 +132,9 @@ def associativity_triples():
 def census_check(ga, gb, mode=MATRIX):
     """Assert the counting identities on every scheme of one pair."""
     graphs = 0
+    legs = legs_of(ga, 0) + legs_of(gb, 1)
     for pairing in enumerate_pairings(legs_of(ga, 0), legs_of(gb, 1)):
-        r = analyze(pairing, ga, gb, mode)
+        r = analyze(named(pairing, legs), ga, gb, mode)
         out_size = sum(len(w) for w in r.output_words)
         assert sum(c.faces for c in r.components) \
             == r.pure_loop_count + r.current_loop_count
@@ -207,8 +208,9 @@ def test_criterion_04_positive_grading():
 def test_criterion_05_square_graph_census():
     ga, gb = shaped((3, 3)), shaped((3, 3), "y")
     hits = 0
+    legs = legs_of(ga, 0) + legs_of(gb, 1)
     for pairing in enumerate_pairings(legs_of(ga, 0), legs_of(gb, 1)):
-        r = analyze(pairing, ga, gb)
+        r = analyze(named(pairing, legs), ga, gb)
         if (r.d_count, r.pure_loop_count, r.current_loop_count) != (0, 1, 1):
             continue
         if len(r.components) != 1:
@@ -311,7 +313,8 @@ def test_criterion_08_colored_algebra():
     gb = colored_gen((2,), (1, 2), "y")
     prod = product(Series.of(ga, COLORED), Series.of(gb, COLORED))
     assert expectation(prod) == parse_coefficient("hbar^2*s1*s2*g^2", COLORED)
-    complete = [analyze(p, ga, gb, COLORED)
+    legs = legs_of(ga, 0) + legs_of(gb, 1)
+    complete = [analyze(named(p, legs), ga, gb, COLORED)
                 for p in enumerate_pairings(legs_of(ga, 0), legs_of(gb, 1))
                 if len(p) == 2]
     assert sum(1 for r in complete if not r.weight_zero) == 1

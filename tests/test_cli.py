@@ -169,6 +169,16 @@ def test_oversized_rational_literals_are_bad_input(capsys):
     assert err.startswith("error: line 1 column 1: rational literal too large")
 
 
+@pytest.mark.parametrize("factor, what", [
+    ("2^14000*2^14000*W{Tr[x1]}", "line 1 column 9: product of rationals"),
+    ("(2)^20000*W{Tr[x1]}", "line 1 column 1: scalar power"),
+])
+def test_oversized_built_up_rationals_are_bad_input(capsys, factor, what):
+    code, out, err = run(capsys, "product", factor, "W{Tr[y1]}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} too large")
+
+
 def test_zero_denominators_are_bad_input(capsys):
     code, out, err = run(capsys, "product", "1/0*W{Tr[x1]}", "W{Tr[y1]}")
     assert (code, out, err) == (2, "", "error: line 1 column 1: zero denominator in 1/0\n")

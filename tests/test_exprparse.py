@@ -139,6 +139,32 @@ class TestParseErrors:
         assert (info.value.line, info.value.column) == (1, column)
         assert "over 4300 digits" in str(info.value)
 
+    @pytest.mark.parametrize("text, column, what", [
+        ("2^14000*2^14000*W{Tr[x1]}", 9, "product of rationals"),   # 4,215 digits each
+        ("eps*3^9000*(1/3)^0*5^4000", 20, "product of rationals"),
+        ("(2)^14000*(2)^14000*W{}", 11, "product of rationals"),
+        ("2^14000*(2)^14000", 9, "product of rationals"),
+        ("(2)^20000*W{Tr[x1]}", 1, "scalar power"),
+        ("1 + (2/3)^-99999999", 5, "scalar power"),   # refused before the power
+        ("(10^2200 + eps)^2", 1, "scalar power"),       # two terms: judged after the power
+    ])
+    def test_oversized_built_up_rationals(self, text, column, what):
+        with pytest.raises(ParseError) as info:
+            parse_series(text, MATRIX)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert f"{what} too large" in str(info.value) and "over 4300 digits" in str(info.value)
+
+    def test_built_up_rationals_at_the_digit_limit_parse(self):
+        assert parse_series("2^7000*2^7000", MATRIX) == parse_series("2^14000", MATRIX)
+        assert parse_series("(2)^14000*(1/2)^14000", MATRIX) == parse_series("1", MATRIX)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)   # no limit
+        try:
+            assert parse_coefficient("(2)^20000*2^20000", MATRIX).rational_value() \
+                == 2 ** 40000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_rational_literals_at_the_digit_limit_parse(self):
         assert parse_series("10^4299", MATRIX) == parse_series(str(10 ** 4299), MATRIX)
         assert parse_series("(1/2)^14284", MATRIX) == parse_series("1/2^14284", MATRIX)

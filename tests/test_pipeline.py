@@ -19,7 +19,7 @@ from multitrace.cli import main
 from multitrace.ribbon import census, map_of
 from multitrace.transport import _difference_kernel
 
-from helpers import (MODES, coefficients, generators, harer_zagier, product_scheme_count,
+from helpers import (MODES, coefficients, generators, harer_zagier, named, product_scheme_count,
                      reference_connected_product, reference_genus_table, reference_product,
                      reference_scheme_monomial, reference_transport, scalars, series_of,
                      transport_scheme_count)
@@ -132,7 +132,7 @@ def test_genus_table_counts_only_nonzero_weight_schemes():
     mode = Mode("matrix", 2)
     a = parse_series("W{Tr[x1@1 x2@2]} + eps*W{Tr[x3@2]}", mode)
     b = parse_series("2*W{Tr[y1@2 y2@1]}", mode)
-    weights = [analyze(p, ga, gb, mode).weight_zero
+    weights = [analyze(named(p, legs_of(ga) + legs_of(gb, 1)), ga, gb, mode).weight_zero
                for ga, _ in a.terms for gb, _ in b.terms
                for p in enumerate_pairings(legs_of(ga), legs_of(gb, 1))]
     assert weights.count(True) > 0 and weights.count(False) > 0
@@ -152,9 +152,10 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     slots = pair_map.by_rank
     output = output_generators(pair_map, ga, gb)
     name = kernel if mode.kind == "matrix" else lambda u, v: kernel(slots[u], slots[v])
-    for pairing in enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)):
+    legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, 1)
+    for pairing in enumerate_pairings(legs_a, legs_b):
         key = census(pairing, pair_map, mode)
-        report = analyze(pairing, ga, gb, mode)
+        report = analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
         assert (key is None) == report.weight_zero
         if key is None:
             continue
@@ -190,13 +191,30 @@ def traced(monkeypatch):
     return keys, stats
 
 
-@pytest.mark.parametrize("mode, legs, keys", [(MATRIX, 6, 5122), (KERNEL, 5, 1546)])
-def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys):
-    # matrix mode collapses 13,327 schemes to 5,122 keys; in kernel mode the
-    # sorted pairs tell every scheme apart
+@pytest.mark.parametrize("mode, legs, keys, monomials, outputs", [
+    (MATRIX, 6, 5122, 19, 4634), (KERNEL, 5, 1546, 1546, 727)])
+def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomials, outputs):
+    # matrix mode collapses 13,327 schemes to 5,122 keys, which share 19
+    # monomials; in kernel mode the sorted pairs tell every scheme apart
+    inner_census, inner_generator = multitrace.algebra.census, Generator._canonical
+    census_keys, generators_built = set(), []
+
+    def counted_census(*args):
+        key = inner_census(*args)
+        census_keys.add(key)
+        return key
+
+    def counted_generator(cls, *values):
+        generators_built.append(inner_generator(*values))
+        return generators_built[-1]
+
+    monkeypatch.setattr(multitrace.algebra, "census", counted_census)
+    monkeypatch.setattr(Generator, "_canonical", classmethod(counted_generator))
     built, stats = traced(monkeypatch)
     product(series_of((legs,), "x", mode), series_of((legs,), "y", mode))
-    assert len(built) == len(set(built)) == keys
+    assert len(census_keys - {None}) == keys
+    assert len(built) == len({key[1:] for key in built}) == monomials
+    assert len(generators_built) == len(set(generators_built)) == outputs
     assert [s.yielded for s in stats] == [product_scheme_count(legs, legs)]
 
 

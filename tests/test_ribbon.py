@@ -1,6 +1,8 @@
 """Pairing enumeration and the strand-walk census behind every product."""
 
+import json
 from itertools import zip_longest
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +23,7 @@ from multitrace import (
 )
 from multitrace.ribbon import RibbonMap, census, exponent_bound, map_of
 
-from helpers import (MODES, generators, product_scheme_count, reference_analyze,
+from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
                      reference_exponent_bound, shaped, transport_scheme_count)
 
 
@@ -69,7 +71,7 @@ class TestEnumeration:
         a, b = legs_of(ga), legs_of(gb, side=1)
         full = list(enumerate_pairings(a, b))
         for cap in (0, 1):
-            wanted = [p for p in full if analyze(p, ga, gb).exponent <= cap]
+            wanted = [p for p in full if analyze(named(p, a + b), ga, gb).exponent <= cap]
             stats = EnumerationStats()
             assert list(enumerate_pairings(a, b, max_eps_degree=cap, stats=stats)) == wanted
             assert stats.yielded == len(wanted)
@@ -104,6 +106,52 @@ class TestEnumeration:
         assert 0 < stats.pruned_branches <= most_cut
 
 
+# Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
+# trace, slot of each leg), pairs space-separated, in enumeration order.
+RECORDED = json.loads((Path(__file__).parent / "recorded_pairings.json").read_text())
+
+
+@pytest.mark.parametrize("name, shape_a, shape_b", [
+    ("(3)x(2,1)", (3,), (2, 1)), ("(2,2)x(3)", (2, 2), (3,)), ("(5)", (5,), None)])
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_leg_numbers_name_the_recorded_pairings(name, shape_a, shape_b, cap):
+    a = legs_of(shaped(shape_a))
+    b = None if shape_b is None else legs_of(shaped(shape_b, prefix="y"), side=1)
+    got = [" ".join(f"{u.side}{u.trace}{u.slot}-{v.side}{v.trace}{v.slot}"
+                    for u, v in named(pairing, a + (b or [])))
+           for pairing in enumerate_pairings(a, b, max_eps_degree=cap)]
+    assert got == RECORDED[f"{name} cap {cap}"]
+
+
+def _report_key(report, pair_map, mode, gens):
+    """The census key of a scheme, read off its ``LoopReport``."""
+    if report.weight_zero:
+        return None
+    rank = {slot: r for r, slot in enumerate(pair_map.by_rank)}
+    words = [tuple(rank[slot] for slot in word) for word in report.output_words]
+    words = sorted(min(w[k:] + w[:k] for k in range(len(w))) for w in words)
+    pairs = [tuple(rank[gens[leg.side].traces[leg.trace].slots[leg.slot]] for leg in pair)
+             for pair in report.pairs]
+    if mode.kind == "matrix":
+        kernels = len(pairs)
+    else:
+        kernels = tuple(sorted(pair if pair_map.product else tuple(sorted(pair))
+                               for pair in pairs))
+    return tuple(words), report.exponent_half_units, report.s_exponents, kernels
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_census_on_leg_numbers_keys_the_named_scheme(data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
+    pair_map = map_of(ga, gb)
+    for pairing in enumerate_pairings(legs_a, legs_b):
+        report = analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
+        assert census(pairing, pair_map, mode) == _report_key(report, pair_map, mode, (ga, gb))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
 def test_capped_enumeration_is_the_filtered_uncapped_list(data, mode, product_mode):
@@ -111,7 +159,9 @@ def test_capped_enumeration_is_the_filtered_uncapped_list(data, mode, product_mo
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     legs_a = legs_of(ga)
     legs_b = legs_of(gb, side=1) if product_mode else None
-    full = [(p, analyze(p, ga, gb, mode).exponent) for p in enumerate_pairings(legs_a, legs_b)]
+    legs = legs_a + (legs_b or [])
+    full = [(p, analyze(named(p, legs), ga, gb, mode).exponent)
+            for p in enumerate_pairings(legs_a, legs_b)]
     for cap in range(-2, 3):
         wanted = [p for p, exponent in full if exponent <= cap]
         stats = EnumerationStats()
@@ -129,7 +179,7 @@ def _path_bounds(pairing, rmap, heads):
     A node is a head leg still unpaired when reached; the pairs chosen
     there are those whose head comes before it, and it is the frontier.
     """
-    edges = sorted((rmap.index[u], rmap.index[v]) for u, v in pairing)
+    edges = sorted(pairing)
     mates = {j for _, j in edges}
     bounds = []
     for node in [k for k in range(heads) if k not in mates] + [len(rmap.legs)]:
@@ -153,7 +203,7 @@ def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
     for pairing in enumerate_pairings(legs_a, legs_b):
         bounds = _path_bounds(pairing, rmap, len(legs_a))
         assert bounds == sorted(bounds)
-        assert bounds[-1] == analyze(pairing, ga, gb, mode).exponent
+        assert bounds[-1] == analyze(named(pairing, rmap.legs), ga, gb, mode).exponent
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,10 +211,11 @@ def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
 def test_analyze_matches_the_reference_walk(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
-    legs_b = legs_of(gb, side=1) if product_mode else None
-    for pairing in enumerate_pairings(legs_of(ga), legs_b):
-        # pairings are plain tuples, the documented Pairing type
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
+    for pairing in enumerate_pairings(legs_a, legs_b):
+        # schemes are plain tuples of leg-number pairs
         assert type(pairing) is tuple
+        pairing = named(pairing, legs_a + (legs_b or []))
         assert analyze(pairing, ga, gb, mode) == reference_analyze(pairing, ga, gb, mode)
 
 
@@ -176,9 +227,13 @@ def test_analyze_follows_alternating_generator_pairs(data, mode):
     copy_a = Generator(ga.traces)
     assert copy_a == ga and copy_a is not ga
     jobs = [(ga, gb), (gc, gd), (ga, None), (copy_a, gb), (gc, None)]
-    runs = [[(pairing, a, b) for pairing in
-             enumerate_pairings(legs_of(a), None if b is None else legs_of(b, side=1))]
-            for a, b in jobs]
+
+    def run(a, b):
+        legs_a, legs_b = legs_of(a), None if b is None else legs_of(b, side=1)
+        return [(named(pairing, legs_a + (legs_b or [])), a, b)
+                for pairing in enumerate_pairings(legs_a, legs_b)]
+
+    runs = [run(a, b) for a, b in jobs]
     for step in zip_longest(*runs):
         for pairing, a, b in filter(None, step):
             assert analyze(pairing, a, b, mode) == reference_analyze(pairing, a, b, mode)
@@ -202,7 +257,7 @@ class TestCensus:
         complete = [p for p in enumerate_pairings(a, b) if len(p) == 2]
         assert len(complete) == 2
         for pairing in complete:
-            report = analyze(pairing, ga, gb)
+            report = analyze(named(pairing, a + b), ga, gb)
             assert (report.d_count, report.pure_loop_count,
                     report.current_loop_count) == (0, 2, 0)
             comp, = report.components
@@ -235,7 +290,7 @@ class TestCensus:
         ga, gb = shaped((3,)), shaped((2, 1), prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
         for pairing in enumerate_pairings(a, b):
-            r = analyze(pairing, ga, gb)
+            r = analyze(named(pairing, a + b), ga, gb)
             assert r.face_count == r.pure_loop_count + r.current_loop_count
             assert r.exponent == r.pair_count - r.pure_loop_count
             for comp in r.components:
@@ -246,13 +301,13 @@ class TestCensus:
     def test_validation(self):
         ga, gb = shaped((2,)), shaped((2,), prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
-        with pytest.raises(RibbonError):
+        with pytest.raises(RibbonError, match="must join the two factors"):
             analyze(((a[0], a[1]),), ga, gb)  # same side in product mode
-        with pytest.raises(RibbonError):
+        with pytest.raises(RibbonError, match=r"leg LegId\(side=0, trace=0, slot=0\) appears in two"):
             analyze(((a[0], b[0]), (a[0], b[1])), ga, gb)  # leg reused
-        with pytest.raises(RibbonError):
+        with pytest.raises(RibbonError, match="paired with itself"):
             analyze(((a[0], a[0]),), ga)  # self-pair
-        with pytest.raises(RibbonError):
+        with pytest.raises(RibbonError, match=r"LegId\(side=1, trace=5, slot=0\) is not a leg"):
             analyze(((a[0], LegId(1, 5, 0)),), ga, gb)  # no such trace
 
 
@@ -274,7 +329,7 @@ class TestColoredCensus:
     def test_exactly_one_complete_matching_survives(self):
         ga, gb = self.colored_pair()
         a, b = legs_of(ga), legs_of(gb, side=1)
-        complete = [analyze(p, ga, gb, mode=self.MODE)
+        complete = [analyze(named(p, a + b), ga, gb, mode=self.MODE)
                     for p in enumerate_pairings(a, b) if len(p) == 2]
         assert len(complete) == 2
         alive = [r for r in complete if not r.weight_zero]
@@ -297,7 +352,7 @@ def test_kernel_mode_reports_match_matrix_counts():
     ga = shaped((2,), mode=KERNEL)
     gb = shaped((2,), prefix="y", mode=KERNEL)
     a, b = legs_of(ga), legs_of(gb, side=1)
-    reports = [analyze(p, ga, gb, mode=KERNEL) for p in enumerate_pairings(a, b)]
+    reports = [analyze(named(p, a + b), ga, gb, mode=KERNEL) for p in enumerate_pairings(a, b)]
     assert sorted(r.exponent for r in reports) == [0, 0, 0, 1, 1, 1, 1]
 
 
@@ -322,7 +377,7 @@ def _shorten_first_trace(pair_map):
 ])
 def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
     ga, gb = shaped((2,)), shaped((2,), prefix="y")
-    a, b = legs_of(ga), legs_of(gb, side=1)
+    a, b = [0, 1], [2, 3]   # leg numbers on the map of ga and gb
     pair_map = map_of(ga, gb)
     census(pairing(a, b), pair_map, MATRIX)  # the map as built is consistent
     with pytest.raises(RibbonError, match=message):
@@ -330,11 +385,12 @@ def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
 
 
 def test_census_reads_the_side_rule_from_the_map():
+    # a transport pairs legs of one factor; analyze refuses that in a product
     ga, gb = shaped((2,)), shaped((2,), prefix="y")
+    assert census(((0, 1),), map_of(ga), MATRIX) is not None
     a = legs_of(ga)
-    assert census(((a[0], a[1]),), map_of(ga), MATRIX) is not None
     with pytest.raises(RibbonError, match="join the two factors"):
-        census(((a[0], a[1]),), map_of(ga, gb), MATRIX)
+        analyze(((a[0], a[1]),), ga, gb)
 
 
 @settings(max_examples=40, deadline=None)
