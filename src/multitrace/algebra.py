@@ -11,9 +11,10 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Per generator pair, ``ribbon.enumerate_pairings`` yields
-each scheme as leg-number pairs, ``ribbon.census`` reduces it to an
-integer key on the pair's map (``ribbon.map_of``, built once), and the
+separately.  Per generator pair, the pair's map is built once
+(``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the
+schemes on it, carrying each scheme's census state along its walk, and
+yields each scheme's integer key (``None`` for weight zero); the
 schemes are counted per key.  A key is its output words and its
 monomial part (eps half-units, block ratios, kernels).  Each distinct
 words is built once into its output generator (``output_generators``),
@@ -21,9 +22,9 @@ and each distinct monomial part once into its monomial
 (``scheme_coefficient``): the ``(6)x(6)`` matrix pair has 5,122 keys
 but 19 monomials.  A key adds its monomial times the rational input
 coefficients, counted and signed; all pairs are merged by one
-``Series.build``.  The key is
-already in canonical order, so both values are built from it as they
-are, with their keys, and are never rotated or sorted again.
+``Series.build``.  The key is already in canonical order, so both
+values are built from it as they are, with their keys, and are never
+rotated or sorted again.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import EnumerationStats, PairMap, census, enumerate_pairings, legs_of, map_of
+from .ribbon import EnumerationStats, PairMap, enumerate_pairings, map_of
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, result_generator  # noqa: F401
 
@@ -129,11 +130,11 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
                 f"slot label {repeated!r} repeats in "
                 f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
                 "kernel-mode pair kernels need distinct labels")
-        legs_b = None if gen_b is None else legs_of(gen_b, 1)
+        legs, heads = pair_map.ribbon.legs, gen_a.size
         stats = EnumerationStats()
-        counts = Counter(filter(None, (
-            census(pairing, pair_map, mode) for pairing in enumerate_pairings(
-                legs_of(gen_a, 0), legs_b, max_eps_degree=max_eps_degree, stats=stats))))
+        counts = Counter(filter(None, enumerate_pairings(
+            legs[:heads], None if gen_b is None else legs[heads:], pair_map=pair_map,
+            mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
         if stats.pruned_branches:
             flags.add("truncated")
         slots = pair_map.by_rank

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -232,8 +233,15 @@ class Coefficient:
     def build(entries: Iterable[tuple[Monomial, RationalLike]]) -> "Coefficient":
         acc: dict[Monomial, Fraction] = {}
         for mono, value in entries:
+            if type(value) is not Fraction:
+                value = Fraction(value)
             q = acc.get(mono)
-            acc[mono] = Fraction(value) if q is None else q + Fraction(value)
+            acc[mono] = value if q is None else q + value
+        return Coefficient._of_sums(acc)
+
+    @staticmethod
+    def _of_sums(acc: Mapping[Monomial, Fraction]) -> "Coefficient":
+        """The coefficient of summed terms: zeros dropped, sorted by monomial."""
         return Coefficient(tuple(sorted(((mono, q) for mono, q in acc.items() if q),
                                         key=lambda kv: kv[0]._key)))
 
@@ -276,11 +284,25 @@ class Coefficient:
         return self + (-other)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        out = []
+        # Integer numerators over each side's common denominator are summed
+        # per product monomial, told by its eps and hbar powers and the two
+        # factors' symbols: one Monomial and one Fraction per output term.
+        da = lcm(*(q.denominator for _, q in self.terms))
+        db = lcm(*(q.denominator for _, q in other.terms))
+        right = [(mb.eps_half, mb.hbar, mb, qb.numerator * (db // qb.denominator))
+                 for mb, qb in other.terms]
+        acc: dict[tuple, int] = {}
         for ma, qa in self.terms:
-            for mb, qb in other.terms:
-                out.append((ma.mul(mb), qa * qb))
-        return Coefficient.build(out)
+            na = qa.numerator * (da // qa.denominator)
+            for eps_half, hbar, mb, nb in right:
+                key = (ma.eps_half + eps_half, ma.hbar + hbar, ma.s, ma.kernels, mb.s, mb.kernels)
+                acc[key] = acc.get(key, 0) + na * nb
+        sums = {}
+        for (eps_half, hbar, sa, ka, sb, kb), v in acc.items():
+            mono = (Monomial(eps_half, hbar, sa + sb, ka + kb) if sb or kb
+                    else Monomial._canonical(eps_half, hbar, sa, ka))
+            sums[mono] = sums.get(mono, 0) + v
+        return Coefficient._of_sums({mono: Fraction(v, da * db) for mono, v in sums.items()})
 
     def scale(self, value: RationalLike) -> "Coefficient":
         q = Fraction(value)
@@ -318,19 +340,6 @@ class Coefficient:
         if not self.terms:
             return None
         return min(m.eps_degree for m, _ in self.terms)
-
-    def eps_max_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(m.eps_degree for m, _ in self.terms)
-
-    def rational_value(self) -> Fraction:
-        """The constant term's value if the coefficient is purely rational."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == _UNIT_MONOMIAL:
-            return self.terms[0][1]
-        raise CoefficientError("coefficient is not a bare rational")
 
     def eval(self, env: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate with rational assignments keyed by rendered symbol names.

@@ -131,11 +131,6 @@ class Generator(KeyedValue):
         return tuple([t._key for t in self.traces])
 
     @property
-    def trace_lengths(self) -> tuple[int, ...]:
-        """The multi-index of trace lengths, in canonical trace order."""
-        return tuple(len(t) for t in self.traces)
-
-    @property
     def trace_count(self) -> int:
         return len(self.traces)
 
@@ -247,9 +242,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def with_flags(self, extra: Iterable[str]) -> "Series":
-        return Series(self.mode, self.terms, self.flags | frozenset(extra))
 
     def __add__(self, other: "Series") -> "Series":
         _require_same_mode(self, other)

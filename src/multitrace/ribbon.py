@@ -10,23 +10,28 @@ Encoding.  ``RibbonMap`` numbers the legs of one generator pair
 next slot of leg i's trace, and ``vertex[i]`` the trace (vertex) that
 holds it.  A scheme is the involution ``alpha`` that swaps the two
 legs of every pair and fixes an uncontracted leg.  The faces are the
-cycles of ``sigma . alpha`` over all legs, the standard permutation
-encoding of ribbon graphs ('t Hooft 1974; Lando and Zvonkin, *Graphs
-on Surfaces and Their Applications*, ch. 1); an untouched trace is one
-cycle of ``sigma`` and so one face.  ``enumerate_pairings`` builds one
-map per generator pair and yields each scheme as a plain tuple of
-leg-number pairs ``(head, mate)``, numbered on the map of ``legs_a +
-legs_b``.
+cycles of the face permutation ``sigma . alpha`` over all legs, the
+standard permutation encoding of ribbon graphs ('t Hooft 1974; Lando
+and Zvonkin, *Graphs on Surfaces and Their Applications*, ch. 1); an
+untouched trace is one cycle of ``sigma`` and so one face.  The map of
+a generator pair is built once per pair (``map_of``), with each leg's
+slot rank (its slot's place among the pair's distinct slots, in
+``Slot.key`` order).
 
-``census`` takes those pairs as they come and does not check them
-again: it builds ``alpha`` from them and walks the faces once, one step
-``leg -> sigma[alpha[leg]]``.  An uncontracted leg is a surviving
-current, a contracted one hands the strand to its partner, and corners
-carry the projector colors of a colored model.  Its caller hands it the
-map of the generator pair (``map_of``), with each leg's slot rank (its
-slot's place among the pair's distinct slots, in ``Slot.key`` order);
-each output trace's rank word is built during the walk, and the
-per-component vertex, pair and face counts are kept in flat lists.
+The census state of a scheme is ``alpha``, the face permutation, each
+vertex's count of contracted legs and each vertex's component label.
+``enumerate_pairings`` keeps that state along its depth-first walk:
+pairing two legs sets two entries of ``alpha`` and two of the face
+permutation, raises two degrees and relabels a merged component, and
+backtracking undoes it.  At each leaf it yields the scheme's key.
+``census`` builds the same state from a list of leg-number pairs
+(hand-built or recorded pairings).  Both hand the state to one private
+leaf reduction, the only face walk, so every scheme passes the Euler
+and half-unit checks.  The walk takes one step ``leg -> (sigma .
+alpha)[leg]``.  An uncontracted leg is a surviving current, a
+contracted one hands the strand to its partner, and corners carry the
+projector colors of a colored model.  Each output trace's rank word is
+built during the walk, and faces are counted per component.
 ``analyze`` is the entry for hand-built ``LegId`` pairings: it refuses
 an unknown, reused or self-paired leg and a same-side product pair,
 numbers the pairing on the map and calls ``census``.  The loops are
@@ -234,18 +239,28 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
 def enumerate_pairings(legs_a: Sequence[LegId],
                        legs_b: Sequence[LegId] | None = None,
                        *,
+                       pair_map: PairMap,
+                       mode: Mode,
                        max_eps_degree: int | None = None,
-                       stats: EnumerationStats | None = None) -> Iterator[Scheme]:
-    """Yield every admissible pairing exactly once, the empty one first.
+                       stats: EnumerationStats | None = None) -> Iterator[tuple | None]:
+    """Yield the census key of every admissible scheme exactly once, the
+    empty scheme first, or ``None`` for a scheme of weight zero.
 
-    Each scheme is a tuple of leg-number pairs ``(head, mate)``, the
-    legs numbered by their place in ``legs_a + legs_b``; the head comes
-    first in the list (in a product, it is the side-A leg).  With
-    ``legs_b`` given, pairs join one leg of each side (product mode).
-    Without it, any two distinct legs of ``legs_a`` may pair
-    (basis-change mode).  The legs must list whole traces.  Order is
-    deterministic: each head leg, in the order given, first stays
-    uncontracted and then pairs with each free mate in turn.
+    ``legs_a`` and ``legs_b`` must be the legs of ``pair_map``, in order:
+    with ``legs_b`` given, pairs join one leg of each side (a product map);
+    without it, any two distinct legs of ``legs_a`` may pair (a transport
+    map).  Order is deterministic: each head leg, in the order given, first
+    stays uncontracted and then pairs with each free mate in turn.
+
+    The depth-first walk (a loop over the path of heads, not recursion)
+    carries the census state of the scheme it is building: ``alpha``, the
+    face permutation ``nxt = sigma . alpha``, each vertex's count of
+    contracted legs and each vertex's component label.
+    Pairing two legs sets two entries of ``alpha`` and of ``nxt`` and two
+    degrees, and relabels a merged component; backtracking undoes it.  At
+    a leaf the one face walk, shared with ``census``, reduces that state
+    to the scheme's key, so every scheme passes the Euler and half-unit
+    checks.
 
     With ``max_eps_degree`` set, exactly the schemes whose eps exponent
     is at most the cap are yielded.  A branch is cut once its
@@ -256,44 +271,70 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     """
     if stats is None:
         stats = EnumerationStats()
-    legs_a = list(legs_a)
+    rmap = pair_map.ribbon
     heads = len(legs_a)  # legs 0..heads-1 take turns as the head of a pair
-    if legs_b is None:
-        rmap, first_mate = RibbonMap(legs_a), 0
-    else:
-        legs_b = list(legs_b)
-        overlap = set(legs_a) & set(legs_b)
-        if overlap:
-            raise RibbonError(f"legs shared between sides: {sorted(overlap)}")
-        rmap, first_mate = RibbonMap(legs_a + legs_b), heads
-    sigma = rmap.sigma
+    legs = tuple(legs_a) + tuple(legs_b or ())
+    if legs != rmap.legs or (legs_b is not None) != pair_map.product or (
+            legs_b is not None and [leg.side for leg in legs] != [0] * heads + [1] * len(legs_b)):
+        raise RibbonError("the legs must be the legs of the pair map, in order and by side")
+    first_mate = heads if legs_b is not None else 0
+    sigma, vertex = rmap.sigma, rmap.vertex
     n = len(sigma)
-    alpha = list(range(n))
-    chosen: list[tuple[int, int]] = []
+    alpha = rmap.leg_ids.copy()
+    nxt = sigma.copy()
+    degree = [0] * rmap.vertex_count
 
-    def walk(idx: int) -> Iterator[Scheme]:
+    pairs, comp = 0, rmap.vertex_ids   # comp is replaced on a merge, never changed in place
+    # the heads on the path to the current node, each as [head, its mate or
+    # -1 while it stays uncontracted, the component labels before its pair]
+    path: list[list] = []
+    idx = 0
+    while True:
         while idx < heads and alpha[idx] != idx:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
-                sigma, alpha, len(chosen), idx if idx < heads else n, heads) > max_eps_degree:
+                sigma, alpha, pairs, idx if idx < heads else n, heads) > max_eps_degree:
             stats.pruned_branches += 1
-            return
-        if idx == heads:
+        elif idx == heads:
             stats.yielded += 1
-            yield tuple(chosen)
+            yield _reduce(pairs, alpha, nxt, degree, comp, pair_map, mode, None)
+        else:   # the head leg first stays uncontracted
+            path.append([idx, -1, comp])
+            idx += 1
+            continue
+        # back up to the newest head with a free mate left, and pair them
+        while path:
+            step = path[-1]
+            head, mate, comp = step
+            vi = vertex[head]
+            if mate < 0:
+                mate = max(head + 1, first_mate)
+            else:   # undo the pair
+                pairs -= 1
+                degree[vi] -= 1
+                degree[vertex[mate]] -= 1
+                nxt[head], nxt[mate] = sigma[head], sigma[mate]
+                alpha[head], alpha[mate] = head, mate
+                mate += 1
+            while mate < n and alpha[mate] != mate:
+                mate += 1
+            if mate < n:
+                step[1] = mate
+                vj = vertex[mate]
+                alpha[head], alpha[mate] = mate, head
+                nxt[head], nxt[mate] = sigma[mate], sigma[head]
+                degree[vi] += 1
+                degree[vj] += 1
+                pairs += 1
+                # the pair merges the component of its mate into that of its head
+                keep, drop = comp[vi], comp[vj]
+                if keep != drop:
+                    comp = [keep if c == drop else c for c in comp]
+                idx = head + 1
+                break
+            path.pop()
+        else:
             return
-        # the head leg stays uncontracted
-        yield from walk(idx + 1)
-        for mate in range(max(idx + 1, first_mate), n):
-            if alpha[mate] != mate:
-                continue
-            alpha[idx], alpha[mate] = mate, idx
-            chosen.append((idx, mate))
-            yield from walk(idx + 1)
-            chosen.pop()
-            alpha[idx], alpha[mate] = idx, mate
-
-    yield from walk(0)
 
 
 @dataclass(frozen=True)
@@ -322,14 +363,6 @@ class LoopReport:
     weight_zero: bool
     zero_reason: str | None
     output_words: tuple[tuple[Slot, ...], ...]
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def face_count(self) -> int:
-        return self.pure_loop_count + self.current_loop_count
 
     @property
     def exponent(self) -> int:
@@ -372,58 +405,73 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
     """The integer key of a contraction scheme's term (see the module
     docstring), or ``None`` if its weight is zero.
 
-    ``pairs`` are leg-number pairs on ``pair_map`` as ``enumerate_pairings``
-    yields them (in a product, the side-A leg first) and are not checked
-    again.  The Euler and half-unit checks run on every scheme.
-    ``report``, when a dict, also gets the other fields of the scheme's
-    ``LoopReport``.
+    ``pairs`` are leg-number pairs on ``pair_map``, the head first (in a
+    product, the side-A leg), and are not checked again.  ``census``
+    builds from them the state that ``enumerate_pairings`` carries along
+    its walk (``alpha``, ``sigma . alpha``, the vertex degrees and the
+    component labels) and hands it to the same leaf reduction, so the
+    Euler and half-unit checks run here too.  ``report``, when a dict,
+    also gets the other fields of the scheme's ``LoopReport``.
     """
-    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
-    sigma, vertex, vertex_count = rmap.sigma, rmap.vertex, rmap.vertex_count
-    n = len(sigma)
-
-    # alpha, each vertex's contracted legs, and the components over the
-    # vertices: a pair merges the component of its second leg into that
-    # of its first
+    rmap = pair_map.ribbon
+    sigma, vertex = rmap.sigma, rmap.vertex
     alpha = rmap.leg_ids.copy()
-    degree = [0] * vertex_count
-    comp = rmap.vertex_ids.copy()
+    nxt = sigma.copy()
+    degree = [0] * rmap.vertex_count
+    comp = rmap.vertex_ids   # replaced on a merge, never changed in place
     for i, j in pairs:
-        alpha[i] = j
-        alpha[j] = i
+        alpha[i], alpha[j] = j, i
+        nxt[i], nxt[j] = sigma[j], sigma[i]
         vi, vj = vertex[i], vertex[j]
         degree[vi] += 1
         degree[vj] += 1
         keep, drop = comp[vi], comp[vj]
         if keep != drop:
             comp = [keep if c == drop else c for c in comp]
+    return _reduce(len(pairs), alpha, nxt, degree, comp, pair_map, mode, report)
 
-    # Face walk over the legs of contracted vertices; faces are counted
-    # per component, and each current loop's rank word is built on the way.
+
+def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int],
+            comp: list[int], pair_map: PairMap, mode: Mode,
+            report: dict | None) -> tuple | None:
+    """The one face walk: a scheme's key from its census state.
+
+    ``alpha`` is the scheme's involution (``pair_count`` pairs), ``nxt``
+    the face permutation ``sigma . alpha``, ``degree`` each vertex's count
+    of contracted legs and ``comp`` each vertex's component label, where
+    a component's label is one of its vertices.
+    """
+    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
+    vertex = rmap.vertex
+    n, vertex_count = len(alpha), len(degree)
+
+    # Face walk over the legs of contracted vertices, one step leg ->
+    # nxt[leg]; a walked leg's entry in ``todo`` becomes -1.  Faces are
+    # counted per component, and each current loop's rank word is built
+    # on the way.
     full, colored = report is not None, mode.colored
     keep_corners = full or colored
-    seen = [False] * n
+    todo = nxt.copy()
     faces = [0] * vertex_count
     pure_count = 0
     words: list[tuple[int, ...]] = []   # rank words of the output traces
-    current_loops: list[tuple[LegId, ...]] = []
-    output_words: list[tuple[Slot, ...]] = []
+    loops: list[list[int]] = []   # each current loop's corners, for the report
     loop_colors: list[object] = []
     s_exp: dict[int, int] = {}
     zero_reason = None
     for start in range(n):
-        if seen[start] or not degree[vertex[start]]:
+        if todo[start] < 0 or not degree[vertex[start]]:
             continue
         word, corners = [], []   # corners only when kept
-        leg = start
-        while not seen[leg]:
-            seen[leg] = True
+        leg, step = start, todo[start]
+        while step >= 0:
+            todo[leg] = -1
             corner = alpha[leg]
             if corner == leg:   # an uncontracted leg is its own corner
                 word.append(ranks[leg])
             if keep_corners:
                 corners.append(corner)
-            leg = sigma[corner]
+            leg, step = step, todo[step]
         faces[comp[vertex[start]]] += 1
         color = None
         if colored:
@@ -439,34 +487,36 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
                 s_exp[color] = s_exp.get(color, 0) + 1
             continue
         if len(word) > 1:   # a one-letter word is its own least rotation
-            k = least_rotation(word)
+            low = min(word)
+            k = word.index(low) if word.count(low) == 1 else least_rotation(word)
             if k:
                 word = word[k:] + word[:k]
         words.append(tuple(word))
         if colored and not _chains_monochrome(corners, alpha, slots):
             zero_reason = zero_reason or "mixed-color projector chain between currents"
         if full:
-            currents = [c for c in corners if alpha[c] == c]
-            current_loops.append(tuple(rmap.legs[c] for c in currents))
-            output_words.append(tuple(slots[c] for c in currents))
+            loops.append(corners)
     current_count = len(words)
-    isolated = [v for v in range(vertex_count) if not degree[v]]
-    words += [vertex_ranks[v] for v in isolated]
-    if full:
-        output_words += [tuple(by_rank[r] for r in vertex_ranks[v]) for v in isolated]
 
     # Exponent from normalization bookkeeping, cross-checked per component.
+    # The same loop collects the untouched traces: this runs once per
+    # scheme, and two comprehensions here made the uncapped loop 10-15% slower.
     vertices, pair_ends = [0] * vertex_count, [0] * vertex_count
+    isolated = []
     for v in range(vertex_count):
         if degree[v]:
             vertices[comp[v]] += 1
             pair_ends[comp[v]] += degree[v]
+        else:
+            isolated.append(v)
+            words.append(vertex_ranks[v])
     check = current_count
     components = []
     for c in range(vertex_count):
-        if not vertices[c]:
+        v_k = vertices[c]
+        if not v_k:
             continue
-        v_k, p_k, f_k = vertices[c], pair_ends[c] // 2, faces[c]
+        p_k, f_k = pair_ends[c] // 2, faces[c]
         euler_defect = 2 - (f_k - p_k + v_k)
         if euler_defect < 0 or euler_defect % 2 != 0:
             raise RibbonError(
@@ -475,7 +525,7 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
         if full:
             components.append(ComponentStats(v_k, p_k, f_k, euler_defect // 2))
     half_units = (n - sum(map(len, words))) - 2 * pure_count
-    if half_units != 2 * (len(pairs) - pure_count):
+    if half_units != 2 * (pair_count - pure_count):
         raise RibbonError("leg bookkeeping does not match the pair count")
     if half_units != 2 * check:
         raise RibbonError(
@@ -484,22 +534,25 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
 
     s_exponents = tuple(sorted(s_exp.items())) if s_exp else ()
     if full:
+        legs = rmap.legs
+        currents = [[c for c in corners if alpha[c] == c] for corners in loops]
         report.update(d_count=len(isolated), pure_loop_count=pure_count,
-                      current_loop_count=current_count, current_loops=tuple(current_loops),
+                      current_loop_count=current_count,
+                      current_loops=tuple(tuple(legs[c] for c in cur) for cur in currents),
                       loop_colors=tuple(loop_colors), components=tuple(components),
                       exponent_half_units=half_units, s_exponents=s_exponents,
                       weight_zero=zero_reason is not None, zero_reason=zero_reason,
-                      output_words=tuple(output_words))
+                      output_words=tuple(tuple(slots[c] for c in cur) for cur in currents)
+                      + tuple(tuple(by_rank[r] for r in vertex_ranks[v]) for v in isolated))
     if zero_reason is not None:
         return None
     if mode.kind == "matrix":
-        kernels = len(pairs)
-    elif product:
-        kernels = tuple(sorted((ranks[i], ranks[j]) for i, j in pairs))
-    else:   # a transport kernel is symmetric in its pair: (least, greatest) rank
-        kernels = tuple(sorted((ranks[i], ranks[j]) if ranks[i] < ranks[j]
-                               else (ranks[j], ranks[i]) for i, j in pairs))
-    return tuple(sorted(words)), half_units, s_exponents, kernels
+        return tuple(sorted(words)), half_units, s_exponents, pair_count
+    # each pair once, as (head, mate): in a product the head is the side-A leg
+    ends = [(ranks[i], ranks[j]) for i, j in enumerate(alpha) if j > i]
+    if not product:   # a transport kernel is symmetric in its pair: (least, greatest) rank
+        ends = [(u, v) if u < v else (v, u) for u, v in ends]
+    return tuple(sorted(words)), half_units, s_exponents, tuple(sorted(ends))
 
 
 def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, factorial
+from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
 
@@ -12,6 +13,7 @@ from multitrace import (
     Coefficient,
     CoefficientError,
     ComponentStats,
+    EnumerationStats,
     KERNEL,
     KernelSymbol,
     LegId,
@@ -25,7 +27,6 @@ from multitrace import (
     Slot,
     UNIT_GENERATOR,
     classical_product,
-    enumerate_pairings,
     legs_of,
     make_generator,
     product_chain,
@@ -33,6 +34,7 @@ from multitrace import (
     result_generator,
 )
 from multitrace.exprparse import Parser, tokenize
+from multitrace.ribbon import RibbonMap, Scheme, exponent_bound
 
 
 def shaped(shape, prefix="x", mode=MATRIX, colors=None):
@@ -160,8 +162,42 @@ def generators(draw, mode, prefix, max_legs):
     return make_generator(words, mode)
 
 
+# -- accessors only tests read, kept out of the package ------------------------
+
+
+def eps_max_degree(coeff):
+    """Greatest eps degree over all terms, ``None`` for the zero coefficient."""
+    if not coeff.terms:
+        return None
+    return max(m.eps_degree for m, _ in coeff.terms)
+
+
+def rational_value(coeff):
+    """The constant term's value if the coefficient is purely rational."""
+    if not coeff.terms:
+        return Fraction(0)
+    if len(coeff.terms) == 1 and coeff.terms[0][0] == Monomial():
+        return coeff.terms[0][1]
+    raise CoefficientError("coefficient is not a bare rational")
+
+
+def trace_lengths(gen):
+    """The multi-index of trace lengths, in canonical trace order."""
+    return tuple(len(t) for t in gen.traces)
+
+
+def with_flags(series, extra):
+    """The series with more flags; flags do not enter equality."""
+    return Series(series.mode, series.terms, series.flags | frozenset(extra))
+
+
+def reference_coefficient_product(a, b):
+    """``a * b`` built from the list of every pair of terms (slow, for tests)."""
+    return Coefficient.build([(ma.mul(mb), qa * qb) for ma, qa in a.terms for mb, qb in b.terms])
+
+
 def named(pairing, legs):
-    """A leg-number pairing as ``enumerate_pairings`` yields it, as ``LegId``
+    """A leg-number pairing as ``reference_pairings`` yields it, as ``LegId``
     pairs: ``legs`` is the list it numbered (``legs_a + legs_b``)."""
     return tuple((legs[i], legs[j]) for i, j in pairing)
 
@@ -353,6 +389,76 @@ def reference_analyze(pairing, gen_a, gen_b=None, mode=Mode()):
     )
 
 
+# -- reference enumeration: leg-number pairings, no census state --------------
+
+
+def reference_pairings(legs_a: Sequence[LegId],
+                       legs_b: Sequence[LegId] | None = None,
+                       *,
+                       max_eps_degree: int | None = None,
+                       stats: EnumerationStats | None = None) -> Iterator[Scheme]:
+    """Yield every admissible pairing exactly once, the empty one first: the
+    pair-yielding enumerator that ``enumerate_pairings`` replaced, kept as the
+    reference for its order, its cap and its stats.
+
+    Each scheme is a tuple of leg-number pairs ``(head, mate)``, the
+    legs numbered by their place in ``legs_a + legs_b``; the head comes
+    first in the list (in a product, it is the side-A leg).  With
+    ``legs_b`` given, pairs join one leg of each side (product mode).
+    Without it, any two distinct legs of ``legs_a`` may pair
+    (basis-change mode).  The legs must list whole traces.  Order is
+    deterministic: each head leg, in the order given, first stays
+    uncontracted and then pairs with each free mate in turn.
+
+    With ``max_eps_degree`` set, exactly the schemes whose eps exponent
+    is at most the cap are yielded.  A branch is cut once its
+    ``exponent_bound`` exceeds the cap; each cut branch holds at least
+    one scheme (leave every open leg uncontracted) and counts in
+    ``stats.pruned_branches``, which is therefore nonzero exactly when
+    the cap excluded a scheme, whatever that scheme's weight.
+    """
+    if stats is None:
+        stats = EnumerationStats()
+    legs_a = list(legs_a)
+    heads = len(legs_a)  # legs 0..heads-1 take turns as the head of a pair
+    if legs_b is None:
+        rmap, first_mate = RibbonMap(legs_a), 0
+    else:
+        legs_b = list(legs_b)
+        overlap = set(legs_a) & set(legs_b)
+        if overlap:
+            raise RibbonError(f"legs shared between sides: {sorted(overlap)}")
+        rmap, first_mate = RibbonMap(legs_a + legs_b), heads
+    sigma = rmap.sigma
+    n = len(sigma)
+    alpha = list(range(n))
+    chosen: list[tuple[int, int]] = []
+
+    def walk(idx: int) -> Iterator[Scheme]:
+        while idx < heads and alpha[idx] != idx:
+            idx += 1
+        if max_eps_degree is not None and exponent_bound(
+                sigma, alpha, len(chosen), idx if idx < heads else n, heads) > max_eps_degree:
+            stats.pruned_branches += 1
+            return
+        if idx == heads:
+            stats.yielded += 1
+            yield tuple(chosen)
+            return
+        # the head leg stays uncontracted
+        yield from walk(idx + 1)
+        for mate in range(max(idx + 1, first_mate), n):
+            if alpha[mate] != mate:
+                continue
+            alpha[idx], alpha[mate] = mate, idx
+            chosen.append((idx, mate))
+            yield from walk(idx + 1)
+            chosen.pop()
+            alpha[idx], alpha[mate] = idx, mate
+
+    yield from walk(0)
+
+
 # -- per-scheme reference for the scheme pipeline ------------------------------
 
 
@@ -364,7 +470,7 @@ def _reference_schemes(ga, gb, mode, max_eps_degree, flags):
     """
     gens = {0: ga, 1: gb}
     legs_a, legs_b = legs_of(ga, 0), None if gb is None else legs_of(gb, 1)
-    for pairing in enumerate_pairings(legs_a, legs_b):
+    for pairing in reference_pairings(legs_a, legs_b):
         report = reference_analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
         if max_eps_degree is not None and report.exponent > max_eps_degree:
             flags.add("truncated")
@@ -386,7 +492,7 @@ def reference_scheme_monomial(report, slots, mode, symbol=None):
         kernels = [KernelSymbol("K", ref) for ref in refs]
     else:
         kernels = [KernelSymbol(symbol, tuple(sorted(ref))) for ref in refs]
-    return Monomial(eps_half=report.exponent_half_units, hbar=report.pair_count,
+    return Monomial(eps_half=report.exponent_half_units, hbar=len(report.pairs),
                     s=report.s_exponents, kernels=tuple((k, 1) for k in kernels))
 
 
@@ -425,7 +531,7 @@ def reference_transport(series, symbol="F", negate=False, max_eps_degree=None):
                                                 max_eps_degree, flags):
             if report.exponent < 0:
                 flags.add("negative-eps")
-            sign = -1 if negate and report.pair_count % 2 else 1
+            sign = -1 if negate and len(report.pairs) % 2 else 1
             mono = Coefficient.monomial(
                 reference_scheme_monomial(report, slots, series.mode, symbol), sign)
             out.append((result_generator(report), coeff * mono))

@@ -69,7 +69,7 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RibbonError("exponent mismatch")
 
-    monkeypatch.setattr(algebra, "census", broken)
+    monkeypatch.setattr(algebra, "enumerate_pairings", broken)
     code, out, err = run(capsys, "product", "W{Tr[x1]}", "W{Tr[y1]}")
     assert code == 3
     assert out == ""

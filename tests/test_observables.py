@@ -28,7 +28,7 @@ from multitrace import (
     star_generator,
 )
 
-from helpers import series_of, shaped
+from helpers import series_of, shaped, trace_lengths, with_flags
 
 
 def word(*labels, conj=None, colors=None):
@@ -84,12 +84,12 @@ def test_trace_order_is_immaterial():
     ab = make_generator([word("x1", "x2"), word("y1")], MATRIX)
     ba = make_generator([word("y1"), word("x1", "x2")], MATRIX)
     assert ab == ba
-    assert ab.trace_lengths == (1, 2) or ab.trace_lengths == (2, 1)
+    assert trace_lengths(ab) == (1, 2) or trace_lengths(ab) == (2, 1)
 
 
 def test_shape_accessors():
     g = shaped((3, 3))
-    assert g.trace_lengths == (3, 3)
+    assert trace_lengths(g) == (3, 3)
     assert g.trace_count == 2
     assert g.size == 6
     assert sorted(g.labels()) == [f"x{i}" for i in range(1, 7)]
@@ -176,8 +176,8 @@ class TestSeries:
 
     def test_flags_do_not_affect_equality(self):
         s = series_of((2,))
-        assert s.with_flags(["truncated"]) == s
-        assert "truncated" in s.with_flags(["truncated"]).flags
+        assert with_flags(s, ["truncated"]) == s
+        assert "truncated" in with_flags(s, ["truncated"]).flags
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ObservableError):

@@ -10,19 +10,18 @@ from hypothesis import given, settings
 
 import multitrace.algebra
 from multitrace import (KERNEL, MATRIX, Coefficient, Generator, KernelSymbol, Mode, Monomial,
-                        Series, TraceWord, analyze, connected_product, enumerate_pairings,
-                        expectation, legs_of, nested_commutator_sym, parse_series, product,
-                        product_chain, render_series, result_generator, series_to_json,
-                        transport)
+                        Series, TraceWord, analyze, connected_product, expectation, legs_of,
+                        nested_commutator_sym, parse_series, product, product_chain,
+                        render_series, result_generator, series_to_json, transport)
 from multitrace.algebra import output_generators, product_pair_kernel, scheme_coefficient
 from multitrace.cli import main
 from multitrace.ribbon import census, map_of
 from multitrace.transport import _difference_kernel
 
 from helpers import (MODES, coefficients, generators, harer_zagier, named, product_scheme_count,
-                     reference_connected_product, reference_genus_table, reference_product,
-                     reference_scheme_monomial, reference_transport, scalars, series_of,
-                     transport_scheme_count)
+                     reference_connected_product, reference_genus_table, reference_pairings,
+                     reference_product, reference_scheme_monomial, reference_transport, scalars,
+                     series_of, transport_scheme_count)
 
 CAPS = [None, 0, 1]
 
@@ -134,7 +133,7 @@ def test_genus_table_counts_only_nonzero_weight_schemes():
     b = parse_series("2*W{Tr[y1@2 y2@1]}", mode)
     weights = [analyze(named(p, legs_of(ga) + legs_of(gb, 1)), ga, gb, mode).weight_zero
                for ga, _ in a.terms for gb, _ in b.terms
-               for p in enumerate_pairings(legs_of(ga), legs_of(gb, 1))]
+               for p in reference_pairings(legs_of(ga), legs_of(gb, 1))]
     assert weights.count(True) > 0 and weights.count(False) > 0
     table = genus_table(a, b)
     assert table == reference_genus_table(a, b)
@@ -153,7 +152,7 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     output = output_generators(pair_map, ga, gb)
     name = kernel if mode.kind == "matrix" else lambda u, v: kernel(slots[u], slots[v])
     legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, 1)
-    for pairing in enumerate_pairings(legs_a, legs_b):
+    for pairing in reference_pairings(legs_a, legs_b):
         key = census(pairing, pair_map, mode)
         report = analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
         assert (key is None) == report.weight_zero
@@ -173,8 +172,13 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
 
 
 def traced(monkeypatch):
-    """Count the keys the loop assembles and the schemes it enumerates."""
-    keys, stats = [], []
+    """Count the keys the loop assembles and the schemes it enumerates.
+
+    The enumerator is wrapped the way the benchmark's tracer wraps it: the
+    leg lists are read from its first two arguments, and each item the loop
+    draws from it is recorded.
+    """
+    keys, stats, drawn = [], [], []
     inner_assemble = multitrace.algebra.scheme_coefficient
     inner_enumerate = multitrace.algebra.enumerate_pairings
 
@@ -184,11 +188,15 @@ def traced(monkeypatch):
 
     def kept_stats(*args, **kwargs):
         stats.append(kwargs["stats"])
-        return inner_enumerate(*args, **kwargs)
+        items = []
+        drawn.append((len(args[0]), None if args[1] is None else len(args[1]), items))
+        for item in inner_enumerate(*args, **kwargs):
+            items.append(item)
+            yield item
 
     monkeypatch.setattr(multitrace.algebra, "scheme_coefficient", counted_key)
     monkeypatch.setattr(multitrace.algebra, "enumerate_pairings", kept_stats)
-    return keys, stats
+    return keys, stats, drawn
 
 
 @pytest.mark.parametrize("mode, legs, keys, monomials, outputs", [
@@ -196,31 +204,44 @@ def traced(monkeypatch):
 def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomials, outputs):
     # matrix mode collapses 13,327 schemes to 5,122 keys, which share 19
     # monomials; in kernel mode the sorted pairs tell every scheme apart
-    inner_census, inner_generator = multitrace.algebra.census, Generator._canonical
-    census_keys, generators_built = set(), []
-
-    def counted_census(*args):
-        key = inner_census(*args)
-        census_keys.add(key)
-        return key
+    inner_generator = Generator._canonical
+    generators_built = []
 
     def counted_generator(cls, *values):
         generators_built.append(inner_generator(*values))
         return generators_built[-1]
 
-    monkeypatch.setattr(multitrace.algebra, "census", counted_census)
     monkeypatch.setattr(Generator, "_canonical", classmethod(counted_generator))
-    built, stats = traced(monkeypatch)
+    built, stats, drawn = traced(monkeypatch)
     product(series_of((legs,), "x", mode), series_of((legs,), "y", mode))
-    assert len(census_keys - {None}) == keys
+    (_, _, census_keys), = drawn
+    assert len(set(census_keys) - {None}) == keys
     assert len(built) == len({key[1:] for key in built}) == monomials
     assert len(generators_built) == len(set(generators_built)) == outputs
     assert [s.yielded for s in stats] == [product_scheme_count(legs, legs)]
 
 
+def test_the_loop_draws_every_scheme_the_tracer_counts(monkeypatch):
+    # the benchmark's tracer counts the items drawn from the enumerator and
+    # holds them to the closed forms, so a weight-zero scheme must be drawn too
+    mode = Mode("matrix", 2)
+    a = parse_series("W{Tr[x1@1 x2@2 x3@1]}", mode)
+    b = parse_series("W{Tr[y1@2 y2@1] Tr[y3@2]}", mode)
+    _, _, drawn = traced(monkeypatch)
+    product(a, b)
+    (legs_a, legs_b, items), = drawn
+    assert (legs_a, legs_b) == (3, 3)
+    assert None in items and len(items) == product_scheme_count(3, 3)
+    _, _, drawn = traced(monkeypatch)
+    transport(series_of((4, 3), "x"))
+    (legs_a, legs_b, items), = drawn
+    assert (legs_a, legs_b) == (7, None)
+    assert len(items) == transport_scheme_count(7)
+
+
 @pytest.mark.parametrize("shape_a, shape_b", [((2, 1), (3,)), ((1, 1), (2, 2)), ((4,), ())])
 def test_uncapped_products_enumerate_the_closed_form_count(monkeypatch, shape_a, shape_b):
-    _, stats = traced(monkeypatch)
+    _, stats, _ = traced(monkeypatch)
     product(series_of(shape_a, "x"), series_of(shape_b, "y"))
     assert [s.yielded for s in stats] == [product_scheme_count(sum(shape_a), sum(shape_b))]
 
@@ -228,7 +249,7 @@ def test_uncapped_products_enumerate_the_closed_form_count(monkeypatch, shape_a,
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_transport_expectation_is_harer_zagier(monkeypatch, n):
     # a full matching of one 2n-slot trace of genus g has 2g - 1 = n - faces
-    _, stats = traced(monkeypatch)
+    _, stats, _ = traced(monkeypatch)
     got = expectation(transport(series_of((2 * n,), "x")))
     assert [s.yielded for s in stats] == [transport_scheme_count(2 * n)]
     want = Coefficient.build(

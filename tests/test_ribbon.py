@@ -24,73 +24,93 @@ from multitrace import (
 from multitrace.ribbon import RibbonMap, census, exponent_bound, map_of
 
 from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
-                     reference_exponent_bound, shaped, transport_scheme_count)
+                     reference_exponent_bound, reference_pairings, shaped, trace_lengths,
+                     transport_scheme_count)
+
+
+def keys_of(ga, gb=None, mode=MATRIX, **options):
+    """The census keys ``enumerate_pairings`` yields for one generator pair."""
+    legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, side=1)
+    return list(enumerate_pairings(legs_a, legs_b, pair_map=map_of(ga, gb), mode=mode,
+                                   **options))
 
 
 class TestEnumeration:
     def test_small_product_counts(self):
-        a, b = legs_of(shaped((1,))), legs_of(shaped((1,), prefix="y"), side=1)
-        assert len(list(enumerate_pairings(a, b))) == 2
-        a, b = legs_of(shaped((2,))), legs_of(shaped((2,), prefix="y"), side=1)
-        assert len(list(enumerate_pairings(a, b))) == 7
+        assert len(keys_of(shaped((1,)), shaped((1,), prefix="y"))) == 2
+        assert len(keys_of(shaped((2,)), shaped((2,), prefix="y"))) == 7
 
     @pytest.mark.parametrize("na,nb", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 2)])
     def test_product_counts_match_the_closed_form(self, na, nb):
-        a = legs_of(shaped((na,)))
-        b = legs_of(shaped((nb,), prefix="y"), side=1)
-        assert len(list(enumerate_pairings(a, b))) == product_scheme_count(na, nb)
+        assert len(keys_of(shaped((na,)), shaped((nb,), prefix="y"))) \
+            == product_scheme_count(na, nb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_transport_counts(self, n):
-        legs = legs_of(shaped((n,)))
-        assert len(list(enumerate_pairings(legs))) == transport_scheme_count(n)
+        assert len(keys_of(shaped((n,)))) == transport_scheme_count(n)
 
     def test_empty_pairing_comes_first_and_order_is_stable(self):
-        a = legs_of(shaped((2,)))
-        b = legs_of(shaped((2,), prefix="y"), side=1)
-        first = list(enumerate_pairings(a, b))
-        second = list(enumerate_pairings(a, b))
+        ga, gb = shaped((2,)), shaped((2,), prefix="y")
+        a, b = legs_of(ga), legs_of(gb, side=1)
+        first = list(reference_pairings(a, b))
+        second = list(reference_pairings(a, b))
         assert first == second
         assert first[0] == ()
+        keys = keys_of(ga, gb)
+        assert keys == keys_of(ga, gb)
+        assert keys[0] == census((), map_of(ga, gb), MATRIX)
 
     def test_stats_counts_yields(self):
         stats = EnumerationStats()
-        legs = legs_of(shaped((4,)))
-        n = len(list(enumerate_pairings(legs, stats=stats)))
+        n = len(keys_of(shaped((4,)), stats=stats))
         assert stats.yielded == n == 10
 
     def test_shared_legs_rejected(self):
-        legs = legs_of(shaped((2,)))
+        ga = shaped((2,))
+        legs = legs_of(ga)
         with pytest.raises(RibbonError):
-            list(enumerate_pairings(legs, legs))
+            list(enumerate_pairings(legs, legs, pair_map=map_of(ga, shaped((2,), prefix="y")),
+                                    mode=MATRIX))
+
+    def test_legs_must_be_those_of_the_map(self):
+        ga, gb = shaped((2, 1)), shaped((2,), prefix="y")
+        a, b = legs_of(ga), legs_of(gb, side=1)
+        product_map, transport_map = map_of(ga, gb), map_of(ga)
+        for legs_a, legs_b, pair_map in [
+                (a[::-1], b, product_map),         # out of order
+                (a + b[:1], b[1:], product_map),   # a side-B leg taken as a head
+                (a[:2], a[2:] + b, product_map),   # a side-A leg taken as a mate
+                (a + b, None, product_map),        # transport pairs on a product map
+                (a[:1], a[1:], transport_map),     # product pairs on a transport map
+                (a[:2], None, transport_map)]:     # a leg missing
+            with pytest.raises(RibbonError, match="legs of the pair map"):
+                next(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=MATRIX))
 
     @pytest.mark.parametrize("shape_a,shape_b", [((3,), (3,)), ((2, 1), (2, 1))])
     def test_pruning_never_loses_an_admissible_scheme(self, shape_a, shape_b):
         # the cap yields exactly the schemes within it, in uncapped order
         ga, gb = shaped(shape_a), shaped(shape_b, prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
-        full = list(enumerate_pairings(a, b))
+        full = list(reference_pairings(a, b))
         for cap in (0, 1):
             wanted = [p for p in full if analyze(named(p, a + b), ga, gb).exponent <= cap]
             stats = EnumerationStats()
-            assert list(enumerate_pairings(a, b, max_eps_degree=cap, stats=stats)) == wanted
+            assert list(reference_pairings(a, b, max_eps_degree=cap, stats=stats)) == wanted
             assert stats.yielded == len(wanted)
             assert (stats.pruned_branches > 0) == (len(wanted) < len(full))
 
     def test_pruning_actually_cuts_branches(self):
         # a pair chain through three vertices pushes the bound past zero
         ga, gb = shaped((2, 1)), shaped((2, 1), prefix="y")
-        a, b = legs_of(ga), legs_of(gb, side=1)
         stats = EnumerationStats()
-        capped = list(enumerate_pairings(a, b, max_eps_degree=0, stats=stats))
+        capped = keys_of(ga, gb, max_eps_degree=0, stats=stats)
         assert stats.pruned_branches > 0
-        assert len(capped) < len(list(enumerate_pairings(a, b)))
+        assert len(capped) < len(keys_of(ga, gb))
 
     def test_planar_cap_walks_only_the_planar_schemes(self):
         # the empty scheme and the 7 planar complete matchings, out of 130,922
-        a, b = legs_of(shaped((7,))), legs_of(shaped((7,), prefix="y"), side=1)
         stats = EnumerationStats()
-        capped = list(enumerate_pairings(a, b, max_eps_degree=0, stats=stats))
+        capped = keys_of(shaped((7,)), shaped((7,), prefix="y"), max_eps_degree=0, stats=stats)
         assert len(capped) == stats.yielded <= 8
 
     @pytest.mark.parametrize("shape_a,shape_b,cap,kept,most_cut", [
@@ -98,12 +118,29 @@ class TestEnumeration:
         ((12,), None, 0, 1718, 6744),   # and 12,205
     ])
     def test_lone_faces_cut_branches_early(self, shape_a, shape_b, cap, kept, most_cut):
-        a = legs_of(shaped(shape_a))
-        b = None if shape_b is None else legs_of(shaped(shape_b, prefix="y"), side=1)
+        gb = None if shape_b is None else shaped(shape_b, prefix="y")
         stats = EnumerationStats()
-        assert sum(1 for _ in enumerate_pairings(a, b, max_eps_degree=cap, stats=stats)) == kept
+        assert len(keys_of(shaped(shape_a), gb, max_eps_degree=cap, stats=stats)) == kept
         assert stats.yielded == kept
         assert 0 < stats.pruned_branches <= most_cut
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_enumerator_yields_the_census_of_each_reference_scheme_in_order(
+        data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
+    pair_map = map_of(ga, gb)
+    for cap in (None, -2, -1, 0, 1, 2):
+        got_stats, want_stats = EnumerationStats(), EnumerationStats()
+        got = list(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=mode,
+                                      max_eps_degree=cap, stats=got_stats))
+        want = [census(p, pair_map, mode) for p in reference_pairings(
+            legs_a, legs_b, max_eps_degree=cap, stats=want_stats)]
+        assert got == want
+        assert got_stats == want_stats
 
 
 # Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
@@ -119,7 +156,7 @@ def test_leg_numbers_name_the_recorded_pairings(name, shape_a, shape_b, cap):
     b = None if shape_b is None else legs_of(shaped(shape_b, prefix="y"), side=1)
     got = [" ".join(f"{u.side}{u.trace}{u.slot}-{v.side}{v.trace}{v.slot}"
                     for u, v in named(pairing, a + (b or [])))
-           for pairing in enumerate_pairings(a, b, max_eps_degree=cap)]
+           for pairing in reference_pairings(a, b, max_eps_degree=cap)]
     assert got == RECORDED[f"{name} cap {cap}"]
 
 
@@ -147,7 +184,7 @@ def test_census_on_leg_numbers_keys_the_named_scheme(data, mode, product_mode):
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
     pair_map = map_of(ga, gb)
-    for pairing in enumerate_pairings(legs_a, legs_b):
+    for pairing in reference_pairings(legs_a, legs_b):
         report = analyze(named(pairing, legs_a + (legs_b or [])), ga, gb, mode)
         assert census(pairing, pair_map, mode) == _report_key(report, pair_map, mode, (ga, gb))
 
@@ -161,11 +198,11 @@ def test_capped_enumeration_is_the_filtered_uncapped_list(data, mode, product_mo
     legs_b = legs_of(gb, side=1) if product_mode else None
     legs = legs_a + (legs_b or [])
     full = [(p, analyze(named(p, legs), ga, gb, mode).exponent)
-            for p in enumerate_pairings(legs_a, legs_b)]
+            for p in reference_pairings(legs_a, legs_b)]
     for cap in range(-2, 3):
         wanted = [p for p, exponent in full if exponent <= cap]
         stats = EnumerationStats()
-        assert list(enumerate_pairings(legs_a, legs_b, max_eps_degree=cap, stats=stats)) \
+        assert list(reference_pairings(legs_a, legs_b, max_eps_degree=cap, stats=stats)) \
             == wanted
         assert stats.yielded == len(wanted)
         assert (stats.pruned_branches > 0) == (len(wanted) < len(full))
@@ -200,7 +237,7 @@ def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
     legs_a = legs_of(ga)
     legs_b = legs_of(gb, side=1) if product_mode else None
     rmap = RibbonMap(legs_a + (legs_b or []))
-    for pairing in enumerate_pairings(legs_a, legs_b):
+    for pairing in reference_pairings(legs_a, legs_b):
         bounds = _path_bounds(pairing, rmap, len(legs_a))
         assert bounds == sorted(bounds)
         assert bounds[-1] == analyze(named(pairing, rmap.legs), ga, gb, mode).exponent
@@ -212,7 +249,7 @@ def test_analyze_matches_the_reference_walk(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
-    for pairing in enumerate_pairings(legs_a, legs_b):
+    for pairing in reference_pairings(legs_a, legs_b):
         # schemes are plain tuples of leg-number pairs
         assert type(pairing) is tuple
         pairing = named(pairing, legs_a + (legs_b or []))
@@ -231,7 +268,7 @@ def test_analyze_follows_alternating_generator_pairs(data, mode):
     def run(a, b):
         legs_a, legs_b = legs_of(a), None if b is None else legs_of(b, side=1)
         return [(named(pairing, legs_a + (legs_b or [])), a, b)
-                for pairing in enumerate_pairings(legs_a, legs_b)]
+                for pairing in reference_pairings(legs_a, legs_b)]
 
     runs = [run(a, b) for a, b in jobs]
     for step in zip_longest(*runs):
@@ -254,7 +291,7 @@ class TestCensus:
     def test_complete_matchings_of_two_two_slot_traces(self):
         ga, gb = shaped((2,)), shaped((2,), prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
-        complete = [p for p in enumerate_pairings(a, b) if len(p) == 2]
+        complete = [p for p in reference_pairings(a, b) if len(p) == 2]
         assert len(complete) == 2
         for pairing in complete:
             report = analyze(named(pairing, a + b), ga, gb)
@@ -274,7 +311,7 @@ class TestCensus:
         assert report.current_loop_count == 1
         assert report.exponent == 1
         out = result_generator(report)
-        assert out.trace_lengths == (2,)
+        assert trace_lengths(out) == (2,)
         assert sorted(s.label for s in out.traces[0].slots) == ["x2", "y2"]
 
     def test_empty_pairing_counts_isolated_vertices(self):
@@ -284,15 +321,15 @@ class TestCensus:
         assert report.d_count == 4
         assert report.components == ()
         assert report.exponent == 0
-        assert result_generator(report).trace_lengths == (3, 3, 3, 3)
+        assert trace_lengths(result_generator(report)) == (3, 3, 3, 3)
 
     def test_exponent_identities_hold_on_every_scheme(self):
         ga, gb = shaped((3,)), shaped((2, 1), prefix="y")
         a, b = legs_of(ga), legs_of(gb, side=1)
-        for pairing in enumerate_pairings(a, b):
+        for pairing in reference_pairings(a, b):
             r = analyze(named(pairing, a + b), ga, gb)
-            assert r.face_count == r.pure_loop_count + r.current_loop_count
-            assert r.exponent == r.pair_count - r.pure_loop_count
+            assert sum(c.faces for c in r.components) == r.pure_loop_count + r.current_loop_count
+            assert r.exponent == len(r.pairs) - r.pure_loop_count
             for comp in r.components:
                 assert comp.faces - comp.pairs + comp.vertices \
                     == 2 - 2 * comp.handles
@@ -330,7 +367,7 @@ class TestColoredCensus:
         ga, gb = self.colored_pair()
         a, b = legs_of(ga), legs_of(gb, side=1)
         complete = [analyze(named(p, a + b), ga, gb, mode=self.MODE)
-                    for p in enumerate_pairings(a, b) if len(p) == 2]
+                    for p in reference_pairings(a, b) if len(p) == 2]
         assert len(complete) == 2
         alive = [r for r in complete if not r.weight_zero]
         dead = [r for r in complete if r.weight_zero]
@@ -352,7 +389,7 @@ def test_kernel_mode_reports_match_matrix_counts():
     ga = shaped((2,), mode=KERNEL)
     gb = shaped((2,), prefix="y", mode=KERNEL)
     a, b = legs_of(ga), legs_of(gb, side=1)
-    reports = [analyze(named(p, a + b), ga, gb, mode=KERNEL) for p in enumerate_pairings(a, b)]
+    reports = [analyze(named(p, a + b), ga, gb, mode=KERNEL) for p in reference_pairings(a, b)]
     assert sorted(r.exponent for r in reports) == [0, 0, 0, 1, 1, 1, 1]
 
 
@@ -382,6 +419,11 @@ def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
     census(pairing(a, b), pair_map, MATRIX)  # the map as built is consistent
     with pytest.raises(RibbonError, match=message):
         census(pairing(a, b), corrupt(pair_map), MATRIX)
+    # the enumerator reduces its schemes through the same checks
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1)
+    list(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=MATRIX))
+    with pytest.raises(RibbonError, match=message):
+        list(enumerate_pairings(legs_a, legs_b, pair_map=corrupt(pair_map), mode=MATRIX))
 
 
 def test_census_reads_the_side_rule_from_the_map():
@@ -398,7 +440,7 @@ def test_census_reads_the_side_rule_from_the_map():
 def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
     jobs = [(data.draw(generators(mode, "x", 4)), data.draw(generators(mode, "y", 3))),
             (data.draw(generators(mode, "u", 4)), None)]
-    schemes = [list(enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)))
+    schemes = [list(reference_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1)))
                for ga, gb in jobs]
     maps = [map_of(ga, gb) for ga, gb in jobs]
     one_by_one = [[census(p, pair_map, mode) for p in pairings]
@@ -410,3 +452,13 @@ def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
             if p is not None:
                 alternating[k].append(census(p, map_of(ga, gb), mode))
     assert alternating == one_by_one
+    # two enumerators drawn alternately keep their states apart
+    enumerators = [enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1),
+                                      pair_map=pair_map, mode=mode)
+                   for (ga, gb), pair_map in zip(jobs, maps)]
+    drawn, done = [[], []], object()
+    for step in zip_longest(*enumerators, fillvalue=done):
+        for k, key in enumerate(step):
+            if key is not done:
+                drawn[k].append(key)
+    assert drawn == one_by_one
