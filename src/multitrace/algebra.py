@@ -50,21 +50,6 @@ class AlgebraError(ValueError):
     """Raised for mode mismatches and failed divisibility checks."""
 
 
-MATRIX_KERNEL = KernelSymbol("g")
-
-# the kernel of a contracted pair: one symbol for every pair (matrix mode),
-# or a function naming it from the pair's two slots (kernel mode)
-PairKernel = KernelSymbol | Callable[[Slot, Slot], KernelSymbol]
-
-
-def product_pair_kernel(mode: Mode) -> PairKernel:
-    """Kernel of a product pair: ``g``, or ``K(u,v)`` in kernel mode."""
-    if mode.kind == "matrix":
-        return MATRIX_KERNEL
-    return lambda su, sv: KernelSymbol("K", ((su.label, su.conjugated),
-                                             (sv.label, sv.conjugated)))
-
-
 def scheme_coefficient(key: tuple,
                        kernel: KernelSymbol | Callable[[int, int], KernelSymbol]) -> Monomial:
     """Monomial of the schemes of one ``census`` key (each has weight one).
@@ -105,7 +90,7 @@ def output_generators(pair_map: PairMap, gen_a: Generator,
 
 
 def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, Coefficient]],
-                  kernel: PairKernel, max_eps_degree: int | None,
+                  symbol: str, max_eps_degree: int | None,
                   flags: set[str], negate: bool = False) -> Series:
     """Sum over the admitted schemes of all jobs, merged into one series.
 
@@ -117,10 +102,15 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     and "negative-eps" for a scheme of negative eps exponent.  ``negate``
     signs each scheme by (-1)^hbar, the inverse kernel shift.
 
-    In kernel mode a pair kernel names its two slots by label, so a job
-    whose generators repeat a label is refused.
+    Every pair kernel is named ``symbol``: bare in matrix mode, and in
+    kernel mode applied to the pair's two slots in the order of its
+    census key (side A first in a product, the least rank first in a
+    transport).  A kernel-mode kernel names its slots by label, so a job
+    whose generators repeat a label is refused; with distinct labels,
+    rank order is label order.
     """
     by_gen: dict[Generator, list] = defaultdict(list)
+    bare = KernelSymbol(symbol)
     for gen_a, gen_b, scale in jobs:
         pair_map = map_of(gen_a, gen_b)
         labels = [slot.label for slot in pair_map.slots] if mode.kind == "kernel" else []
@@ -130,7 +120,7 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
                 f"slot label {repeated!r} repeats in "
                 f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
                 "kernel-mode pair kernels need distinct labels")
-        legs, heads = pair_map.ribbon.legs, gen_a.size
+        legs, heads = pair_map.legs, gen_a.size
         stats = EnumerationStats()
         counts = Counter(filter(None, enumerate_pairings(
             legs[:heads], None if gen_b is None else legs[heads:], pair_map=pair_map,
@@ -140,8 +130,8 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
         slots = pair_map.by_rank
         # each output generator and each pair kernel is built once per job
         output = output_generators(pair_map, gen_a, gen_b)
-        name = kernel if mode.kind == "matrix" else cache(
-            lambda u, v: kernel(slots[u], slots[v]))
+        name = bare if mode.kind == "matrix" else cache(lambda u, v: KernelSymbol(
+            symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))))
         # one monomial per distinct part key[1:] of the job's keys
         monomials: dict[tuple, Monomial] = {}
         for key, count in counts.items():
@@ -172,8 +162,8 @@ def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Serie
         raise AlgebraError(f"slot label {min(shared)!r} appears in both factors; "
                            "factors need disjoint labels so outputs stay unambiguous")
     jobs = ((ga, gb, ca * cb) for ga, ca in a.terms for gb, cb in b.terms)
-    return scheme_series(a.mode, jobs, product_pair_kernel(a.mode), max_eps_degree,
-                         set(a.flags | b.flags))
+    return scheme_series(a.mode, jobs, "g" if a.mode.kind == "matrix" else "K",
+                         max_eps_degree, set(a.flags | b.flags))
 
 
 def _ordered_products(factors: Sequence[Series], cap: int | None):

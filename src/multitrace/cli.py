@@ -59,24 +59,17 @@ def _parse_inputs(args: argparse.Namespace, *, disjoint: bool = False) -> list[S
     return factors
 
 
-def _finish(series: Series, args: argparse.Namespace) -> None:
+def _finish(series: Series, args: argparse.Namespace, *, scalar: bool = False) -> None:
+    """Print a series, or only its unit coefficient when ``scalar`` (in
+    text mode); its flags go to stderr in text and into the JSON document."""
     if args.hbar == "off":
         series = series.map_coefficients(lambda c: c.substitute({"hbar": 1}))
     if args.json:
         print(series_to_json(series))
     else:
-        print(render_series(series))
+        print(expectation(series).render() if scalar else render_series(series))
         if series.flags:
             print("flags: " + ", ".join(sorted(series.flags)), file=sys.stderr)
-
-
-def _finish_coefficient(coeff: Coefficient, args: argparse.Namespace, mode: Mode) -> None:
-    if args.hbar == "off":
-        coeff = coeff.substitute({"hbar": 1})
-    if args.json:
-        print(series_to_json(Series.of(UNIT_GENERATOR, mode, coeff)))
-    else:
-        print(coeff.render())
 
 
 def _add_common(sub: argparse.ArgumentParser, *, count: str = "+",
@@ -100,8 +93,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     factors = _parse_inputs(args, disjoint=True)
-    result = expectation(product_chain(factors, max_eps_degree=args.max_eps))
-    _finish_coefficient(result, args, _mode_from_args(args))
+    chain = product_chain(factors, max_eps_degree=args.max_eps)
+    # the moment keeps the chain's flags: a cap may have dropped schemes
+    _finish(Series.build(chain.mode, [(UNIT_GENERATOR, expectation(chain))], chain.flags),
+            args, scalar=True)
     return 0
 
 

@@ -5,17 +5,21 @@ is a set of disjoint leg pairs: between the two factors of a product
 (cross pairs only), or between any two distinct legs of a single
 generator (basis-change mode, where a trace may contract into itself).
 
-Encoding.  ``RibbonMap`` numbers the legs of one generator pair
-0..n-1 and keeps two integer arrays: ``sigma[i]`` is the leg in the
-next slot of leg i's trace, and ``vertex[i]`` the trace (vertex) that
-holds it.  A scheme is the involution ``alpha`` that swaps the two
-legs of every pair and fixes an uncontracted leg.  The faces are the
-cycles of the face permutation ``sigma . alpha`` over all legs, the
-standard permutation encoding of ribbon graphs ('t Hooft 1974; Lando
-and Zvonkin, *Graphs on Surfaces and Their Applications*, ch. 1); an
-untouched trace is one cycle of ``sigma`` and so one face.  The map of
-a generator pair is built once per pair (``map_of``), with each leg's
-slot rank (its slot's place among the pair's distinct slots, in
+Encoding.  ``PairMap`` numbers the legs of one generator pair 0..n-1,
+trace by trace, and keeps integer arrays: ``sigma[i]`` is the leg in
+the next slot of leg i's trace, ``vertex[i]`` the trace (vertex) that
+holds it, and ``first_mate[i]`` the pairing rule: leg i may pair with a
+leg j > i exactly when ``j >= first_mate[i]``.  In a product the legs
+of side A come first and ``first_mate`` is the first side-B leg for a
+side-A leg and n for a side-B leg; in a transport it is ``i + 1``.  The
+array never decreases.  A scheme is the involution ``alpha`` that swaps
+the two legs of every pair and fixes an uncontracted leg.  The faces
+are the cycles of the face permutation ``sigma . alpha`` over all legs,
+the standard permutation encoding of ribbon graphs ('t Hooft 1974;
+Lando and Zvonkin, *Graphs on Surfaces and Their Applications*, ch.
+1); an untouched trace is one cycle of ``sigma`` and so one face.  The
+map of a generator pair is built once per pair (``map_of``), with each
+leg's slot rank (its slot's place among the pair's distinct slots, in
 ``Slot.key`` order).
 
 The census state of a scheme is ``alpha``, the face permutation, each
@@ -33,8 +37,9 @@ contracted one hands the strand to its partner, and corners carry the
 projector colors of a colored model.  Each output trace's rank word is
 built during the walk, and faces are counted per component.
 ``analyze`` is the entry for hand-built ``LegId`` pairings: it refuses
-an unknown, reused or self-paired leg and a same-side product pair,
-numbers the pairing on the map and calls ``census``.  The loops are
+an unknown, reused or self-paired leg and a pair that ``first_mate``
+forbids (a same-side product pair), numbers the pairing on the map and
+calls ``census``.  The loops are
 
 * degenerate: one per trace with no contracted leg (``d_count``, not
   counted as a face),
@@ -110,47 +115,19 @@ class EnumerationStats:
     pruned_branches: int = 0
 
 
-class RibbonMap:
-    """The legs of one generator pair as an integer combinatorial map.
-
-    ``legs[i]`` names leg i and ``index`` inverts it; ``sigma[i]`` is
-    the leg in the next slot of the same trace and ``vertex[i]`` the
-    number of that trace, numbered in order of their first leg.  The
-    legs must list whole traces: every slot 0..k-1 of a k-slot trace.
-    ``leg_ids`` and ``vertex_ids`` are the identity lists that ``census``
-    copies as a scheme's ``alpha`` and component labels.
-    """
-
-    def __init__(self, legs: Sequence[LegId]) -> None:
-        self.legs = tuple(legs)
-        self.index = {leg: i for i, leg in enumerate(self.legs)}
-        if len(self.index) != len(self.legs):
-            raise RibbonError("a leg is listed twice")
-        traces: dict[tuple[int, int], dict[int, int]] = {}
-        for i, leg in enumerate(self.legs):
-            traces.setdefault((leg.side, leg.trace), {})[leg.slot] = i
-        self.sigma = [0] * len(self.legs)
-        self.vertex = [0] * len(self.legs)
-        for number, (trace, by_slot) in enumerate(traces.items()):
-            length = len(by_slot)
-            if sorted(by_slot) != list(range(length)):
-                raise RibbonError(f"legs of trace {trace} do not cover its slots")
-            for slot, i in by_slot.items():
-                self.sigma[i] = by_slot[(slot + 1) % length]
-                self.vertex[i] = number
-        self.vertex_count = len(traces)
-        self.leg_ids = list(range(len(self.legs)))
-        self.vertex_ids = list(range(self.vertex_count))
-
-
 class PairMap(NamedTuple):
-    """The map of one generator pair: the ``RibbonMap`` of the legs of
-    ``gen_a`` (side 0) and ``gen_b`` (side 1), the slot of each leg, each
-    leg's slot rank, the distinct slots in rank (``Slot.key``) order, the
-    ranks of each vertex's slots, and whether pairs must join the two sides.
+    """The map of one generator pair: the legs of ``gen_a`` (side 0) and
+    then of ``gen_b`` (side 1), numbered trace by trace; ``sigma``,
+    ``vertex`` and the pairing rule ``first_mate`` (see the module
+    docstring); the slot of each leg, each leg's slot rank, the distinct
+    slots in rank (``Slot.key``) order, the ranks of each vertex's slots,
+    and whether the map is a product's.
     """
 
-    ribbon: RibbonMap
+    legs: tuple[LegId, ...]
+    sigma: list[int]
+    vertex: list[int]
+    first_mate: list[int]
     slots: list[Slot]
     ranks: list[int]
     by_rank: list[Slot]
@@ -161,17 +138,26 @@ class PairMap(NamedTuple):
 def map_of(gen_a: Generator, gen_b: Generator | None = None) -> PairMap:
     """The ``PairMap`` of a product pair, or of ``gen_a`` alone (transport)."""
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
-    rmap = RibbonMap([leg for side, gen in enumerate(gens) for leg in legs_of(gen, side)])
-    slots = [slot for gen in gens for t in gen.traces for slot in t.slots]
+    legs = tuple(leg for side, gen in enumerate(gens) for leg in legs_of(gen, side))
+    traces = [trace for gen in gens for trace in gen.traces]
+    sigma, vertex = [], []
+    for v, trace in enumerate(traces):
+        start, length = len(sigma), len(trace.slots)
+        sigma += [start + (s + 1) % length for s in range(length)]
+        vertex += [v] * length
+    n, heads = len(legs), gen_a.size
+    first_mate = (list(range(1, n + 1)) if gen_b is None
+                  else [heads] * heads + [n] * (n - heads))
+    slots = [slot for trace in traces for slot in trace.slots]
     by_rank = sorted(set(slots), key=Slot.key)
     rank = {slot: r for r, slot in enumerate(by_rank)}
-    return PairMap(rmap, slots, [rank[slot] for slot in slots], by_rank,
-                   [tuple(rank[slot] for slot in t.slots) for gen in gens for t in gen.traces],
+    return PairMap(legs, sigma, vertex, first_mate, slots, [rank[slot] for slot in slots],
+                   by_rank, [tuple(rank[slot] for slot in trace.slots) for trace in traces],
                    gen_b is not None)
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
-                   frontier: int, heads: int) -> int:
+                   frontier: int, first_mate: Sequence[int]) -> int:
     """Lower bound ``P - F + J_dec + L`` on the exponent of every completion.
 
     ``alpha`` is the partial pairing (a fixed point for an unpaired
@@ -179,12 +165,12 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
     ``sigma . alpha`` over all legs, so an untouched trace is one face.
     An unpaired leg below ``frontier`` is decided to stay uncontracted;
     one at or above it is still open.  J_dec counts the faces that hold
-    a decided leg.  Legs below ``heads`` are heads and the rest mates;
-    a product pairs a head with a mate, and a transport passes
-    ``heads = len(sigma)`` and pairs any two legs.  L counts the lone
-    faces: faces with no decided leg and at least one open leg, no two
-    of which may pair (all heads or all mates in a product, exactly one
-    open leg in a transport).
+    a decided leg.  L counts the lone faces: faces with no decided leg
+    and at least one open leg, no two of which may pair.  Leg i may pair
+    with a leg j > i exactly when ``j >= first_mate[i]``, and
+    ``first_mate`` never decreases, so two open legs of a face may pair
+    exactly when its greatest open leg ``hi`` may pair with its least
+    ``lo``: a face is lone exactly when ``lo <= hi < first_mate[lo]``.
 
     Proof that it bounds.  At a leaf every leg is paired or decided, so
     L = 0 and J_dec is the number of faces holding an uncontracted leg,
@@ -212,14 +198,13 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
     node has an exponent at least the node's bound.
     """
     n = len(sigma)
-    transport = heads == n
     seen = [False] * n
     bound = pairs
     for start in range(n):
         if seen[start]:
             continue
         decided = False
-        opens = sides = 0   # sides: bit 1 an open head, bit 2 an open mate
+        lo, hi = n, -1   # the face's least and greatest open legs
         leg = start
         while not seen[leg]:
             seen[leg] = True
@@ -228,11 +213,12 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
                 if leg < frontier:
                     decided = True
                 else:
-                    opens += 1
-                    sides |= 1 if leg < heads else 2
+                    if leg < lo:
+                        lo = leg
+                    if leg > hi:
+                        hi = leg
             leg = sigma[corner]
-        lone = opens == 1 if transport else sides in (1, 2)
-        bound += (decided or lone) - 1
+        bound += (decided or lo <= hi < first_mate[lo]) - 1
     return bound
 
 
@@ -247,10 +233,11 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     empty scheme first, or ``None`` for a scheme of weight zero.
 
     ``legs_a`` and ``legs_b`` must be the legs of ``pair_map``, in order:
-    with ``legs_b`` given, pairs join one leg of each side (a product map);
-    without it, any two distinct legs of ``legs_a`` may pair (a transport
-    map).  Order is deterministic: each head leg, in the order given, first
-    stays uncontracted and then pairs with each free mate in turn.
+    with ``legs_b`` given, of its two sides (a product map), and without
+    it, of its one generator (a transport map).  Legs pair as
+    ``pair_map.first_mate`` allows.  Order is deterministic: each head leg
+    (every leg of ``legs_a``), in order, first stays uncontracted and then
+    pairs with each free leg from its ``first_mate`` on, in turn.
 
     The depth-first walk (a loop over the path of heads, not recursion)
     carries the census state of the scheme it is building: ``alpha``, the
@@ -271,20 +258,19 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     """
     if stats is None:
         stats = EnumerationStats()
-    rmap = pair_map.ribbon
     heads = len(legs_a)  # legs 0..heads-1 take turns as the head of a pair
     legs = tuple(legs_a) + tuple(legs_b or ())
-    if legs != rmap.legs or (legs_b is not None) != pair_map.product or (
+    if legs != pair_map.legs or (legs_b is not None) != pair_map.product or (
             legs_b is not None and [leg.side for leg in legs] != [0] * heads + [1] * len(legs_b)):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
-    first_mate = heads if legs_b is not None else 0
-    sigma, vertex = rmap.sigma, rmap.vertex
+    sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
     n = len(sigma)
-    alpha = rmap.leg_ids.copy()
+    alpha = list(range(n))
     nxt = sigma.copy()
-    degree = [0] * rmap.vertex_count
+    degree = [0] * len(pair_map.vertex_ranks)
 
-    pairs, comp = 0, rmap.vertex_ids   # comp is replaced on a merge, never changed in place
+    # comp is replaced on a merge, never changed in place
+    pairs, comp = 0, list(range(len(degree)))
     # the heads on the path to the current node, each as [head, its mate or
     # -1 while it stays uncontracted, the component labels before its pair]
     path: list[list] = []
@@ -293,7 +279,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
         while idx < heads and alpha[idx] != idx:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
-                sigma, alpha, pairs, idx if idx < heads else n, heads) > max_eps_degree:
+                sigma, alpha, pairs, idx if idx < heads else n, first_mate) > max_eps_degree:
             stats.pruned_branches += 1
         elif idx == heads:
             stats.yielded += 1
@@ -308,7 +294,7 @@ def enumerate_pairings(legs_a: Sequence[LegId],
             head, mate, comp = step
             vi = vertex[head]
             if mate < 0:
-                mate = max(head + 1, first_mate)
+                mate = first_mate[head]
             else:   # undo the pair
                 pairs -= 1
                 degree[vi] -= 1
@@ -376,11 +362,12 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
     """Walk the strands of a hand-built ``LegId`` pairing and count everything.
 
     The pairing is checked (every leg a leg of the generators, used once,
-    never paired with itself, and across the two factors of a product),
-    numbered on the map of the generators and handed to ``census``.
+    never paired with itself, and each pair one that the map's
+    ``first_mate`` allows: across the two factors of a product), numbered
+    on the map of the generators and handed to ``census``.
     """
     pair_map = map_of(gen_a, gen_b)
-    index, legs = pair_map.ribbon.index, pair_map.ribbon.legs
+    index = {leg: i for i, leg in enumerate(pair_map.legs)}
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     for u, v in pairing:
@@ -391,7 +378,7 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
             raise RibbonError(f"leg {u} paired with itself")
         if i in used or j in used:
             raise RibbonError(f"leg {u if i in used else v} appears in two pairs")
-        if pair_map.product and legs[i].side == legs[j].side:
+        if max(i, j) < pair_map.first_mate[min(i, j)]:
             raise RibbonError("product pairings must join the two factors")
         used.update((i, j))
         pairs.append((i, j))
@@ -413,12 +400,11 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
     Euler and half-unit checks run here too.  ``report``, when a dict,
     also gets the other fields of the scheme's ``LoopReport``.
     """
-    rmap = pair_map.ribbon
-    sigma, vertex = rmap.sigma, rmap.vertex
-    alpha = rmap.leg_ids.copy()
+    sigma, vertex = pair_map.sigma, pair_map.vertex
+    alpha = list(range(len(sigma)))
     nxt = sigma.copy()
-    degree = [0] * rmap.vertex_count
-    comp = rmap.vertex_ids   # replaced on a merge, never changed in place
+    degree = [0] * len(pair_map.vertex_ranks)
+    comp = list(range(len(degree)))   # replaced on a merge, never changed in place
     for i, j in pairs:
         alpha[i], alpha[j] = j, i
         nxt[i], nxt[j] = sigma[j], sigma[i]
@@ -441,8 +427,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
     of contracted legs and ``comp`` each vertex's component label, where
     a component's label is one of its vertices.
     """
-    rmap, slots, ranks, by_rank, vertex_ranks, product = pair_map
-    vertex = rmap.vertex
+    legs, _, vertex, _, slots, ranks, by_rank, vertex_ranks, product = pair_map
     n, vertex_count = len(alpha), len(degree)
 
     # Face walk over the legs of contracted vertices, one step leg ->
@@ -534,7 +519,6 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
 
     s_exponents = tuple(sorted(s_exp.items())) if s_exp else ()
     if full:
-        legs = rmap.legs
         currents = [[c for c in corners if alpha[c] == c] for corners in loops]
         report.update(d_count=len(isolated), pure_loop_count=pure_count,
                       current_loop_count=current_count,

@@ -9,6 +9,12 @@ the product, ``algebra.scheme_series``, with each pair contributing
 
     F  =  (target kernel) - (source kernel).
 
+``scheme_series`` names that symbol ``symbol`` (``F`` unless given):
+bare in matrix mode, and in kernel mode applied to the pair's two
+slots, the lesser label first.  A difference kernel is symmetric, and
+the census key orders a transport pair as (least rank, greatest rank),
+so that order is canonical.
+
 Each output term is the sum over its schemes of that monomial, times
 the input coefficient.
 
@@ -20,19 +26,10 @@ the result is flagged ``negative-eps`` rather than rejected.
 
 from __future__ import annotations
 
-from .algebra import PairKernel, scheme_series
-from .coeffring import KernelSymbol
-from .observables import Mode, Series
+from .algebra import scheme_series
+from .observables import Series
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, enumerate_pairings, result_generator  # noqa: F401
-
-
-def _difference_kernel(symbol: str, mode: Mode) -> PairKernel:
-    if mode.kind == "matrix":
-        return KernelSymbol(symbol)
-    # difference kernels are symmetric, so a sorted argument order is canonical
-    return lambda su, sv: KernelSymbol(symbol, tuple(sorted(
-        [(su.label, su.conjugated), (sv.label, sv.conjugated)])))
 
 
 def transport(series: Series, *, symbol: str = "F", negate: bool = False,
@@ -44,8 +41,7 @@ def transport(series: Series, *, symbol: str = "F", negate: bool = False,
     identity.
     """
     jobs = ((gen, None, coeff) for gen, coeff in series.terms)
-    return scheme_series(series.mode, jobs, _difference_kernel(symbol, series.mode),
-                         max_eps_degree, set(series.flags), negate)
+    return scheme_series(series.mode, jobs, symbol, max_eps_degree, set(series.flags), negate)
 
 
 def transport_roundtrip_check(series: Series, *, symbol: str = "F") -> Series:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import product as cartesian
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -34,7 +35,7 @@ from multitrace import (
     result_generator,
 )
 from multitrace.exprparse import Parser, tokenize
-from multitrace.ribbon import RibbonMap, Scheme, exponent_bound
+from multitrace.ribbon import Scheme, exponent_bound
 
 
 def shaped(shape, prefix="x", mode=MATRIX, colors=None):
@@ -419,18 +420,20 @@ def reference_pairings(legs_a: Sequence[LegId],
     """
     if stats is None:
         stats = EnumerationStats()
-    legs_a = list(legs_a)
-    heads = len(legs_a)  # legs 0..heads-1 take turns as the head of a pair
-    if legs_b is None:
-        rmap, first_mate = RibbonMap(legs_a), 0
-    else:
-        legs_b = list(legs_b)
-        overlap = set(legs_a) & set(legs_b)
-        if overlap:
-            raise RibbonError(f"legs shared between sides: {sorted(overlap)}")
-        rmap, first_mate = RibbonMap(legs_a + legs_b), heads
-    sigma = rmap.sigma
-    n = len(sigma)
+    legs = list(legs_a) + list(legs_b or ())
+    heads, n = len(legs_a), len(legs)   # legs 0..heads-1 take turns as the head of a pair
+    overlap = set(legs_a) & set(legs_b or ())
+    if overlap:
+        raise RibbonError(f"legs shared between sides: {sorted(overlap)}")
+    # sigma: the leg in the next slot of the same trace
+    traces: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+    for i, leg in enumerate(legs):
+        traces[leg.side, leg.trace][leg.slot] = i
+    sigma = [traces[leg.side, leg.trace][(leg.slot + 1) % len(traces[leg.side, leg.trace])]
+             for leg in legs]
+    # first_mate: a head pairs with a leg of the other side, a transport leg with any later leg
+    first_mate = ([i + 1 for i in range(n)] if legs_b is None
+                  else [heads if leg.side == 0 else n for leg in legs])
     alpha = list(range(n))
     chosen: list[tuple[int, int]] = []
 
@@ -438,7 +441,7 @@ def reference_pairings(legs_a: Sequence[LegId],
         while idx < heads and alpha[idx] != idx:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
-                sigma, alpha, len(chosen), idx if idx < heads else n, heads) > max_eps_degree:
+                sigma, alpha, len(chosen), idx if idx < heads else n, first_mate) > max_eps_degree:
             stats.pruned_branches += 1
             return
         if idx == heads:
@@ -447,7 +450,7 @@ def reference_pairings(legs_a: Sequence[LegId],
             return
         # the head leg stays uncontracted
         yield from walk(idx + 1)
-        for mate in range(max(idx + 1, first_mate), n):
+        for mate in range(first_mate[idx], n):
             if alpha[mate] != mate:
                 continue
             alpha[idx], alpha[mate] = mate, idx
@@ -608,6 +611,24 @@ def transport_scheme_count(n):
     """Telephone number: sets of disjoint pairs among n legs (9,496 at 10)."""
     return sum(comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
                for k in range(n // 2 + 1))
+
+
+def moment_matching_count(sizes):
+    """Perfect matchings of ``sum(sizes)`` legs with no pair inside a factor of
+    ``sizes[i]`` legs (368,064 for four quartic factors), by inclusion-exclusion
+    over k_i pairs forced inside factor i: the sum over all k of
+    prod_i (-1)^k_i C(n_i, 2 k_i) (2 k_i - 1)!! times (L - 2 sum k - 1)!!, the
+    matchings of the L - 2 sum k legs left (none when that is odd)."""
+    def matchings(m):
+        return 0 if m % 2 else factorial(m) // (2 ** (m // 2) * factorial(m // 2))
+
+    total = 0
+    for forced in cartesian(*(range(n // 2 + 1) for n in sizes)):
+        term = matchings(sum(sizes) - 2 * sum(forced))
+        for n, k in zip(sizes, forced):
+            term *= (-1) ** k * comb(n, 2 * k) * matchings(2 * k)
+        total += term
+    return total
 
 
 def harer_zagier(n):

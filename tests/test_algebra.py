@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from multitrace import (
     AlgebraError,
@@ -37,7 +39,8 @@ from multitrace import (
     transport,
 )
 
-from helpers import eps_max_degree, reference_product, series_of, shaped
+from helpers import (eps_max_degree, generators, moment_matching_count, reference_product,
+                     series_of, shaped)
 
 
 # -- products ---------------------------------------------------------------
@@ -151,6 +154,26 @@ def test_moment_basics():
         == parse_coefficient("2*hbar^2*g^2", MATRIX)
     assert moment([shaped((3,)), shaped((3,), "y")], MATRIX) \
         == parse_coefficient("3*hbar^3*g^3 + 3*eps^2*hbar^3*g^3", MATRIX)
+
+
+def test_moment_matching_count_closed_form():
+    assert moment_matching_count((4, 4, 4, 4)) == 368064
+    assert moment_matching_count((3, 3)) == 6
+    assert moment_matching_count((2, 3, 3)) == 36
+    assert moment_matching_count((1, 1, 2, 2)) == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), factors=st.integers(2, 4))
+def test_moment_at_one_counts_the_cross_matchings(data, factors):
+    """Every full scheme of a matrix moment has weight one, so at eps = hbar
+    = g = 1 the moment counts the perfect matchings with no pair inside a
+    factor (multi-trace factors included, at most 8 legs in all)."""
+    gens = []
+    for prefix in "xyzw"[:factors]:
+        gens.append(data.draw(generators(MATRIX, prefix, 8 - sum(g.size for g in gens))))
+    assert moment(gens, MATRIX).eval({"eps": 1, "hbar": 1, "g": 1}) \
+        == moment_matching_count([g.size for g in gens])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -63,6 +63,18 @@ def test_truncation_is_reported(capsys):
     assert code == 0
     assert "truncated" in err
     assert "eps*" not in out
+    # a moment keeps the flag of its product chain, on stderr and in JSON
+    cubics = ("W{Tr[x1 x2 x3]}", "W{Tr[y1 y2 y3]}")
+    code, out, err = run(capsys, "moment", *cubics, "--max-eps", "0")
+    assert (code, out, err) == (0, "3*hbar^3*g^3\n", "flags: truncated\n")
+    code, out, err = run(capsys, "moment", *cubics, "--max-eps", "0", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["flags"] == ["truncated"]
+    assert render_series(series_from_json(out)) == "3*hbar^3*g^3*W{}"
+    # uncapped, nothing was dropped and no flag is set
+    code, out, err = run(capsys, "moment", *cubics)
+    assert (code, out, err) == (0, "3*hbar^3*g^3 + 3*eps^2*hbar^3*g^3\n", "")
+    code, out, err = run(capsys, "moment", *cubics, "--json")
+    assert json.loads(out)["flags"] == []
 
 
 def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):

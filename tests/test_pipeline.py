@@ -13,10 +13,9 @@ from multitrace import (KERNEL, MATRIX, Coefficient, Generator, KernelSymbol, Mo
                         Series, TraceWord, analyze, connected_product, expectation, legs_of,
                         nested_commutator_sym, parse_series, product, product_chain,
                         render_series, result_generator, series_to_json, transport)
-from multitrace.algebra import output_generators, product_pair_kernel, scheme_coefficient
+from multitrace.algebra import output_generators, scheme_coefficient
 from multitrace.cli import main
 from multitrace.ribbon import census, map_of
-from multitrace.transport import _difference_kernel
 
 from helpers import (MODES, coefficients, generators, harer_zagier, named, product_scheme_count,
                      reference_connected_product, reference_genus_table, reference_pairings,
@@ -146,11 +145,13 @@ def test_genus_table_counts_only_nonzero_weight_schemes():
 def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
-    kernel = product_pair_kernel(mode) if product_mode else _difference_kernel("F", mode)
+    symbol = ("g" if mode.kind == "matrix" else "K") if product_mode else "F"
     gens, pair_map = (ga, gb), map_of(ga, gb)
     slots = pair_map.by_rank
     output = output_generators(pair_map, ga, gb)
-    name = kernel if mode.kind == "matrix" else lambda u, v: kernel(slots[u], slots[v])
+    # a pair kernel is the job's symbol, bare or on the pair's two slots in key order
+    name = KernelSymbol(symbol) if mode.kind == "matrix" else lambda u, v: KernelSymbol(
+        symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated)))
     legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, 1)
     for pairing in reference_pairings(legs_a, legs_b):
         key = census(pairing, pair_map, mode)

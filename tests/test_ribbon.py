@@ -21,7 +21,7 @@ from multitrace import (
     legs_of,
     result_generator,
 )
-from multitrace.ribbon import RibbonMap, census, exponent_bound, map_of
+from multitrace.ribbon import census, exponent_bound, map_of
 
 from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
                      reference_exponent_bound, reference_pairings, shaped, trace_lengths,
@@ -208,7 +208,7 @@ def test_capped_enumeration_is_the_filtered_uncapped_list(data, mode, product_mo
         assert (stats.pruned_branches > 0) == (len(wanted) < len(full))
 
 
-def _path_bounds(pairing, rmap, heads):
+def _path_bounds(pairing, pair_map, heads):
     """``exponent_bound`` at each node the enumeration passes on its way
     to ``pairing``, then at the leaf, each checked to be at least
     ``reference_exponent_bound`` there.
@@ -219,13 +219,14 @@ def _path_bounds(pairing, rmap, heads):
     edges = sorted(pairing)
     mates = {j for _, j in edges}
     bounds = []
-    for node in [k for k in range(heads) if k not in mates] + [len(rmap.legs)]:
-        alpha = list(range(len(rmap.legs)))
+    sigma, n = pair_map.sigma, len(pair_map.legs)
+    for node in [k for k in range(heads) if k not in mates] + [n]:
+        alpha = list(range(n))
         chosen = [(i, j) for i, j in edges if i < node]
         for i, j in chosen:
             alpha[i], alpha[j] = j, i
-        bounds.append(exponent_bound(rmap.sigma, alpha, len(chosen), node, heads))
-        assert bounds[-1] >= reference_exponent_bound(rmap.sigma, alpha, len(chosen), node)
+        bounds.append(exponent_bound(sigma, alpha, len(chosen), node, pair_map.first_mate))
+        assert bounds[-1] >= reference_exponent_bound(sigma, alpha, len(chosen), node)
     return bounds
 
 
@@ -236,11 +237,35 @@ def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     legs_a = legs_of(ga)
     legs_b = legs_of(gb, side=1) if product_mode else None
-    rmap = RibbonMap(legs_a + (legs_b or []))
+    pair_map = map_of(ga, gb)
     for pairing in reference_pairings(legs_a, legs_b):
-        bounds = _path_bounds(pairing, rmap, len(legs_a))
+        bounds = _path_bounds(pairing, pair_map, len(legs_a))
         assert bounds == sorted(bounds)
-        assert bounds[-1] == analyze(named(pairing, rmap.legs), ga, gb, mode).exponent
+        assert bounds[-1] == analyze(named(pairing, pair_map.legs), ga, gb, mode).exponent
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_first_mate_is_the_side_rule(data, mode, product_mode):
+    """For legs i < j, ``j >= first_mate[i]`` holds exactly when the two
+    ``LegId`` sides differ in a product, and always in a transport; the
+    array never decreases; and ``analyze`` refuses exactly the pairs the
+    rule forbids, whichever leg comes first."""
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    pair_map = map_of(ga, gb)
+    legs, first_mate = pair_map.legs, pair_map.first_mate
+    assert list(legs) == legs_of(ga) + (legs_of(gb, side=1) if product_mode else [])
+    assert first_mate == sorted(first_mate)
+    for i, j in ((i, j) for j in range(len(legs)) for i in range(j)):
+        allowed = j >= first_mate[i]
+        assert allowed == (legs[i].side != legs[j].side if product_mode else True)
+        for pair in ((legs[i], legs[j]), (legs[j], legs[i])):
+            if allowed:
+                assert analyze((pair,), ga, gb, mode).pairs == (pair,)
+            else:
+                with pytest.raises(RibbonError, match="product pairings must join"):
+                    analyze((pair,), ga, gb, mode)
 
 
 @settings(max_examples=120, deadline=None)
@@ -395,11 +420,9 @@ def test_kernel_mode_reports_match_matrix_counts():
 
 def _split_first_trace(pair_map):
     """The first trace's legs each made a loop of their own, against its vertex."""
-    broken = RibbonMap(pair_map.ribbon.legs)
-    for i, leg in enumerate(broken.legs):
-        if (leg.side, leg.trace) == (0, 0):
-            broken.sigma[i] = i
-    return pair_map._replace(ribbon=broken)
+    sigma = [i if (leg.side, leg.trace) == (0, 0) else j
+             for i, (leg, j) in enumerate(zip(pair_map.legs, pair_map.sigma))]
+    return pair_map._replace(sigma=sigma)
 
 
 def _shorten_first_trace(pair_map):
