@@ -11,20 +11,28 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Per generator pair, the pair's map is built once
+separately.  Per generator pair (a job), the pair's map is built once
 (``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the
 schemes on it, carrying each scheme's census state along its walk, and
 yields each scheme's integer key (``None`` for weight zero); the
 schemes are counted per key.  A key is its output words and its
-monomial part (eps half-units, block ratios, kernels).  Each distinct
-words is built once into its output generator (``output_generators``),
-and each distinct monomial part once into its monomial
-(``scheme_coefficient``): the ``(6)x(6)`` matrix pair has 5,122 keys
-but 19 monomials.  A key adds its monomial times the rational input
-coefficients, counted and signed; all pairs are merged by one
-``Series.build``.  The key is already in canonical order, so both
-values are built from it as they are, with their keys, and are never
-rotated or sorted again.
+monomial part (eps half-units, block ratios, kernels).
+
+How a key becomes a term: each distinct words is built once into its
+output generator (``output_generators``), and each distinct monomial
+part once into its monomial (``scheme_coefficient``), times each term
+of the job's scale coefficient (``Monomial.mul``, which merges the two
+sorted power lists without re-sorting): the ``(6)x(6)`` matrix pair
+has 5,122 keys but 19 monomials.  The key's integer count, times the
+scale term's rational (an int when its denominator is 1) and signed,
+is added into one ``{monomial: sum}`` dict per output generator, shared
+by all jobs.  After the last job the generators are sorted once by
+key, each dict becomes one coefficient (one ``Fraction`` per term,
+zero sums dropped, sorted once by monomial) and is freed, and the
+series is built from those sorted terms directly.  The key is already
+in canonical order, so the values are built from it as they are, with
+their keys, and are never rotated or sorted again.  These caches and
+sums live for one ``scheme_series`` call.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -32,13 +40,14 @@ size-squared bracket, the genus table) is built from this one sum.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cache, reduce
 from itertools import permutations
 from math import factorial
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .coeffring import Coefficient, KernelSymbol, Monomial, ONE
+from .coeffring import Coefficient, KernelSymbol, Monomial, ONE, RationalLike
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
 from .ribbon import EnumerationStats, PairMap, enumerate_pairings, map_of
@@ -50,12 +59,13 @@ class AlgebraError(ValueError):
     """Raised for mode mismatches and failed divisibility checks."""
 
 
-def scheme_coefficient(key: tuple,
-                       kernel: KernelSymbol | Callable[[int, int], KernelSymbol]) -> Monomial:
+def scheme_coefficient(key: tuple, kernel: KernelSymbol | Callable[[int, int], tuple]) -> Monomial:
     """Monomial of the schemes of one ``census`` key (each has weight one).
 
-    ``kernel`` is the one kernel symbol of matrix mode, or names the
-    kernel of a pair from its two slot ranks.  The key's block ratios
+    ``kernel`` is the one kernel symbol of matrix mode, or gives the
+    kernel factor ``(symbol, 1)`` of a pair from its two slot ranks; a
+    caller that caches it shares one factor among all the monomials that
+    hold it.  The key's block ratios
     come sorted by color, and its rank pairs sorted in the order of
     their kernel symbols: the labels of a kernel-mode job are distinct
     (``scheme_series`` refuses a repeat), so rank order is label order.
@@ -64,7 +74,7 @@ def scheme_coefficient(key: tuple,
     if isinstance(pairs, int):
         return Monomial._canonical(eps_half, pairs, s, ((kernel, pairs),) if pairs else ())
     return Monomial._canonical(eps_half, len(pairs), s,
-                               tuple((kernel(u, v), 1) for u, v in pairs))
+                               tuple([kernel(u, v) for u, v in pairs]))
 
 
 def output_generators(pair_map: PairMap, gen_a: Generator,
@@ -108,8 +118,13 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     transport).  A kernel-mode kernel names its slots by label, so a job
     whose generators repeat a label is refused; with distinct labels,
     rank order is label order.
+
+    Each key's count goes straight into the sum of its output term (see
+    the module docstring); the monomial and kernel caches live for one
+    job, the sums for the call.  Jobs of a multi-term input can cancel,
+    so zero sums are dropped.
     """
-    by_gen: dict[Generator, list] = defaultdict(list)
+    sums_of: dict[Generator, dict[Monomial, RationalLike]] = {}
     bare = KernelSymbol(symbol)
     for gen_a, gen_b, scale in jobs:
         pair_map = map_of(gen_a, gen_b)
@@ -128,24 +143,39 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
         if stats.pruned_branches:
             flags.add("truncated")
         slots = pair_map.by_rank
-        # each output generator and each pair kernel is built once per job
+        # each output generator and each pair's kernel factor is built once per job
         output = output_generators(pair_map, gen_a, gen_b)
-        name = bare if mode.kind == "matrix" else cache(lambda u, v: KernelSymbol(
-            symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))))
-        # one monomial per distinct part key[1:] of the job's keys
-        monomials: dict[tuple, Monomial] = {}
-        for key, count in counts.items():
-            part = key[1:]
-            mono = monomials.get(part)
-            if mono is None:
-                mono = monomials[part] = scheme_coefficient(key, name)
-                if mono.eps_half < 0:
-                    flags.add("negative-eps")
-            sign = -1 if negate and mono.hbar % 2 else 1
-            by_gen[output(key[0])].extend((mono.mul(m), sign * count * q) for m, q in scale.terms)
-    # popping frees each entry list once its coefficient is built (peak memory)
-    merged = [(gen, Coefficient.build(by_gen.pop(gen))) for gen in list(by_gen)]
-    return Series.build(mode, merged, flags)
+        name = bare if mode.kind == "matrix" else cache(lambda u, v: (KernelSymbol(
+            symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))), 1))
+        for m, q in scale.terms:
+            r = q.numerator if q.denominator == 1 else q   # an int when it is one
+            # one monomial per distinct part key[1:] of the job's keys: the
+            # part's scheme monomial times this scale term's monomial
+            products: dict[tuple, Monomial] = {}
+            for key, count in counts.items():
+                part = key[1:]
+                mono = products.get(part)
+                if mono is None:
+                    scheme = scheme_coefficient(key, name)
+                    if scheme.eps_half < 0:
+                        flags.add("negative-eps")
+                    mono = products[part] = scheme.mul(m)
+                gen = output(key[0])
+                sums = sums_of.get(gen)
+                if sums is None:
+                    sums = sums_of[gen] = {}
+                n = count * r
+                if negate and (mono.hbar - m.hbar) % 2:
+                    n = -n   # the scheme's sign (-1)^hbar
+                sums[mono] = sums.get(mono, 0) + n
+    # one sort by generator key; popping frees each generator's sums once its
+    # coefficient is built (peak memory), and a sum that cancelled to zero drops
+    out = []
+    for gen in sorted(sums_of, key=attrgetter("_key")):
+        coeff = Coefficient._of_sums(sums_of.pop(gen))
+        if coeff:
+            out.append((gen, coeff))
+    return Series(mode, tuple(out), frozenset(flags))
 
 
 def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Series:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -141,6 +141,18 @@ def _sorted_powers(pairs, what):
     return tuple(sorted(out.items()))
 
 
+def _merged_powers(a: tuple, b: tuple) -> tuple:
+    """The product of two sorted power lists, sorted with merged powers: joined
+    as they are when all of one sorts before all of the other."""
+    if not a or not b:
+        return a or b
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    return _sorted_powers(a + b, "merged")
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Monomial(KeyedValue):
     """One multi-degree: eps half-units, hbar, block ratios, kernels.
@@ -187,17 +199,15 @@ class Monomial(KeyedValue):
     def mul(self, other: "Monomial") -> "Monomial":
         if other == _UNIT_MONOMIAL:
             return self
-        if not other.s and not other.kernels:
-            return Monomial._canonical(self.eps_half + other.eps_half, self.hbar + other.hbar,
-                                       self.s, self.kernels)
-        return Monomial(
-            self.eps_half + other.eps_half,
-            self.hbar + other.hbar,
-            self.s + other.s,
-            self.kernels + other.kernels,
-        )
+        return Monomial._canonical(self.eps_half + other.eps_half, self.hbar + other.hbar,
+                                   _merged_powers(self.s, other.s),
+                                   _merged_powers(self.kernels, other.kernels))
 
     def render(self) -> str:
+        return self.render_with(KernelSymbol.render)
+
+    def render_with(self, kernel_text: Callable[[KernelSymbol], str]) -> str:
+        """``render``, with each kernel symbol's text from ``kernel_text``."""
         parts = []
         if self.eps_half:
             d = self.eps_degree  # raises on odd half-units
@@ -207,7 +217,7 @@ class Monomial(KeyedValue):
         for color, power in self.s:
             parts.append(f"s{color}" if power == 1 else f"s{color}^{power}")
         for sym, power in self.kernels:
-            base = sym.render()
+            base = kernel_text(sym)
             parts.append(base if power == 1 else f"{base}^{power}")
         return "*".join(parts)
 
@@ -240,10 +250,12 @@ class Coefficient:
         return Coefficient._of_sums(acc)
 
     @staticmethod
-    def _of_sums(acc: Mapping[Monomial, Fraction]) -> "Coefficient":
-        """The coefficient of summed terms: zeros dropped, sorted by monomial."""
-        return Coefficient(tuple(sorted(((mono, q) for mono, q in acc.items() if q),
-                                        key=lambda kv: kv[0]._key)))
+    def _of_sums(acc: Mapping[Monomial, RationalLike]) -> "Coefficient":
+        """The coefficient of summed terms: zeros dropped, each sum made one
+        ``Fraction``, sorted once by monomial."""
+        return Coefficient(tuple(sorted(
+            ((mono, q if type(q) is Fraction else Fraction(q)) for mono, q in acc.items() if q),
+            key=lambda kv: kv[0]._key)))
 
     @staticmethod
     def rational(value: RationalLike) -> "Coefficient":
@@ -299,8 +311,8 @@ class Coefficient:
                 acc[key] = acc.get(key, 0) + na * nb
         sums = {}
         for (eps_half, hbar, sa, ka, sb, kb), v in acc.items():
-            mono = (Monomial(eps_half, hbar, sa + sb, ka + kb) if sb or kb
-                    else Monomial._canonical(eps_half, hbar, sa, ka))
+            mono = Monomial._canonical(eps_half, hbar, _merged_powers(sa, sb),
+                                       _merged_powers(ka, kb))
             sums[mono] = sums.get(mono, 0) + v
         return Coefficient._of_sums({mono: Fraction(v, da * db) for mono, v in sums.items()})
 
@@ -405,27 +417,55 @@ class Coefficient:
 
     def render(self) -> str:
         """Canonical text form, e.g. ``3/2*eps^2*hbar*s1*K(x1,y2)^2``."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, (mono, q) in enumerate(self.terms):
-            text = render_term(mono, abs(q))
-            if i == 0:
-                chunks.append(("-" if q < 0 else "") + text)
-            else:
-                chunks.append(("- " if q < 0 else "+ ") + text)
-        return " ".join(chunks)
+        return render_terms(self.terms, monomial_texts())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Coefficient<{self.render()}>"
 
 
-def render_term(mono: Monomial, magnitude: Fraction) -> str:
-    """One term's text without its sign, e.g. ``3/2*eps^2``, ``hbar`` or ``2``."""
-    body = mono.render()
+class Texts(dict):
+    """Value -> text, each distinct value rendered once by ``render``; one
+    lives for one rendering call."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[object], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.render(value)
+        return text
+
+
+def monomial_texts() -> Texts:
+    """Texts of monomials, and within them of kernel symbols, for one call."""
+    kernels = Texts(KernelSymbol.render)
+    return Texts(lambda mono: mono.render_with(kernels.__getitem__))
+
+
+def render_term(body: str, q: RationalLike) -> str:
+    """One signed term, the rational ``q`` times the monomial text ``body``
+    (empty for the unit monomial): ``- 3/2*eps^2``, ``+ hbar`` or ``+ 2``."""
+    n, d = q.numerator, q.denominator
+    sign = "- " if n < 0 else "+ "
+    magnitude = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
     if not body:
-        return str(magnitude)
-    return body if magnitude == 1 else f"{magnitude}*{body}"
+        return sign + magnitude
+    return sign + body if magnitude == "1" else f"{sign}{magnitude}*{body}"
+
+
+def render_sum(pieces: list[str]) -> str:
+    """Signed pieces joined; the first keeps only a minus sign, with no space."""
+    if not pieces:
+        return "0"
+    text = " ".join(pieces)
+    return "-" + text[2:] if text[0] == "-" else text[2:]
+
+
+def render_terms(terms, texts: Texts) -> str:
+    """A coefficient's text from its terms, each monomial's text read from ``texts``."""
+    return render_sum([render_term(texts[mono], q) for mono, q in terms])
 
 
 ZERO = Coefficient()

@@ -32,12 +32,13 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, SlotRef,
-                        ZERO, render_term)
-from .observables import (Generator, Mode, ObservableError, Series, Slot, UNIT_GENERATOR,
-                          make_generator)
+                        Texts, ZERO, monomial_texts, render_sum, render_term, render_terms)
+from .observables import (Generator, Mode, ObservableError, Series, Slot, TraceWord,
+                          UNIT_GENERATOR, make_generator)
 
 
 class ParseError(ValueError):
@@ -371,36 +372,41 @@ def parse_coefficient(text: str, mode: Mode) -> Coefficient:
 def render_series(series: Series) -> str:
     """Canonical text; ``parse_series`` inverts it exactly.
 
+    Terms are ordered by their coefficient's least eps degree (its first
+    monomial's, since monomials sort by eps first), then larger
+    generators first, so the unit lands last within a degree, then by
+    generator key.  Each term is rendered once, in the series' own order,
+    with texts read from caches that live for this call: each distinct
+    monomial (and kernel symbol inside it) and each distinct trace word
+    is rendered once.  A monomial with an odd eps half-unit raises there,
+    at the first in the series' order.
+
     The text form needs distinct slot labels within each generator, so a
     generator that repeats one (say, after ``forget_labels``) is refused.
     """
     if series.is_zero():
         return "0"
-
-    def term_sort_key(item):
-        gen, coeff = item
-        degree = coeff.eps_min_degree()
-        # larger generators first within a degree, so the unit lands last
-        return (0 if degree is None else degree, -gen.size, gen.key())
-
-    pieces: list[str] = []
-    for gen, coeff in sorted(series.terms, key=term_sort_key):
-        labels = gen.labels()
-        if len(set(labels)) != len(labels):
-            repeated = next(lab for lab in labels if labels.count(lab) > 1)
-            raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "
-                             "form needs distinct labels within a generator; use the JSON form")
-        if len(coeff.terms) == 1:
-            mono, q = coeff.terms[0]
-            sign = "-" if q < 0 else "+"
-            body = render_term(mono, abs(q))
+    monomials, traces = monomial_texts(), Texts(TraceWord.render)
+    rows, repeats = [], []
+    for gen, coeff in series.terms:
+        terms = coeff.terms
+        if len(terms) == 1:
+            mono, q = terms[0]
+            piece = render_term(monomials[mono], q)
         else:
-            sign = "+"
-            body = "(" + coeff.render() + ")"
-        pieces.append(f"{sign} {body}*{gen.render()}")
-    text = " ".join(pieces)
-    # the first term carries its sign only when it is negative
-    return ("-" if text[0] == "-" else "") + text[2:]
+            piece = "+ (" + render_terms(terms, monomials) + ")"
+        labels = gen.labels()
+        key = (terms[0][0].eps_half >> 1 if terms else 0, -len(labels), gen._key)
+        rows.append((key, piece + "*" + gen.render_with(traces.__getitem__)))
+        if len(set(labels)) != len(labels):
+            repeats.append((key, gen, labels))
+    if repeats:
+        _, gen, labels = min(repeats, key=itemgetter(0))
+        repeated = next(lab for lab in labels if labels.count(lab) > 1)
+        raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "
+                         "form needs distinct labels within a generator; use the JSON form")
+    rows.sort(key=itemgetter(0))
+    return render_sum([piece for _, piece in rows])
 
 
 # -- JSON codec ----------------------------------------------------------------

@@ -143,7 +143,11 @@ class Generator(KeyedValue):
         return [s.label for t in self.traces for s in t.slots]
 
     def render(self) -> str:
-        return "W{" + " ".join(t.render() for t in self.traces) + "}"
+        return self.render_with(TraceWord.render)
+
+    def render_with(self, trace_text) -> str:
+        """``render``, with each trace word's text from ``trace_text``."""
+        return "W{" + " ".join([trace_text(t) for t in self.traces]) + "}"
 
 
 UNIT_GENERATOR = Generator(())

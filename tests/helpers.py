@@ -646,6 +646,97 @@ def harer_zagier(n):
     return {g: table[g, n] for g in range(n // 2 + 1)}
 
 
+# -- reference text renderer -----------------------------------------------------
+
+
+def _reference_monomial_text(mono):
+    parts = []
+    if mono.eps_half:
+        d = mono.eps_degree  # raises on odd half-units
+        parts.append("eps" if d == 1 else f"eps^{d}")
+    if mono.hbar:
+        parts.append("hbar" if mono.hbar == 1 else f"hbar^{mono.hbar}")
+    for color, power in mono.s:
+        parts.append(f"s{color}" if power == 1 else f"s{color}^{power}")
+    for sym, power in mono.kernels:
+        base = sym.render()
+        parts.append(base if power == 1 else f"{base}^{power}")
+    return "*".join(parts)
+
+
+def _reference_term_text(mono, magnitude):
+    """One term's text without its sign, e.g. ``3/2*eps^2``, ``hbar`` or ``2``."""
+    body = _reference_monomial_text(mono)
+    if not body:
+        return str(magnitude)
+    return body if magnitude == 1 else f"{magnitude}*{body}"
+
+
+def reference_render_coefficient(coeff):
+    """``Coefficient.render`` term by term, with no cache and signs read by
+    ``Fraction`` comparisons (slow, for tests)."""
+    if not coeff.terms:
+        return "0"
+    chunks = []
+    for i, (mono, q) in enumerate(coeff.terms):
+        text = _reference_term_text(mono, abs(q))
+        if i == 0:
+            chunks.append(("-" if q < 0 else "") + text)
+        else:
+            chunks.append(("- " if q < 0 else "+ ") + text)
+    return " ".join(chunks)
+
+
+def reference_render_series(series):
+    """``render_series`` with every value rendered where it occurs and each
+    sort key computed from the coefficient and the generator (slow, for tests)."""
+    if series.is_zero():
+        return "0"
+
+    def term_sort_key(item):
+        gen, coeff = item
+        degree = coeff.eps_min_degree()
+        # larger generators first within a degree, so the unit lands last
+        return (0 if degree is None else degree, -gen.size, gen.key())
+
+    pieces = []
+    for gen, coeff in sorted(series.terms, key=term_sort_key):
+        labels = gen.labels()
+        if len(set(labels)) != len(labels):
+            repeated = next(lab for lab in labels if labels.count(lab) > 1)
+            raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "
+                             "form needs distinct labels within a generator; use the JSON form")
+        if len(coeff.terms) == 1:
+            mono, q = coeff.terms[0]
+            sign = "-" if q < 0 else "+"
+            body = _reference_term_text(mono, abs(q))
+        else:
+            sign = "+"
+            body = "(" + reference_render_coefficient(coeff) + ")"
+        pieces.append(f"{sign} {body}*{gen.render()}")
+    text = " ".join(pieces)
+    # the first term carries its sign only when it is negative
+    return ("-" if text[0] == "-" else "") + text[2:]
+
+
+@st.composite
+def rendered_series(draw, mode):
+    """Series to render: up to four terms on drawn generators (the unit among
+    them), coefficients of up to three terms with negative and fractional
+    rationals, kernel powers up to 2 and block ratios, now and then an odd
+    eps half-unit, and generators whose labels, drawn from two, may repeat.
+    Zero coefficients drop, so the zero series is drawn too."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        gen = draw(generators(mode, "x", 4))
+        if draw(st.integers(0, 4)) == 0:
+            gen = make_generator([[Slot(draw(st.sampled_from(["r1", "r2"])), slot.conjugated,
+                                        slot.color) for slot in trace.slots]
+                                  for trace in gen.traces], mode)
+        terms.append((gen, draw(coefficients(even_eps=draw(st.integers(0, 5)) > 0))))
+    return Series.build(mode, terms)
+
+
 # -- reference text parser -------------------------------------------------------
 
 

@@ -32,7 +32,9 @@ from multitrace import (
 )
 from multitrace.exprparse import tokenize
 
+from helpers import MODES as DRAWN_MODES
 from helpers import (expression_texts, random_series, rational_value, reference_parse_series,
+                     reference_render_coefficient, reference_render_series, rendered_series,
                      series_of)
 
 
@@ -225,6 +227,46 @@ class TestRendering:
         with pytest.raises(ValueError, match="'x' repeats in W{Tr\\[x\\] Tr\\[x\\]}.*JSON"):
             render_series(folded)
         assert series_from_json(series_to_json(folded)) == folded
+
+
+def _outcome(render, value):
+    """The text, or the type and message of the ``ValueError`` raised."""
+    try:
+        return render(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(DRAWN_MODES))
+def test_rendering_matches_the_uncached_reference(data, mode):
+    series = data.draw(rendered_series(mode))
+    assert _outcome(render_series, series) == _outcome(reference_render_series, series)
+    for _, coeff in series.terms:
+        assert _outcome(Coefficient.render, coeff) \
+            == _outcome(reference_render_coefficient, coeff)
+
+
+def test_rendering_matches_the_reference_on_each_feature():
+    k = KernelSymbol("K", (("x1", False), ("y1", True)))
+    coeff = (Coefficient.kernel(k, 2) * Coefficient.block_ratio(1) * Coefficient.hbar()
+             ).scale(Fraction(-3, 2)) + Coefficient.eps(-1).scale(Fraction(2, 5)) - ONE
+    gen = make_generator([[Slot("x1"), Slot("x2")]], MATRIX)
+    twice = make_generator([[Slot("x1"), Slot("x1")]], MATRIX)
+    cases = [
+        Series.zero(MATRIX),
+        Series.unit(MATRIX).scale(coeff),                  # multi-term, on the unit
+        Series.of(gen, MATRIX, coeff.scale(-1)) + Series.unit(MATRIX).scale(-ONE),
+        Series.of(gen, MATRIX, Coefficient.monomial(Monomial(eps_half=2), Fraction(-7, 3))),
+        Series.of(twice, MATRIX) + Series.of(gen, MATRIX),  # a repeated label
+        Series.of(gen, MATRIX, Coefficient.monomial(Monomial(eps_half=3))),  # half-unit
+    ]
+    for series in cases:
+        assert _outcome(render_series, series) == _outcome(reference_render_series, series)
+    assert render_series(cases[1]) == "(2/5*eps^-1 - 1 - 3/2*hbar*s1*K(x1,~y1)^2)*W{}"
+    assert render_series(cases[2]) == ("(-2/5*eps^-1 + 1 + 3/2*hbar*s1*K(x1,~y1)^2)*W{Tr[x1 x2]}"
+                                       " - 1*W{}")
+    assert coeff.render() == reference_render_coefficient(coeff)
 
 
 MODES = [MATRIX, KERNEL, Mode("matrix", 2), Mode("kernel", 3)]

@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 
 import multitrace.algebra
-from multitrace import (KERNEL, MATRIX, Coefficient, Generator, KernelSymbol, Mode, Monomial,
-                        Series, TraceWord, analyze, connected_product, expectation, legs_of,
-                        nested_commutator_sym, parse_series, product, product_chain,
-                        render_series, result_generator, series_to_json, transport)
+from multitrace import (KERNEL, MATRIX, ONE, Coefficient, Generator, KernelSymbol, Mode,
+                        Monomial, Series, TraceWord, analyze, connected_product, expectation,
+                        legs_of, make_generator, nested_commutator_sym, parse_series, product,
+                        product_chain, render_series, result_generator, series_to_json,
+                        transport)
 from multitrace.algebra import output_generators, scheme_coefficient
 from multitrace.cli import main
 from multitrace.ribbon import census, map_of
@@ -50,6 +52,55 @@ def test_transport_matches_the_per_scheme_reference(data, mode, cap, negate):
     src = data.draw(series_in(mode, "x", max_legs=5))
     got = transport(src, negate=negate, max_eps_degree=cap)
     assert same(got, reference_transport(src, "F", negate, cap))
+
+
+def canonical(series):
+    """Whether the terms are those ``Series.build`` makes of them, in order, with
+    no zero coefficient, each coefficient canonical and its rationals ``Fraction``s."""
+    return (series.terms == Series.build(series.mode, series.terms).terms
+            and all(coeff and Coefficient.build(coeff.terms) == coeff
+                    and all(type(q) is Fraction for _, q in coeff.terms)
+                    for _, coeff in series.terms))
+
+
+@st.composite
+def signed_inputs(draw, mode, prefix, max_legs):
+    """A multi-term input that can cancel: a drawn term, the same slots in other
+    traces with the opposite coefficient times 1, eps or hbar (so outputs of the
+    two jobs can meet), and maybe one more drawn term."""
+    gen = draw(generators(mode, prefix, max_legs))
+    slots = [slot for trace in gen.traces for slot in trace.slots]
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(slots) - 1)), max_size=2)))
+    words = [slots[i:j] for i, j in zip([0] + cuts, cuts + [len(slots)]) if slots[i:j]]
+    other = make_generator(words, mode)
+    coeff = draw(coefficients().filter(bool))
+    factor = draw(st.sampled_from([ONE, Coefficient.eps(), Coefficient.hbar()]))
+    terms = [(gen, coeff), (other, -(coeff * factor))]
+    if draw(st.booleans()):
+        terms.append((draw(generators(mode, prefix, max_legs)), draw(coefficients())))
+    return Series.build(mode, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), negate=st.booleans())
+def test_the_loop_output_is_canonical_and_drops_cancelled_terms(data, mode, negate):
+    a = data.draw(signed_inputs(mode, "x", 4))
+    b = data.draw(signed_inputs(mode, "y", 3))
+    out = product(a, b)
+    assert canonical(out) and same(out, reference_product(a, b))
+    moved = transport(a, negate=negate)
+    assert canonical(moved) and same(moved, reference_transport(a, "F", negate))
+
+
+@pytest.mark.parametrize("mode", [MATRIX, KERNEL])
+def test_one_pair_terms_of_two_jobs_cancel(mode):
+    # every one-pair scheme of the first job meets one of the second with the
+    # opposite sign, so only the two terms without a pair are left
+    a = parse_series("W{Tr[x1 x2]} - eps*W{Tr[x1] Tr[x2]}", mode)
+    b = parse_series("W{Tr[y1]}", mode)
+    out = product(a, b)
+    assert render_series(out) == "1*W{Tr[x1 x2] Tr[y1]} - eps*W{Tr[x1] Tr[x2] Tr[y1]}"
+    assert canonical(out) and same(out, reference_product(a, b))
 
 
 def test_kernel_transport_pairs_name_their_kernels_by_label():
@@ -150,8 +201,8 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     slots = pair_map.by_rank
     output = output_generators(pair_map, ga, gb)
     # a pair kernel is the job's symbol, bare or on the pair's two slots in key order
-    name = KernelSymbol(symbol) if mode.kind == "matrix" else lambda u, v: KernelSymbol(
-        symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated)))
+    name = KernelSymbol(symbol) if mode.kind == "matrix" else lambda u, v: (KernelSymbol(
+        symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))), 1)
     legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, 1)
     for pairing in reference_pairings(legs_a, legs_b):
         key = census(pairing, pair_map, mode)
