@@ -11,27 +11,34 @@ per-component handle counts H_k contributes the monomial
 with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
-separately.  Per generator pair (a job), the pair's map is built once
-(``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the
-schemes on it, carrying each scheme's census state along its walk, and
-yields each scheme's integer key (``None`` for weight zero); the
-schemes are counted per key.  A key is its output words and its
-monomial part (eps half-units, block ratios, kernels).
+separately.  A call ranks the distinct slots of all its input
+generators once (``ribbon.rank_table``, in ``Slot.key`` order).  Per
+generator pair (a job), the pair's map is built on that table
+(``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the schemes
+on it, carrying each scheme's census state along its walk, and yields
+each scheme's integer key (``None`` for weight zero); the schemes are
+counted per key.  A key is its output words and its monomial part (eps
+half-units, block ratios, kernels).  All jobs share the table, so equal
+keys of different jobs name the same term.
 
-How a key becomes a term: each distinct words is built once into its
-output generator (``output_generators``), and each distinct monomial
-part once into its monomial (``scheme_coefficient``), times each term
-of the job's scale coefficient (``Monomial.mul``, which merges the two
-sorted power lists without re-sorting): the ``(6)x(6)`` matrix pair
-has 5,122 keys but 19 monomials.  The key's integer count, times the
-scale term's rational (an int when its denominator is 1) and signed,
-is added into one ``{monomial: sum}`` dict per output generator, shared
-by all jobs.  After the last job the generators are sorted once by
-key, each dict becomes one coefficient (one ``Fraction`` per term,
-zero sums dropped, sorted once by monomial) and is freed, and the
-series is built from those sorted terms directly.  The key is already
-in canonical order, so the values are built from it as they are, with
-their keys, and are never rotated or sorted again.  These caches and
+How a key becomes a term: each job's key counts, times the rationals of
+each pair of its scale terms (one from each factor's coefficient), are
+added into one call-wide ``{census key: sum}`` per pair of scale
+monomials; the coefficients themselves are never multiplied.  After the
+last job, each distinct (scale pair, key) is treated once: each
+distinct monomial part is built once for the call into its scheme
+monomial (``scheme_coefficient``), and once per scale pair into that
+monomial times the two scale monomials (``Monomial.mul``, which merges
+sorted power lists without re-sorting); the ``(6)x(6)`` matrix pair has
+5,122 keys but 19 monomials.  The sum, signed for ``negate``, goes into
+one ``{monomial: sum}`` dict per output words, keyed on the words (a
+tuple of ints).  Sorted rank words are sorted generators, so the words
+are sorted once, each dict becomes one coefficient (one ``Fraction``
+per term, zero sums dropped, sorted once by monomial) and is freed, and
+the output generator of each kept term is built from its words
+(``output_generator``, each trace word once).  The key is already in
+canonical order, so the values are built from it as they are, with
+their keys, and are never rotated or sorted again.  These tables and
 sums live for one ``scheme_series`` call.
 
 Everything downstream (moments, commutators, connected parts, the
@@ -44,13 +51,12 @@ from collections import Counter
 from functools import cache, reduce
 from itertools import permutations
 from math import factorial
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE, RationalLike
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
-from .ribbon import EnumerationStats, PairMap, enumerate_pairings, map_of
+from .ribbon import EnumerationStats, enumerate_pairings, map_of, rank_table
 # bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds them
 from .ribbon import analyze, result_generator  # noqa: F401
 
@@ -77,40 +83,44 @@ def scheme_coefficient(key: tuple, kernel: KernelSymbol | Callable[[int, int], t
                                tuple([kernel(u, v) for u, v in pairs]))
 
 
-def output_generators(pair_map: PairMap, gen_a: Generator,
-                      gen_b: Generator | None) -> Callable[[tuple], Generator]:
-    """Builds the output generator of a ``census`` key's words on the map of
-    ``gen_a`` and ``gen_b``, once per distinct words and each trace word once.
+def output_generator(key_words: tuple, by_rank: Sequence[Slot],
+                     words: dict[tuple[int, ...], TraceWord]) -> Generator:
+    """The output generator of a ``census`` key's words, with ``by_rank``
+    the slots of the call's rank table; each trace word is read from
+    ``words`` (rank word -> trace word), or built and added there.
 
     The words come least-rotated and sorted on slot ranks, and rank order
-    is ``Slot.key`` order, so they are already in canonical form.  A word
-    that names an input trace is that trace, shared with the input.
+    is ``Slot.key`` order, so they are already in canonical form.
     """
-    by_rank = pair_map.by_rank
-    traces = gen_a.traces + (() if gen_b is None else gen_b.traces)
-    words = dict(zip(pair_map.vertex_ranks, traces))
-
-    def word(ranks: tuple[int, ...]) -> TraceWord:
+    traces = []
+    for ranks in key_words:
         trace = words.get(ranks)
         if trace is None:
-            trace = words[ranks] = TraceWord._canonical(tuple(by_rank[r] for r in ranks))
-        return trace
+            trace = words[ranks] = TraceWord._canonical(tuple([by_rank[r] for r in ranks]))
+        traces.append(trace)
+    return Generator._canonical(tuple(traces))
 
-    return cache(lambda key_words: Generator._canonical(tuple(map(word, key_words))))
+
+def _rationals(coeff: Coefficient) -> list[tuple[Monomial, RationalLike]]:
+    """A coefficient's terms, each rational an int when its denominator is 1."""
+    return [(m, q.numerator if q.denominator == 1 else q) for m, q in coeff.terms]
 
 
-def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, Coefficient]],
+def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
+                  terms_b: Sequence[tuple[Generator, Coefficient]] | None,
                   symbol: str, max_eps_degree: int | None,
                   flags: set[str], negate: bool = False) -> Series:
     """Sum over the admitted schemes of all jobs, merged into one series.
 
-    A job ``(gen_a, gen_b, scale)`` adds the cross pairings of the two
-    generators, or the self pairings of ``gen_a`` if ``gen_b`` is None
-    (transport), times ``scale``.  Only schemes within the eps cap are
-    enumerated; weight-zero ones are skipped.  ``flags`` gains
-    "truncated" exactly when the cap excluded a scheme of any weight,
-    and "negative-eps" for a scheme of negative eps exponent.  ``negate``
-    signs each scheme by (-1)^hbar, the inverse kernel shift.
+    A job is a pair of terms ``(gen_a, ca)`` of ``terms_a`` and ``(gen_b,
+    cb)`` of ``terms_b``, and adds the cross pairings of the two
+    generators times ``ca * cb``; without ``terms_b`` a job is one term
+    ``(gen_a, ca)`` and adds the self pairings of ``gen_a`` times ``ca``
+    (transport).  Only schemes within the eps cap are enumerated;
+    weight-zero ones are skipped.  ``flags`` gains "truncated" exactly
+    when the cap excluded a scheme of any weight, and "negative-eps" for
+    a scheme of negative eps exponent.  ``negate`` signs each scheme by
+    (-1)^hbar, the inverse kernel shift.
 
     Every pair kernel is named ``symbol``: bare in matrix mode, and in
     kernel mode applied to the pair's two slots in the order of its
@@ -119,62 +129,82 @@ def scheme_series(mode: Mode, jobs: Iterable[tuple[Generator, Generator | None, 
     whose generators repeat a label is refused; with distinct labels,
     rank order is label order.
 
-    Each key's count goes straight into the sum of its output term (see
-    the module docstring); the monomial and kernel caches live for one
-    job, the sums for the call.  Jobs of a multi-term input can cancel,
+    All jobs' maps share one rank table, and their key counts are summed
+    over the call, per pair of scale monomials, before any term is built
+    (see the module docstring).  Jobs of a multi-term input can cancel,
     so zero sums are dropped.
     """
-    sums_of: dict[Generator, dict[Monomial, RationalLike]] = {}
-    bare = KernelSymbol(symbol)
-    for gen_a, gen_b, scale in jobs:
-        pair_map = map_of(gen_a, gen_b)
-        labels = [slot.label for slot in pair_map.slots] if mode.kind == "kernel" else []
-        if len(set(labels)) < len(labels):
-            repeated = next(label for label in labels if labels.count(label) > 1)
-            raise AlgebraError(
-                f"slot label {repeated!r} repeats in "
-                f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
-                "kernel-mode pair kernels need distinct labels")
-        legs, heads = pair_map.legs, gen_a.size
-        stats = EnumerationStats()
-        counts = Counter(filter(None, enumerate_pairings(
-            legs[:heads], None if gen_b is None else legs[heads:], pair_map=pair_map,
-            mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
-        if stats.pruned_branches:
-            flags.add("truncated")
-        slots = pair_map.by_rank
-        # each output generator and each pair's kernel factor is built once per job
-        output = output_generators(pair_map, gen_a, gen_b)
-        name = bare if mode.kind == "matrix" else cache(lambda u, v: (KernelSymbol(
-            symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))), 1))
-        for m, q in scale.terms:
-            r = q.numerator if q.denominator == 1 else q   # an int when it is one
-            # one monomial per distinct part key[1:] of the job's keys: the
-            # part's scheme monomial times this scale term's monomial
-            products: dict[tuple, Monomial] = {}
-            for key, count in counts.items():
-                part = key[1:]
-                mono = products.get(part)
-                if mono is None:
-                    scheme = scheme_coefficient(key, name)
-                    if scheme.eps_half < 0:
-                        flags.add("negative-eps")
-                    mono = products[part] = scheme.mul(m)
-                gen = output(key[0])
-                sums = sums_of.get(gen)
-                if sums is None:
-                    sums = sums_of[gen] = {}
-                n = count * r
-                if negate and (mono.hbar - m.hbar) % 2:
-                    n = -n   # the scheme's sign (-1)^hbar
-                sums[mono] = sums.get(mono, 0) + n
-    # one sort by generator key; popping frees each generator's sums once its
-    # coefficient is built (peak memory), and a sum that cancelled to zero drops
+    table = rank_table(gen for terms in (terms_a, terms_b or ()) for gen, _ in terms)
+    sides_b = [(None, [(Monomial(), 1)])] if terms_b is None else [
+        (gen_b, _rationals(cb)) for gen_b, cb in terms_b]
+    # (scale monomial of side A, of side B) -> {census key: count times rationals}
+    sums: dict[tuple[Monomial, Monomial], dict[tuple, RationalLike]] = {}
+    for gen_a, ca in terms_a:
+        scales_a = _rationals(ca)
+        for gen_b, scales_b in sides_b:
+            pair_map = map_of(gen_a, gen_b, table)
+            labels = [slot.label for slot in pair_map.slots] if mode.kind == "kernel" else []
+            if len(set(labels)) < len(labels):
+                repeated = next(label for label in labels if labels.count(label) > 1)
+                raise AlgebraError(
+                    f"slot label {repeated!r} repeats in "
+                    f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
+                    "kernel-mode pair kernels need distinct labels")
+            legs, heads = pair_map.legs, gen_a.size
+            stats = EnumerationStats()
+            counts = Counter(filter(None, enumerate_pairings(
+                legs[:heads], None if gen_b is None else legs[heads:], pair_map=pair_map,
+                mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
+            if stats.pruned_branches:
+                flags.add("truncated")
+            for ma, ra in scales_a:
+                for mb, rb in scales_b:
+                    r = ra * rb
+                    into = sums.get((ma, mb))
+                    if into is None:
+                        into = sums[ma, mb] = {}
+                    for key, count in counts.items():
+                        into[key] = into.get(key, 0) + count * r
+
+    # each distinct (scale pair, key) once: one scheme monomial per distinct
+    # key part (key[1:]) for the call, and one product monomial per part and
+    # scale pair; a pair's kernel factor is built once and shared
+    slots = table.by_rank
+    kernel = KernelSymbol(symbol) if mode.kind == "matrix" else cache(
+        lambda u, v: (KernelSymbol(symbol, ((slots[u].label, slots[u].conjugated),
+                                            (slots[v].label, slots[v].conjugated))), 1))
+    schemes: dict[tuple, Monomial] = {}
+    terms_of: dict[tuple, dict[Monomial, RationalLike]] = {}   # output words -> {monomial: sum}
+    for (ma, mb), into in sums.items():
+        m = ma.mul(mb)
+        products: dict[tuple, Monomial] = {}
+        for key, n in into.items():
+            if key[1] < 0:
+                flags.add("negative-eps")   # also when its sum cancelled
+            if not n:
+                continue
+            part = key[1:]
+            mono = products.get(part)
+            if mono is None:
+                scheme = schemes.get(part)
+                if scheme is None:
+                    scheme = schemes[part] = scheme_coefficient(key, kernel)
+                mono = products[part] = scheme.mul(m)
+            if negate and (mono.hbar - m.hbar) % 2:
+                n = -n   # the scheme's sign (-1)^hbar
+            terms = terms_of.get(key[0])
+            if terms is None:
+                terms = terms_of[key[0]] = {}
+            terms[mono] = terms.get(mono, 0) + n
+    # sorted rank words are sorted generators; popping frees each word's sums
+    # once its coefficient is built (peak memory), and a sum that cancelled
+    # to zero drops, so a generator is built only for a term that is kept
+    words: dict[tuple[int, ...], TraceWord] = {}
     out = []
-    for gen in sorted(sums_of, key=attrgetter("_key")):
-        coeff = Coefficient._of_sums(sums_of.pop(gen))
+    for key_words in sorted(terms_of):
+        coeff = Coefficient._of_sums(terms_of.pop(key_words))
         if coeff:
-            out.append((gen, coeff))
+            out.append((output_generator(key_words, slots, words), coeff))
     return Series(mode, tuple(out), frozenset(flags))
 
 
@@ -191,8 +221,7 @@ def product(a: Series, b: Series, *, max_eps_degree: int | None = None) -> Serie
     if shared:
         raise AlgebraError(f"slot label {min(shared)!r} appears in both factors; "
                            "factors need disjoint labels so outputs stay unambiguous")
-    jobs = ((ga, gb, ca * cb) for ga, ca in a.terms for gb, cb in b.terms)
-    return scheme_series(a.mode, jobs, "g" if a.mode.kind == "matrix" else "K",
+    return scheme_series(a.mode, a.terms, b.terms, "g" if a.mode.kind == "matrix" else "K",
                          max_eps_degree, set(a.flags | b.flags))
 
 

@@ -395,25 +395,37 @@ class Coefficient:
     def substitute(self, assignments: Mapping[str, "Coefficient | RationalLike"]) -> "Coefficient":
         """Replace named symbols (hbar, s-ratios, kernels) by coefficients.
 
-        eps is not substitutable here; it is the grading variable.
+        eps is not substitutable here; it is the grading variable.  Each
+        term keeps its other symbols and is multiplied out on its own; all
+        the terms are then summed by one ``build``.
         """
-        repl: dict[str, Coefficient] = {}
-        for name, value in assignments.items():
-            repl[name] = value if isinstance(value, Coefficient) else Coefficient.rational(value)
-        out = ZERO
+        values = {name: value if isinstance(value, Coefficient) else Fraction(value)
+                  for name, value in assignments.items()}
+        entries = []
         for mono, q in self.terms:
-            factor = Coefficient.monomial(Monomial(eps_half=mono.eps_half), q)
-            if mono.hbar:
-                base = repl.get("hbar", Coefficient.hbar())
-                factor = factor * base.power(mono.hbar)
+            hbar, s, kernels, powers = mono.hbar, [], [], []
+            if hbar and "hbar" in values:
+                powers.append((values["hbar"], hbar))
+                hbar = 0
             for color, power in mono.s:
-                base = repl.get(f"s{color}", Coefficient.block_ratio(color))
-                factor = factor * base.power(power)
+                value = values.get(f"s{color}")
+                if value is None:
+                    s.append((color, power))
+                else:
+                    powers.append((value, power))
             for sym, power in mono.kernels:
-                base = repl.get(sym.render(), Coefficient.kernel(sym))
-                factor = factor * base.power(power)
-            out = out + factor
-        return out
+                value = values.get(sym.render())
+                if value is None:
+                    kernels.append((sym, power))
+                else:
+                    powers.append((value, power))
+            factor = Coefficient(((Monomial._canonical(mono.eps_half, hbar, tuple(s),
+                                                       tuple(kernels)), q),))
+            for value, power in powers:
+                factor = (factor.scale(value ** power) if type(value) is Fraction
+                          else factor * value.power(power))
+            entries += factor.terms
+        return Coefficient.build(entries)
 
     def render(self) -> str:
         """Canonical text form, e.g. ``3/2*eps^2*hbar*s1*K(x1,y2)^2``."""

@@ -19,8 +19,8 @@ the standard permutation encoding of ribbon graphs ('t Hooft 1974;
 Lando and Zvonkin, *Graphs on Surfaces and Their Applications*, ch.
 1); an untouched trace is one cycle of ``sigma`` and so one face.  The
 map of a generator pair is built once per pair (``map_of``), with each
-leg's slot rank (its slot's place among the pair's distinct slots, in
-``Slot.key`` order).
+leg's slot rank: its slot's place in a ``RankTable``, the distinct slots
+of the pair, or of every generator of a call, in ``Slot.key`` order.
 
 The census state of a scheme is ``alpha``, the face permutation, each
 vertex's count of contracted legs and each vertex's component label.
@@ -53,9 +53,12 @@ so these name the canonical trace words), its eps half-units, its
 block-ratio exponents, and its kernels (the pair count in matrix mode,
 the sorted rank pairs of its pairs in kernel mode, each a (side A, side
 B) pair in a product and a (least, greatest) pair in a transport, whose
-kernels are symmetric).  The product loop counts schemes per key and
-builds each output generator once per distinct words and each monomial
-once per distinct rest of the key (``algebra.scheme_series``).
+kernels are symmetric).  The product loop (``algebra.scheme_series``)
+builds the maps of all its generator pairs on one rank table, so equal
+keys of different pairs name the same term.  It counts schemes per key,
+sums the counts of all pairs per key, and then builds each output
+generator once per distinct words and each monomial once per distinct
+rest of the key.
 ``analyze`` runs the same walk and returns the full ``LoopReport``.
 
 The eps exponent is the normalization mismatch minus the pure-loop
@@ -78,7 +81,7 @@ schemes (1,386 without them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
 
@@ -115,6 +118,21 @@ class EnumerationStats:
     pruned_branches: int = 0
 
 
+class RankTable(NamedTuple):
+    """Slot ranks: the distinct slots in ``Slot.key`` order, and each
+    slot's place among them."""
+
+    by_rank: list[Slot]
+    rank: dict[Slot, int]
+
+
+def rank_table(gens: Iterable[Generator]) -> RankTable:
+    """The ``RankTable`` of the slots of ``gens``."""
+    by_rank = sorted({slot for gen in gens for trace in gen.traces for slot in trace.slots},
+                     key=Slot.key)
+    return RankTable(by_rank, {slot: r for r, slot in enumerate(by_rank)})
+
+
 class PairMap(NamedTuple):
     """The map of one generator pair: the legs of ``gen_a`` (side 0) and
     then of ``gen_b`` (side 1), numbered trace by trace; ``sigma``,
@@ -135,8 +153,15 @@ class PairMap(NamedTuple):
     product: bool
 
 
-def map_of(gen_a: Generator, gen_b: Generator | None = None) -> PairMap:
-    """The ``PairMap`` of a product pair, or of ``gen_a`` alone (transport)."""
+def map_of(gen_a: Generator, gen_b: Generator | None = None,
+           table: RankTable | None = None) -> PairMap:
+    """The ``PairMap`` of a product pair, or of ``gen_a`` alone (transport).
+
+    Slot ranks are read from ``table``, by default the ``rank_table`` of
+    the pair's own slots.  Maps built on one shared table name a slot
+    with the same rank, so the census keys of different pairs name the
+    same output words and kernel slots with the same integers.
+    """
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
     legs = tuple(leg for side, gen in enumerate(gens) for leg in legs_of(gen, side))
     traces = [trace for gen in gens for trace in gen.traces]
@@ -149,8 +174,7 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None) -> PairMap:
     first_mate = (list(range(1, n + 1)) if gen_b is None
                   else [heads] * heads + [n] * (n - heads))
     slots = [slot for trace in traces for slot in trace.slots]
-    by_rank = sorted(set(slots), key=Slot.key)
-    rank = {slot: r for r, slot in enumerate(by_rank)}
+    by_rank, rank = table or rank_table(gens)
     return PairMap(legs, sigma, vertex, first_mate, slots, [rank[slot] for slot in slots],
                    by_rank, [tuple(rank[slot] for slot in trace.slots) for trace in traces],
                    gen_b is not None)

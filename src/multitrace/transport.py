@@ -16,7 +16,10 @@ the census key orders a transport pair as (least rank, greatest rank),
 so that order is canonical.
 
 Each output term is the sum over its schemes of that monomial, times
-the input coefficient.
+the input coefficient.  One call is one ``scheme_series`` call over all
+the input terms: their slots share one rank table, so schemes of
+different input generators that give the same term are summed before
+the term is built, once.
 
 Single-trace self-contractions make the exponent negative (for example
 a two-leg trace closing onto itself produces two pure loops against
@@ -40,8 +43,7 @@ def transport(series: Series, *, symbol: str = "F", negate: bool = False,
     inverse shift; transporting with ``F`` and then with ``-F`` is the
     identity.
     """
-    jobs = ((gen, None, coeff) for gen, coeff in series.terms)
-    return scheme_series(series.mode, jobs, symbol, max_eps_degree, set(series.flags), negate)
+    return scheme_series(series.mode, series.terms, None, symbol, max_eps_degree, set(series.flags), negate)
 
 
 def transport_roundtrip_check(series: Series, *, symbol: str = "F") -> Series:

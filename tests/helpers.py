@@ -888,3 +888,21 @@ def expression_texts(draw, mode, depth=2):
             text += draw(st.sampled_from([" + ", " - "]))
         text += "*".join(factor() for _ in range(draw(st.integers(1, 3))))
     return text
+
+
+def reference_substitute(coeff, assignments):
+    """``Coefficient.substitute`` as a fold: each term's factor is added to the
+    sum of those before it."""
+    repl = {name: value if isinstance(value, Coefficient) else Coefficient.rational(value)
+            for name, value in assignments.items()}
+    out = Coefficient()
+    for mono, q in coeff.terms:
+        factor = Coefficient.monomial(Monomial(eps_half=mono.eps_half), q)
+        if mono.hbar:
+            factor = factor * repl.get("hbar", Coefficient.hbar()).power(mono.hbar)
+        for color, power in mono.s:
+            factor = factor * repl.get(f"s{color}", Coefficient.block_ratio(color)).power(power)
+        for sym, power in mono.kernels:
+            factor = factor * repl.get(sym.render(), Coefficient.kernel(sym)).power(power)
+        out = out + factor
+    return out

@@ -16,8 +16,9 @@ from multitrace import (
     ZERO,
 )
 
-from helpers import (EVAL_ENV, coefficients, eps_max_degree, monomials, rational_value,
-                     rationals, reference_coefficient_product)
+from helpers import (EVAL_ENV, KERNEL_POOL, coefficients, eps_max_degree, monomials,
+                     rational_value, rationals, reference_coefficient_product,
+                     reference_substitute)
 
 G = KernelSymbol("g")
 K_XY = KernelSymbol("K", (("x1", False), ("y2", False)))
@@ -225,6 +226,30 @@ class TestSubstitution:
         poly = Coefficient.eps() + Coefficient.hbar()
         assert poly.substitute({"eps": ZERO, "hbar": ONE}) \
             == Coefficient.eps() + ONE
+
+    @given(coefficients(), st.dictionaries(
+        st.sampled_from(["eps", "hbar", "s1", "s2"] + [sym.render() for sym in KERNEL_POOL]),
+        st.one_of(rationals, coefficients()), max_size=4))
+    def test_substitute_matches_the_fold(self, coeff, assignments):
+        assert coeff.substitute(assignments) == reference_substitute(coeff, assignments)
+
+    def test_substitute_builds_once(self, monkeypatch):
+        # 720 terms, each with hbar and a kernel set to rationals or coefficients
+        coeff = Coefficient.build(
+            (Monomial(eps_half=2 * (k % 5), hbar=k % 7 + 1, s=((k % 2 + 1, 1),),
+                      kernels=((G, k % 3 + 1), (K_XY, 1))), k) for k in range(1, 721))
+        assignments = {"hbar": 1, "g": Coefficient.eps() + ONE, "s2": Fraction(1, 2)}
+        want = reference_substitute(coeff, assignments)
+        calls = []
+        build = Coefficient.build
+
+        def counting(entries):
+            calls.append(1)
+            return build(entries)
+
+        monkeypatch.setattr(Coefficient, "build", staticmethod(counting))
+        assert coeff.substitute(assignments) == want
+        assert len(calls) == 1
 
 
 class TestValidation:

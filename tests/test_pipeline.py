@@ -15,9 +15,9 @@ from multitrace import (KERNEL, MATRIX, ONE, Coefficient, Generator, KernelSymbo
                         legs_of, make_generator, nested_commutator_sym, parse_series, product,
                         product_chain, render_series, result_generator, series_to_json,
                         transport)
-from multitrace.algebra import output_generators, scheme_coefficient
+from multitrace.algebra import output_generator, scheme_coefficient
 from multitrace.cli import main
-from multitrace.ribbon import census, map_of
+from multitrace.ribbon import census, map_of, rank_table
 
 from helpers import (MODES, coefficients, generators, harer_zagier, named, product_scheme_count,
                      reference_connected_product, reference_genus_table, reference_pairings,
@@ -65,31 +65,36 @@ def canonical(series):
 
 @st.composite
 def signed_inputs(draw, mode, prefix, max_legs):
-    """A multi-term input that can cancel: a drawn term, the same slots in other
-    traces with the opposite coefficient times 1, eps or hbar (so outputs of the
-    two jobs can meet), and maybe one more drawn term."""
-    gen = draw(generators(mode, prefix, max_legs))
-    slots = [slot for trace in gen.traces for slot in trace.slots]
-    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(slots) - 1)), max_size=2)))
-    words = [slots[i:j] for i, j in zip([0] + cuts, cuts + [len(slots)]) if slots[i:j]]
-    other = make_generator(words, mode)
+    """A multi-term input whose jobs meet and can cancel: a drawn term of two or
+    more slots; the same slots, reordered and cut into other traces, once or
+    twice, each with the opposite coefficient times 1, eps, hbar or 1 + eps (so
+    outputs of three or more jobs meet, with multi-term scales); and maybe one
+    more drawn term."""
+    gen = draw(generators(mode, prefix, max_legs).filter(lambda g: g.size >= 2))
     coeff = draw(coefficients().filter(bool))
-    factor = draw(st.sampled_from([ONE, Coefficient.eps(), Coefficient.hbar()]))
-    terms = [(gen, coeff), (other, -(coeff * factor))]
+    terms = [(gen, coeff)]
+    for _ in range(draw(st.integers(1, 2))):
+        slots = draw(st.permutations([slot for trace in gen.traces for slot in trace.slots]))
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(slots) - 1)), max_size=2)))
+        words = [slots[i:j] for i, j in zip([0] + cuts, cuts + [len(slots)]) if slots[i:j]]
+        factor = draw(st.sampled_from([ONE, Coefficient.eps(), Coefficient.hbar(),
+                                       ONE + Coefficient.eps()]))
+        terms.append((make_generator(words, mode), -(coeff * factor)))
     if draw(st.booleans()):
         terms.append((draw(generators(mode, prefix, max_legs)), draw(coefficients())))
     return Series.build(mode, terms)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), mode=st.sampled_from(MODES), negate=st.booleans())
-def test_the_loop_output_is_canonical_and_drops_cancelled_terms(data, mode, negate):
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), cap=st.sampled_from(CAPS),
+       negate=st.booleans())
+def test_the_loop_output_is_canonical_and_drops_cancelled_terms(data, mode, cap, negate):
     a = data.draw(signed_inputs(mode, "x", 4))
     b = data.draw(signed_inputs(mode, "y", 3))
-    out = product(a, b)
-    assert canonical(out) and same(out, reference_product(a, b))
-    moved = transport(a, negate=negate)
-    assert canonical(moved) and same(moved, reference_transport(a, "F", negate))
+    out = product(a, b, max_eps_degree=cap)
+    assert canonical(out) and same(out, reference_product(a, b, cap))
+    moved = transport(a, negate=negate, max_eps_degree=cap)
+    assert canonical(moved) and same(moved, reference_transport(a, "F", negate, cap))
 
 
 @pytest.mark.parametrize("mode", [MATRIX, KERNEL])
@@ -101,6 +106,21 @@ def test_one_pair_terms_of_two_jobs_cancel(mode):
     out = product(a, b)
     assert render_series(out) == "1*W{Tr[x1 x2] Tr[y1]} - eps*W{Tr[x1] Tr[x2] Tr[y1]}"
     assert canonical(out) and same(out, reference_product(a, b))
+
+
+@pytest.mark.parametrize("mode", [MATRIX, KERNEL])
+@pytest.mark.parametrize("text, want", [
+    # the W{} terms of the two jobs cancel in their output term
+    ("eps*W{Tr[x1 x2]} - W{Tr[x1] Tr[x2]}", "-1*W{Tr[x1] Tr[x2]} + eps*W{Tr[x1 x2]}"),
+    # a trace and its mirror: every scheme's key of one job meets the same key
+    # of the other with the opposite sum, so the eps^-1 keys' sums are zero
+    ("W{Tr[x1 x2 x3 x4]} - W{Tr[x1 x4 x3 x2]}", "1*W{Tr[x1 x2 x3 x4]} - 1*W{Tr[x1 x4 x3 x2]}")])
+def test_cancelled_transport_terms_keep_their_flag(mode, text, want):
+    # the flag still reports the eps^-1 schemes
+    src = parse_series(text, mode)
+    out = transport(src)
+    assert render_series(out) == want and out.flags == {"negative-eps"}
+    assert canonical(out) and same(out, reference_transport(src))
 
 
 def test_kernel_transport_pairs_name_their_kernels_by_label():
@@ -197,9 +217,11 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     symbol = ("g" if mode.kind == "matrix" else "K") if product_mode else "F"
-    gens, pair_map = (ga, gb), map_of(ga, gb)
-    slots = pair_map.by_rank
-    output = output_generators(pair_map, ga, gb)
+    # the rank table of a call also holds the slots of its other jobs
+    other = data.draw(generators(mode, data.draw(st.sampled_from("xyz")), 4))
+    gens = (ga, gb)
+    pair_map = map_of(ga, gb, rank_table([g for g in (ga, gb, other) if g is not None]))
+    slots, words = pair_map.by_rank, {}
     # a pair kernel is the job's symbol, bare or on the pair's two slots in key order
     name = KernelSymbol(symbol) if mode.kind == "matrix" else lambda u, v: (KernelSymbol(
         symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))), 1)
@@ -211,7 +233,7 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
         if key is None:
             continue
         # the values built from the key as it is, against the public constructors
-        built = output(key[0])
+        built = output_generator(key[0], slots, words)
         public = Generator(tuple(TraceWord(tuple(slots[r] for r in word)) for word in key[0]))
         assert built == public == result_generator(report) and hash(built) == hash(public)
         assert built.traces == public.traces and built.key() == public.key()
@@ -252,10 +274,18 @@ def traced(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, legs, keys, monomials, outputs", [
-    (MATRIX, 6, 5122, 19, 4634), (KERNEL, 5, 1546, 1546, 727)])
+    (MATRIX, 6, 5122, 19, 4634), (KERNEL, 5, 1546, 1546, 727), (MATRIX, (5, 1), 2107, 3, 1847)])
 def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomials, outputs):
     # matrix mode collapses 13,327 schemes to 5,122 keys, which share 19
-    # monomials; in kernel mode the sorted pairs tell every scheme apart
+    # monomials; in kernel mode the sorted pairs tell every scheme apart.
+    # Legs (5, 1): the 727-term (5)x(5) output times W{Tr[z1]}, one job per
+    # term; the jobs share one rank table, so their 4,037 keys meet on 2,107,
+    # and each output term's generator is built once for the call
+    if isinstance(legs, int):
+        a, b = series_of((legs,), "x", mode), series_of((legs,), "y", mode)
+    else:
+        a = product(series_of((legs[0],), "x", mode), series_of((legs[0],), "y", mode))
+        b = series_of((legs[1],), "z", mode)
     inner_generator = Generator._canonical
     generators_built = []
 
@@ -265,12 +295,13 @@ def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomia
 
     monkeypatch.setattr(Generator, "_canonical", classmethod(counted_generator))
     built, stats, drawn = traced(monkeypatch)
-    product(series_of((legs,), "x", mode), series_of((legs,), "y", mode))
-    (_, _, census_keys), = drawn
-    assert len(set(census_keys) - {None}) == keys
+    out = product(a, b)
+    assert len(drawn) == len(a.terms) * len(b.terms)
+    assert len({key for _, _, items in drawn for key in items} - {None}) == keys
     assert len(built) == len({key[1:] for key in built}) == monomials
-    assert len(generators_built) == len(set(generators_built)) == outputs
-    assert [s.yielded for s in stats] == [product_scheme_count(legs, legs)]
+    assert len(generators_built) == len(set(generators_built)) == len(out.terms) == outputs
+    assert sum(s.yielded for s in stats) == sum(
+        product_scheme_count(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms)
 
 
 def test_the_loop_draws_every_scheme_the_tracer_counts(monkeypatch):
