@@ -15,11 +15,11 @@ separately.  A call ranks the distinct slots of all its input
 generators once (``ribbon.rank_table``, in ``Slot.key`` order).  Per
 generator pair (a job), the pair's map is built on that table
 (``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the schemes
-on it, carrying each scheme's census state along its walk, and yields
-each scheme's integer key (``None`` for weight zero); the schemes are
-counted per key.  A key is its output words and its monomial part (eps
-half-units, block ratios, kernels).  All jobs share the table, so equal
-keys of different jobs name the same term.
+on its leg numbers, carrying each scheme's census state along its walk,
+and yields each scheme's integer key (``None`` for weight zero); the
+schemes are counted per key.  A key is its output words and its
+monomial part (eps half-units, block ratios, kernels).  All jobs share
+the table, so equal keys of different jobs name the same term.
 
 How a key becomes a term: each job's key counts, times the rationals of
 each pair of its scale terms (one from each factor's coefficient), are
@@ -125,35 +125,37 @@ def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
     Every pair kernel is named ``symbol``: bare in matrix mode, and in
     kernel mode applied to the pair's two slots in the order of its
     census key (side A first in a product, the least rank first in a
-    transport).  A kernel-mode kernel names its slots by label, so a job
-    whose generators repeat a label is refused; with distinct labels,
-    rank order is label order.
+    transport).  A kernel-mode kernel names its slots by label, so an
+    input generator that repeats a label is refused, before any job runs
+    (``product`` refuses a label shared by its two factors); with
+    distinct labels, rank order is label order.
 
     All jobs' maps share one rank table, and their key counts are summed
     over the call, per pair of scale monomials, before any term is built
     (see the module docstring).  Jobs of a multi-term input can cancel,
     so zero sums are dropped.
     """
-    table = rank_table(gen for terms in (terms_a, terms_b or ()) for gen, _ in terms)
+    gens = dict.fromkeys(gen for terms in (terms_a, terms_b or ()) for gen, _ in terms)
+    table = rank_table(gens)
     sides_b = [(None, [(Monomial(), 1)])] if terms_b is None else [
         (gen_b, _rationals(cb)) for gen_b, cb in terms_b]
+    if mode.kind == "kernel" and terms_a and sides_b:   # once per generator of some job
+        for gen in gens:
+            labels = gen.labels()
+            if len(set(labels)) < len(labels):
+                repeated = next(label for label in labels if labels.count(label) > 1)
+                raise AlgebraError(f"slot label {repeated!r} repeats in {gen.render()}: "
+                                   "kernel-mode pair kernels need distinct labels")
     # (scale monomial of side A, of side B) -> {census key: count times rationals}
     sums: dict[tuple[Monomial, Monomial], dict[tuple, RationalLike]] = {}
     for gen_a, ca in terms_a:
         scales_a = _rationals(ca)
         for gen_b, scales_b in sides_b:
             pair_map = map_of(gen_a, gen_b, table)
-            labels = [slot.label for slot in pair_map.slots] if mode.kind == "kernel" else []
-            if len(set(labels)) < len(labels):
-                repeated = next(label for label in labels if labels.count(label) > 1)
-                raise AlgebraError(
-                    f"slot label {repeated!r} repeats in "
-                    f"{' and '.join(g.render() for g in (gen_a, gen_b) if g is not None)}: "
-                    "kernel-mode pair kernels need distinct labels")
-            legs, heads = pair_map.legs, gen_a.size
+            heads, n = pair_map.heads, len(pair_map.sigma)
             stats = EnumerationStats()
             counts = Counter(filter(None, enumerate_pairings(
-                legs[:heads], None if gen_b is None else legs[heads:], pair_map=pair_map,
+                range(heads), None if gen_b is None else range(heads, n), pair_map=pair_map,
                 mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
             if stats.pruned_branches:
                 flags.add("truncated")

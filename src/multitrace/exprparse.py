@@ -429,13 +429,19 @@ def _mono_to_obj(mono: Monomial, q: Fraction) -> dict:
     }
 
 
+def _typed(value, kind: type):
+    if type(value) is not kind:   # exactly: a JSON boolean is no integer
+        raise ValueError(f"malformed series document: {value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 def _mono_from_obj(obj: dict) -> tuple[Monomial, Fraction]:
     kernels = tuple(
-        (KernelSymbol(k["name"], tuple((label, bool(conj)) for label, conj in k["args"])),
-         int(k["pow"]))
+        (KernelSymbol(k["name"], tuple((label, _typed(conj, bool)) for label, conj in k["args"])),
+         _typed(k["pow"], int))
         for k in obj["kernels"])
-    mono = Monomial(eps_half=int(obj["eps_half"]), hbar=int(obj["hbar"]),
-                    s=tuple((int(c), int(p)) for c, p in obj["s"]),
+    mono = Monomial(eps_half=_typed(obj["eps_half"], int), hbar=_typed(obj["hbar"], int),
+                    s=tuple((_typed(c, int), _typed(p, int)) for c, p in obj["s"]),
                     kernels=kernels)
     return mono, Fraction(obj["rational"])
 
@@ -469,14 +475,15 @@ def series_from_json(text: str) -> Series:
     if version != JSON_VERSION:
         raise ValueError(f"unsupported series format version {version!r}")
     try:
-        mode = Mode(doc["mode"]["kind"], int(doc["mode"]["colors"]))
+        mode = Mode(doc["mode"]["kind"], _typed(doc["mode"]["colors"], int))
         entries = []
         for term in doc["terms"]:
-            gen = make_generator([[Slot(s["label"], bool(s["conjugated"]),
-                                        None if s["color"] is None else int(s["color"]))
+            gen = make_generator([[Slot(s["label"], _typed(s["conjugated"], bool),
+                                        None if s["color"] is None else _typed(s["color"], int))
                                    for s in trace] for trace in term["generator"]], mode)
             coeff = Coefficient.build(_mono_from_obj(obj) for obj in term["coeff"])
             entries.append((gen, coeff))
-        return Series.build(mode, entries, doc.get("flags", ()))
+        flags = _typed(doc.get("flags", []), list)
+        return Series.build(mode, entries, [_typed(flag, str) for flag in flags])
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed series document: {exc!r}") from exc

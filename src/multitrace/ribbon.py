@@ -9,10 +9,11 @@ Encoding.  ``PairMap`` numbers the legs of one generator pair 0..n-1,
 trace by trace, and keeps integer arrays: ``sigma[i]`` is the leg in
 the next slot of leg i's trace, ``vertex[i]`` the trace (vertex) that
 holds it, and ``first_mate[i]`` the pairing rule: leg i may pair with a
-leg j > i exactly when ``j >= first_mate[i]``.  In a product the legs
-of side A come first and ``first_mate`` is the first side-B leg for a
-side-A leg and n for a side-B leg; in a transport it is ``i + 1``.  The
-array never decreases.  A scheme is the involution ``alpha`` that swaps
+leg j > i exactly when ``j >= first_mate[i]``.  In a product the
+``heads`` legs of side A come first and ``first_mate`` is the first
+side-B leg for a side-A leg and n for a side-B leg; in a transport it
+is ``i + 1``.  The array never decreases.  The leg number is a leg's
+only name in the scheme loop.  A scheme is the involution ``alpha`` that swaps
 the two legs of every pair and fixes an uncontracted leg.  The faces
 are the cycles of the face permutation ``sigma . alpha`` over all legs,
 the standard permutation encoding of ribbon graphs ('t Hooft 1974;
@@ -36,10 +37,11 @@ alpha)[leg]``.  An uncontracted leg is a surviving current, a
 contracted one hands the strand to its partner, and corners carry the
 projector colors of a colored model.  Each output trace's rank word is
 built during the walk, and faces are counted per component.
-``analyze`` is the entry for hand-built ``LegId`` pairings: it refuses
-an unknown, reused or self-paired leg and a pair that ``first_mate``
-forbids (a same-side product pair), numbers the pairing on the map and
-calls ``census``.  The loops are
+``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
+hand-built pairing: it refuses an unknown, reused or self-paired leg
+and a pair that ``first_mate`` forbids (a same-side product pair),
+numbers the pairing, calls ``census`` and returns the full
+``LoopReport``, its current loops named as ``LegId``s.  The loops are
 
 * degenerate: one per trace with no contracted leg (``d_count``, not
   counted as a face),
@@ -55,11 +57,7 @@ the sorted rank pairs of its pairs in kernel mode, each a (side A, side
 B) pair in a product and a (least, greatest) pair in a transport, whose
 kernels are symmetric).  The product loop (``algebra.scheme_series``)
 builds the maps of all its generator pairs on one rank table, so equal
-keys of different pairs name the same term.  It counts schemes per key,
-sums the counts of all pairs per key, and then builds each output
-generator once per distinct words and each monomial once per distinct
-rest of the key.
-``analyze`` runs the same walk and returns the full ``LoopReport``.
+keys of different pairs name the same term, and sums them over the call.
 
 The eps exponent is the normalization mismatch minus the pure-loop
 count, ``P - I`` (pairs minus pure loops).  Every scheme is checked
@@ -98,15 +96,13 @@ class LegId(NamedTuple):
     slot: int
 
 
-Pair = tuple[LegId, LegId]
-Pairing = tuple[Pair, ...]
+Pairing = tuple[tuple[LegId, LegId], ...]
 # a scheme as the enumerator yields it: leg-number pairs (head, mate)
 Scheme = tuple[tuple[int, int], ...]
 
 
 def legs_of(gen: Generator, side: int = 0) -> list[LegId]:
-    return [LegId(side, t, s)
-            for t, trace in enumerate(gen.traces)
+    return [LegId(side, t, s) for t, trace in enumerate(gen.traces)
             for s in range(len(trace.slots))]
 
 
@@ -134,15 +130,15 @@ def rank_table(gens: Iterable[Generator]) -> RankTable:
 
 
 class PairMap(NamedTuple):
-    """The map of one generator pair: the legs of ``gen_a`` (side 0) and
-    then of ``gen_b`` (side 1), numbered trace by trace; ``sigma``,
-    ``vertex`` and the pairing rule ``first_mate`` (see the module
-    docstring); the slot of each leg, each leg's slot rank, the distinct
-    slots in rank (``Slot.key``) order, the ranks of each vertex's slots,
-    and whether the map is a product's.
+    """The map of one generator pair: the legs of ``gen_a`` and then of
+    ``gen_b``, numbered trace by trace, the first ``heads`` of them
+    ``gen_a``'s; ``sigma``, ``vertex`` and the pairing rule
+    ``first_mate`` (see the module docstring); the slot of each leg, each
+    leg's slot rank, the distinct slots in rank (``Slot.key``) order, the
+    ranks of each vertex's slots, and whether the map is a product's.
     """
 
-    legs: tuple[LegId, ...]
+    heads: int
     sigma: list[int]
     vertex: list[int]
     first_mate: list[int]
@@ -163,19 +159,18 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
     same output words and kernel slots with the same integers.
     """
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
-    legs = tuple(leg for side, gen in enumerate(gens) for leg in legs_of(gen, side))
     traces = [trace for gen in gens for trace in gen.traces]
     sigma, vertex = [], []
     for v, trace in enumerate(traces):
         start, length = len(sigma), len(trace.slots)
         sigma += [start + (s + 1) % length for s in range(length)]
         vertex += [v] * length
-    n, heads = len(legs), gen_a.size
+    n, heads = len(sigma), gen_a.size
     first_mate = (list(range(1, n + 1)) if gen_b is None
                   else [heads] * heads + [n] * (n - heads))
     slots = [slot for trace in traces for slot in trace.slots]
     by_rank, rank = table or rank_table(gens)
-    return PairMap(legs, sigma, vertex, first_mate, slots, [rank[slot] for slot in slots],
+    return PairMap(heads, sigma, vertex, first_mate, slots, [rank[slot] for slot in slots],
                    by_rank, [tuple(rank[slot] for slot in trace.slots) for trace in traces],
                    gen_b is not None)
 
@@ -246,22 +241,18 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
     return bound
 
 
-def enumerate_pairings(legs_a: Sequence[LegId],
-                       legs_b: Sequence[LegId] | None = None,
-                       *,
-                       pair_map: PairMap,
-                       mode: Mode,
-                       max_eps_degree: int | None = None,
+def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: PairMap,
+                       mode: Mode, max_eps_degree: int | None = None,
                        stats: EnumerationStats | None = None) -> Iterator[tuple | None]:
     """Yield the census key of every admissible scheme exactly once, the
     empty scheme first, or ``None`` for a scheme of weight zero.
 
-    ``legs_a`` and ``legs_b`` must be the legs of ``pair_map``, in order:
-    with ``legs_b`` given, of its two sides (a product map), and without
-    it, of its one generator (a transport map).  Legs pair as
-    ``pair_map.first_mate`` allows.  Order is deterministic: each head leg
-    (every leg of ``legs_a``), in order, first stays uncontracted and then
-    pairs with each free leg from its ``first_mate`` on, in turn.
+    ``legs_a`` and ``legs_b`` must be the leg numbers of the map's sides:
+    ``range(heads)`` and ``range(heads, n)`` on a product map, ``range(n)``
+    and ``None`` on a transport map.  Legs pair as ``first_mate`` allows.
+    Order is deterministic: each head leg (every leg of ``legs_a``), in
+    order, first stays uncontracted and then pairs with each free leg
+    from its ``first_mate`` on, in turn.
 
     The depth-first walk (a loop over the path of heads, not recursion)
     carries the census state of the scheme it is building: ``alpha``, the
@@ -282,13 +273,10 @@ def enumerate_pairings(legs_a: Sequence[LegId],
     """
     if stats is None:
         stats = EnumerationStats()
-    heads = len(legs_a)  # legs 0..heads-1 take turns as the head of a pair
-    legs = tuple(legs_a) + tuple(legs_b or ())
-    if legs != pair_map.legs or (legs_b is not None) != pair_map.product or (
-            legs_b is not None and [leg.side for leg in legs] != [0] * heads + [1] * len(legs_b)):
+    heads, n = pair_map.heads, len(pair_map.sigma)   # legs 0..heads-1 take turns as heads
+    if legs_a != range(heads) or legs_b != (range(heads, n) if pair_map.product else None):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
     sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
-    n = len(sigma)
     alpha = list(range(n))
     nxt = sigma.copy()
     degree = [0] * len(pair_map.vertex_ranks)
@@ -388,10 +376,13 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
     The pairing is checked (every leg a leg of the generators, used once,
     never paired with itself, and each pair one that the map's
     ``first_mate`` allows: across the two factors of a product), numbered
-    on the map of the generators and handed to ``census``.
+    as on the map (the legs of ``gen_a``, side 0, then of ``gen_b``, side
+    1) and handed to ``census``; the report's current loops are named as
+    ``LegId``s again.
     """
     pair_map = map_of(gen_a, gen_b)
-    index = {leg: i for i, leg in enumerate(pair_map.legs)}
+    legs = legs_of(gen_a) + ([] if gen_b is None else legs_of(gen_b, 1))
+    index = {leg: i for i, leg in enumerate(legs)}
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     for u, v in pairing:
@@ -408,6 +399,7 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
         pairs.append((i, j))
     report: dict = {}
     census(pairs, pair_map, mode, report)
+    report["current_loops"] = tuple(tuple(legs[c] for c in cur) for cur in report["current_loops"])
     return LoopReport(pairs=tuple(pairing), **report)
 
 
@@ -422,7 +414,8 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
     its walk (``alpha``, ``sigma . alpha``, the vertex degrees and the
     component labels) and hands it to the same leaf reduction, so the
     Euler and half-unit checks run here too.  ``report``, when a dict,
-    also gets the other fields of the scheme's ``LoopReport``.
+    also gets the other fields of the scheme's ``LoopReport``, its
+    current loops as leg numbers.
     """
     sigma, vertex = pair_map.sigma, pair_map.vertex
     alpha = list(range(len(sigma)))
@@ -451,7 +444,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
     of contracted legs and ``comp`` each vertex's component label, where
     a component's label is one of its vertices.
     """
-    legs, _, vertex, _, slots, ranks, by_rank, vertex_ranks, product = pair_map
+    _, _, vertex, _, slots, ranks, by_rank, vertex_ranks, product = pair_map
     n, vertex_count = len(alpha), len(degree)
 
     # Face walk over the legs of contracted vertices, one step leg ->
@@ -546,7 +539,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
         currents = [[c for c in corners if alpha[c] == c] for corners in loops]
         report.update(d_count=len(isolated), pure_loop_count=pure_count,
                       current_loop_count=current_count,
-                      current_loops=tuple(tuple(legs[c] for c in cur) for cur in currents),
+                      current_loops=tuple(map(tuple, currents)),
                       loop_colors=tuple(loop_colors), components=tuple(components),
                       exponent_half_units=half_units, s_exponents=s_exponents,
                       weight_zero=zero_reason is not None, zero_reason=zero_reason,

@@ -74,6 +74,12 @@ def test_kernel_mode_refuses_a_generator_that_repeats_a_label():
         transport(Series.of(make_generator(twice, KERNEL), KERNEL))
     with pytest.raises(AlgebraError, match="'x1' repeats in W"):
         product(Series.of(make_generator(twice, KERNEL), KERNEL), series_of((1,), "y", KERNEL))
+    # each generator of some job is checked once, and the refusal names it
+    bad = Series.of(make_generator(twice, KERNEL), KERNEL) + series_of((1,), "z", KERNEL)
+    with pytest.raises(AlgebraError, match=r"repeats in W\{Tr\[x1 ~x1\]\}: kernel-mode"):
+        product(series_of((1,), "y", KERNEL), bad)
+    zero = Series.build(KERNEL, [], frozenset())   # no job, so nothing to refuse
+    assert not product(zero, bad).terms and not product(bad, zero).terms
     # a matrix-mode kernel names no slot
     assert transport(Series.of(make_generator(twice, MATRIX), MATRIX))
 

@@ -307,10 +307,30 @@ def test_json_rejects_unknown_versions():
         series_from_json(json.dumps(doc))
 
 
-def _json_doc(colors=0, slot=None, coeff=()):
+def _json_doc(colors=0, slot=None, coeff=(), flags=()):
     slot = {"label": "x1", "conjugated": False, "color": None} if slot is None else slot
+    flags = list(flags) if isinstance(flags, tuple) else flags
     return json.dumps({"version": "1", "mode": {"kind": "matrix", "colors": colors},
-                       "flags": [], "terms": [{"coeff": list(coeff), "generator": [[slot]]}]})
+                       "flags": flags, "terms": [{"coeff": list(coeff), "generator": [[slot]]}]})
+
+
+_COLORED_SLOT = {"label": "x1", "conjugated": True, "color": 1}
+
+
+def _json_mono(**fields):
+    return {"rational": "1", "eps_half": 0, "hbar": 0, "s": [], "kernels": [], **fields}
+
+
+def _json_kernel(conjugated=False, power=1):
+    return [{"name": "K", "args": [["x1", conjugated], ["y1", False]], "pow": power}]
+
+
+def test_json_documents_of_these_fields_decode():
+    # the rows below each break one field of a document that decodes
+    for text in (_json_doc(flags=("truncated",), coeff=[_json_mono(eps_half=2, hbar=1)]),
+                 _json_doc(coeff=[_json_mono(kernels=_json_kernel(True, 2))]),
+                 _json_doc(colors=1, slot=_COLORED_SLOT, coeff=[_json_mono(s=[[1, 2]])])):
+        assert series_from_json(text).terms
 
 
 @pytest.mark.parametrize("text", [
@@ -319,8 +339,24 @@ def _json_doc(colors=0, slot=None, coeff=()):
     _json_doc(slot={"label": "x1", "conjugated": False}),
     _json_doc(colors=0, slot={"label": "x1", "conjugated": False, "color": 2}),
     _json_doc(coeff=[{"rational": "1/0", "eps_half": 0, "hbar": 0, "s": [], "kernels": []}]),
+    _json_doc(flags="truncated"),
+    _json_doc(flags=["truncated", 1]),
+    _json_doc(slot={"label": "x1", "conjugated": "false", "color": None}),
+    _json_doc(slot={"label": "x1", "conjugated": 0, "color": None}),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(conjugated="true"))]),
+    _json_doc(coeff=[_json_mono(eps_half=2.5)]),
+    _json_doc(coeff=[_json_mono(hbar="1")]),
+    _json_doc(coeff=[_json_mono(hbar=True)]),
+    _json_doc(colors=1, slot=_COLORED_SLOT, coeff=[_json_mono(s=[[1, 2.0]])]),
+    _json_doc(colors=1, slot=_COLORED_SLOT, coeff=[_json_mono(s=[[True, 2]])]),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(power="1"))]),
+    _json_doc(colors="1", slot=_COLORED_SLOT),
+    _json_doc(colors=1, slot={"label": "x1", "conjugated": False, "color": True}),
 ], ids=["not-an-object", "no-mode", "slot-without-color", "color-outside-the-mode",
-        "zero-denominator"])
+        "zero-denominator", "flags-a-string", "flag-not-a-string", "conjugated-a-string",
+        "conjugated-an-int", "kernel-conjugated-a-string", "eps-half-a-float", "hbar-a-string",
+        "hbar-a-bool", "block-power-a-float", "block-color-a-bool", "kernel-power-a-string",
+        "colors-a-string", "slot-color-a-bool"])
 def test_json_rejects_malformed_documents(text):
     with pytest.raises(ValueError):
         series_from_json(text)

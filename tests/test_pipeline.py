@@ -320,6 +320,21 @@ def test_the_loop_draws_every_scheme_the_tracer_counts(monkeypatch):
     (legs_a, legs_b, items), = drawn
     assert (legs_a, legs_b) == (7, None)
     assert len(items) == transport_scheme_count(7)
+    # many jobs: one record per job, in job order, holding the job's leg counts
+    a = parse_series("W{Tr[x1 x2 x3]} + eps*W{Tr[x1] Tr[x2]} + 2*W{Tr[x4]}", MATRIX)
+    b = parse_series("W{Tr[y1 y2]} - hbar*W{Tr[y1] Tr[y2 y3]}", MATRIX)
+    assert (len(a.terms), len(b.terms)) == (3, 2)
+    _, _, drawn = traced(monkeypatch)
+    product(a, b)
+    jobs = [(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms]
+    assert [(legs_a, legs_b) for legs_a, legs_b, _ in drawn] == jobs
+    assert [len(items) for _, _, items in drawn] == [product_scheme_count(*job) for job in jobs]
+    _, _, drawn = traced(monkeypatch)
+    transport(b)
+    assert [(legs_a, legs_b) for legs_a, legs_b, _ in drawn] == [
+        (gb.size, None) for gb, _ in b.terms]
+    assert [len(items) for _, _, items in drawn] == [
+        transport_scheme_count(gb.size) for gb, _ in b.terms]
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((2, 1), (3,)), ((1, 1), (2, 2)), ((4,), ())])

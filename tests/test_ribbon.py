@@ -28,10 +28,16 @@ from helpers import (MODES, generators, named, product_scheme_count, reference_a
                      transport_scheme_count)
 
 
+def leg_numbers(pair_map):
+    """The leg arguments ``enumerate_pairings`` takes for ``pair_map``."""
+    heads, n = pair_map.heads, len(pair_map.sigma)
+    return range(heads), range(heads, n) if pair_map.product else None
+
+
 def keys_of(ga, gb=None, mode=MATRIX, **options):
     """The census keys ``enumerate_pairings`` yields for one generator pair."""
-    legs_a, legs_b = legs_of(ga), None if gb is None else legs_of(gb, side=1)
-    return list(enumerate_pairings(legs_a, legs_b, pair_map=map_of(ga, gb), mode=mode,
+    pair_map = map_of(ga, gb)
+    return list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
                                    **options))
 
 
@@ -67,22 +73,25 @@ class TestEnumeration:
 
     def test_shared_legs_rejected(self):
         ga = shaped((2,))
-        legs = legs_of(ga)
+        legs = range(2)   # the side-A leg numbers of the map of ga and W{Tr[y1 y2]}
         with pytest.raises(RibbonError):
             list(enumerate_pairings(legs, legs, pair_map=map_of(ga, shaped((2,), prefix="y")),
                                     mode=MATRIX))
 
     def test_legs_must_be_those_of_the_map(self):
         ga, gb = shaped((2, 1)), shaped((2,), prefix="y")
-        a, b = legs_of(ga), legs_of(gb, side=1)
+        a, b = range(3), range(3, 5)   # the leg numbers of the map of ga and gb
         product_map, transport_map = map_of(ga, gb), map_of(ga)
+        assert (a, b) == leg_numbers(product_map) and (a, None) == leg_numbers(transport_map)
         for legs_a, legs_b, pair_map in [
                 (a[::-1], b, product_map),         # out of order
-                (a + b[:1], b[1:], product_map),   # a side-B leg taken as a head
-                (a[:2], a[2:] + b, product_map),   # a side-A leg taken as a mate
-                (a + b, None, product_map),        # transport pairs on a product map
+                (range(4), b[1:], product_map),    # a side-B leg taken as a head
+                (a[:2], range(2, 5), product_map),   # a side-A leg taken as a mate
+                (range(5), None, product_map),     # transport pairs on a product map
                 (a[:1], a[1:], transport_map),     # product pairs on a transport map
-                (a[:2], None, transport_map)]:     # a leg missing
+                (a[:2], None, transport_map),      # a leg missing
+                (list(a), list(b), product_map),   # the numbers, but not as ranges
+                (legs_of(ga), legs_of(gb, side=1), product_map)]:   # the LegIds
             with pytest.raises(RibbonError, match="legs of the pair map"):
                 next(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=MATRIX))
 
@@ -135,7 +144,7 @@ def test_enumerator_yields_the_census_of_each_reference_scheme_in_order(
     pair_map = map_of(ga, gb)
     for cap in (None, -2, -1, 0, 1, 2):
         got_stats, want_stats = EnumerationStats(), EnumerationStats()
-        got = list(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=mode,
+        got = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
                                       max_eps_degree=cap, stats=got_stats))
         want = [census(p, pair_map, mode) for p in reference_pairings(
             legs_a, legs_b, max_eps_degree=cap, stats=want_stats)]
@@ -219,7 +228,7 @@ def _path_bounds(pairing, pair_map, heads):
     edges = sorted(pairing)
     mates = {j for _, j in edges}
     bounds = []
-    sigma, n = pair_map.sigma, len(pair_map.legs)
+    sigma, n = pair_map.sigma, len(pair_map.sigma)
     for node in [k for k in range(heads) if k not in mates] + [n]:
         alpha = list(range(n))
         chosen = [(i, j) for i, j in edges if i < node]
@@ -241,7 +250,8 @@ def test_bound_is_monotone_and_reaches_the_exponent(data, mode, product_mode):
     for pairing in reference_pairings(legs_a, legs_b):
         bounds = _path_bounds(pairing, pair_map, len(legs_a))
         assert bounds == sorted(bounds)
-        assert bounds[-1] == analyze(named(pairing, pair_map.legs), ga, gb, mode).exponent
+        assert bounds[-1] == analyze(named(pairing, legs_a + (legs_b or [])), ga, gb,
+                                     mode).exponent
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,8 +264,10 @@ def test_first_mate_is_the_side_rule(data, mode, product_mode):
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     pair_map = map_of(ga, gb)
-    legs, first_mate = pair_map.legs, pair_map.first_mate
-    assert list(legs) == legs_of(ga) + (legs_of(gb, side=1) if product_mode else [])
+    legs = legs_of(ga) + (legs_of(gb, side=1) if product_mode else [])
+    first_mate = pair_map.first_mate
+    # leg number i on the map is legs[i]: side A's legs are its heads
+    assert (pair_map.heads, len(pair_map.sigma)) == (ga.size, len(legs))
     assert first_mate == sorted(first_mate)
     for i, j in ((i, j) for j in range(len(legs)) for i in range(j)):
         allowed = j >= first_mate[i]
@@ -420,8 +432,7 @@ def test_kernel_mode_reports_match_matrix_counts():
 
 def _split_first_trace(pair_map):
     """The first trace's legs each made a loop of their own, against its vertex."""
-    sigma = [i if (leg.side, leg.trace) == (0, 0) else j
-             for i, (leg, j) in enumerate(zip(pair_map.legs, pair_map.sigma))]
+    sigma = [i if v == 0 else j for i, (v, j) in enumerate(zip(pair_map.vertex, pair_map.sigma))]
     return pair_map._replace(sigma=sigma)
 
 
@@ -443,10 +454,9 @@ def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
     with pytest.raises(RibbonError, match=message):
         census(pairing(a, b), corrupt(pair_map), MATRIX)
     # the enumerator reduces its schemes through the same checks
-    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1)
-    list(enumerate_pairings(legs_a, legs_b, pair_map=pair_map, mode=MATRIX))
+    list(enumerate_pairings(range(2), range(2, 4), pair_map=pair_map, mode=MATRIX))
     with pytest.raises(RibbonError, match=message):
-        list(enumerate_pairings(legs_a, legs_b, pair_map=corrupt(pair_map), mode=MATRIX))
+        list(enumerate_pairings(range(2), range(2, 4), pair_map=corrupt(pair_map), mode=MATRIX))
 
 
 def test_census_reads_the_side_rule_from_the_map():
@@ -476,9 +486,8 @@ def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
                 alternating[k].append(census(p, map_of(ga, gb), mode))
     assert alternating == one_by_one
     # two enumerators drawn alternately keep their states apart
-    enumerators = [enumerate_pairings(legs_of(ga), None if gb is None else legs_of(gb, 1),
-                                      pair_map=pair_map, mode=mode)
-                   for (ga, gb), pair_map in zip(jobs, maps)]
+    enumerators = [enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode)
+                   for pair_map in maps]
     drawn, done = [[], []], object()
     for step in zip_longest(*enumerators, fillvalue=done):
         for k, key in enumerate(step):
