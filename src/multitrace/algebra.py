@@ -51,7 +51,7 @@ from collections import Counter
 from functools import cache, reduce
 from itertools import permutations
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coeffring import Coefficient, KernelSymbol, Monomial, ONE, RationalLike
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
@@ -368,24 +368,19 @@ def nested_commutator_sym(a_list: Sequence[Series], b: Series) -> tuple[Series, 
     return _combination(b.mode, conn), _combination(b.mode, plain)
 
 
-def restrict_colors(series: Series, face: Sequence[int],
-                    relabel: Mapping[int, int] | None = None) -> Series:
+def restrict_colors(series: Series, face: Sequence[int]) -> Series:
     """Restrict a colored series to a sub-simplex of colors.
 
     Block ratios of colors outside ``face`` are set to zero (their
     monomials drop), generators whose slots use an outside color drop,
-    and remaining colors are renamed by ``relabel`` (by default the
-    sorted face maps onto 1..len(face)).
+    and the sorted face's colors are renamed 1..len(face).
     """
     if not series.mode.colored:
         raise AlgebraError("restrict_colors needs a colored series")
     face_set = set(face)
     if not face_set or any(c < 1 or c > series.mode.colors for c in face_set):
         raise AlgebraError(f"face {sorted(face_set)} is not a subset of the colors")
-    if relabel is None:
-        relabel = {c: i + 1 for i, c in enumerate(sorted(face_set))}
-    if set(relabel) != face_set or sorted(relabel.values()) != list(range(1, len(face_set) + 1)):
-        raise AlgebraError("relabel must biject the face onto 1..len(face)")
+    relabel = {c: i + 1 for i, c in enumerate(sorted(face_set))}
     new_mode = Mode(series.mode.kind, len(face_set))
 
     out = []
@@ -414,11 +409,11 @@ def substitute_block_ratio(series: Series, color: int, value) -> Series:
     return series.map_coefficients(lambda c: c.substitute({f"s{color}": value}))
 
 
-def strip_colors(series: Series, target_kind: str | None = None) -> Series:
+def strip_colors(series: Series) -> Series:
     """Forget colors entirely (legal once a single color remains).
 
-    Maps every slot to its uncolored twin; any surviving block-ratio
-    symbol is an error, so substitute it away first.
+    Maps every slot to its uncolored twin in the same mode kind; any
+    surviving block-ratio symbol is an error, so substitute it away first.
     """
     for _, coeff in series.terms:
         for mono, _ in coeff.terms:
@@ -431,5 +426,4 @@ def strip_colors(series: Series, target_kind: str | None = None) -> Series:
             TraceWord(tuple(Slot(s.label, s.conjugated, None) for s in t.slots))
             for t in gen.traces))
         out.append((new_gen, coeff))
-    kind = target_kind or series.mode.kind
-    return Series.build(Mode(kind, 0), out, series.flags)
+    return Series.build(Mode(series.mode.kind, 0), out, series.flags)

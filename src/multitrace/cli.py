@@ -42,20 +42,19 @@ def _mode_from_args(args: argparse.Namespace) -> Mode:
     return Mode(args.mode, args.colors)
 
 
-def _parse_inputs(args: argparse.Namespace, *, disjoint: bool = False) -> list[Series]:
+def _parse_inputs(args: argparse.Namespace) -> list[Series]:
     mode = _mode_from_args(args)
     factors = [parse_series(text, mode) for text in args.series]
-    if disjoint and len(factors) > 1:
-        seen: dict[str, int] = {}
-        for i, factor in enumerate(factors):
-            labels = {label for gen, _ in factor.terms for label in gen.labels()}
-            for label in sorted(labels):
-                if label in seen:
-                    raise ParseError(
-                        f"slot label {label!r} appears in arguments "
-                        f"{seen[label] + 1} and {i + 1}; factors need "
-                        "disjoint labels so outputs stay unambiguous", 1, 1)
-                seen[label] = i
+    seen: dict[str, int] = {}
+    for i, factor in enumerate(factors):
+        labels = {label for gen, _ in factor.terms for label in gen.labels()}
+        for label in sorted(labels):
+            if label in seen:
+                raise ParseError(
+                    f"slot label {label!r} appears in arguments "
+                    f"{seen[label] + 1} and {i + 1}; factors need "
+                    "disjoint labels so outputs stay unambiguous", 1, 1)
+            seen[label] = i
     return factors
 
 
@@ -86,13 +85,13 @@ def _add_common(sub: argparse.ArgumentParser, *, count: str = "+",
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    factors = _parse_inputs(args, disjoint=True)
+    factors = _parse_inputs(args)
     _finish(product_chain(factors, max_eps_degree=args.max_eps), args)
     return 0
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    factors = _parse_inputs(args, disjoint=True)
+    factors = _parse_inputs(args)
     chain = product_chain(factors, max_eps_degree=args.max_eps)
     # the moment keeps the chain's flags: a cap may have dropped schemes
     _finish(Series.build(chain.mode, [(UNIT_GENERATOR, expectation(chain))], chain.flags),
@@ -101,13 +100,13 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 
 def _cmd_connected(args: argparse.Namespace) -> int:
-    factors = _parse_inputs(args, disjoint=True)
+    factors = _parse_inputs(args)
     _finish(connected_product(factors, max_eps_degree=args.max_eps), args)
     return 0
 
 
 def _cmd_commutator(args: argparse.Namespace) -> int:
-    a, b = _parse_inputs(args, disjoint=True)
+    a, b = _parse_inputs(args)
     result = poisson_bracket(a, b) if args.poisson else commutator(a, b)
     _finish(result, args)
     return 0
@@ -124,7 +123,7 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
 
 def _cmd_genus_table(args: argparse.Namespace) -> int:
-    a, b = _parse_inputs(args, disjoint=True)
+    a, b = _parse_inputs(args)
     mode = _mode_from_args(args)
     # a product of bare generators has one unit per scheme, so a degree's
     # rationals add up to its scheme count
@@ -180,16 +179,10 @@ class ManifestCheck:
 
 
 def _split_config(tokens: list[Token]) -> int:
-    """Index of the config separator '@' at bracket depth zero."""
-    depth = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind != "punct":
-            continue
-        if tok.text in "[{":
-            depth += 1
-        elif tok.text in "]}":
-            depth -= 1
-        elif tok.text == "@" and depth == 0:
+    """Index of the config separator: the last '@' that an identifier
+    follows (a slot's color mark is followed by a number)."""
+    for i in range(len(tokens) - 2, -1, -1):
+        if tokens[i].text == "@" and tokens[i + 1].kind == "ident":
             return i
     raise ParseError("missing '@ N=..., c=...' configuration",
                      tokens[-1].line, tokens[-1].column)
@@ -223,7 +216,7 @@ def _parse_config(parser: Parser) -> OracleConfig:
 
 
 def parse_manifest_line(line: str) -> ManifestCheck | None:
-    tokens = tokenize(line)
+    tokens = tokenize(line.rstrip("\r\n"))
     if tokens[0].kind == "end":
         return None
     split = _split_config(tokens)

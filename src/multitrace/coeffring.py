@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, Iterable, Mapping, Union
 
@@ -158,7 +159,7 @@ class Monomial(KeyedValue):
     """One multi-degree: eps half-units, hbar, block ratios, kernels.
 
     The ``s`` and ``kernels`` lists are kept sorted with merged powers,
-    and the key (``sort_key``) holds them as they are.
+    and the key (``key()``) holds them as they are.
     """
 
     eps_half: int = 0
@@ -191,9 +192,6 @@ class Monomial(KeyedValue):
             )
         return self.eps_half // 2
 
-    def sort_key(self):
-        return self._key
-
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, other: "Monomial") -> "Monomial":
@@ -203,11 +201,9 @@ class Monomial(KeyedValue):
                                    _merged_powers(self.s, other.s),
                                    _merged_powers(self.kernels, other.kernels))
 
-    def render(self) -> str:
-        return self.render_with(KernelSymbol.render)
-
     def render_with(self, kernel_text: Callable[[KernelSymbol], str]) -> str:
-        """``render``, with each kernel symbol's text from ``kernel_text``."""
+        """Text such as ``eps^2*hbar*s1*K(x1,y2)^2`` (empty for the unit),
+        with each kernel symbol's text from ``kernel_text``."""
         parts = []
         if self.eps_half:
             d = self.eps_degree  # raises on odd half-units
@@ -435,25 +431,11 @@ class Coefficient:
         return f"Coefficient<{self.render()}>"
 
 
-class Texts(dict):
-    """Value -> text, each distinct value rendered once by ``render``; one
-    lives for one rendering call."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render: Callable[[object], str]) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, value) -> str:
-        text = self[value] = self.render(value)
-        return text
-
-
-def monomial_texts() -> Texts:
-    """Texts of monomials, and within them of kernel symbols, for one call."""
-    kernels = Texts(KernelSymbol.render)
-    return Texts(lambda mono: mono.render_with(kernels.__getitem__))
+def monomial_texts() -> Callable[[Monomial], str]:
+    """Monomial -> text for one call: each distinct monomial, and each
+    distinct kernel symbol within them, is rendered once."""
+    kernel = cache(KernelSymbol.render)
+    return cache(lambda mono: mono.render_with(kernel))
 
 
 def render_term(body: str, q: RationalLike) -> str:
@@ -475,9 +457,10 @@ def render_sum(pieces: list[str]) -> str:
     return "-" + text[2:] if text[0] == "-" else text[2:]
 
 
-def render_terms(terms, texts: Texts) -> str:
-    """A coefficient's text from its terms, each monomial's text read from ``texts``."""
-    return render_sum([render_term(texts[mono], q) for mono, q in terms])
+def render_terms(terms, text: Callable[[Monomial], str]) -> str:
+    """A coefficient's text from its terms, each monomial's text from ``text``
+    (a ``monomial_texts()`` cache)."""
+    return render_sum([render_term(text(mono), q) for mono, q in terms])
 
 
 ZERO = Coefficient()

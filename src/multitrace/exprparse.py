@@ -32,11 +32,12 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, SlotRef,
-                        Texts, ZERO, monomial_texts, render_sum, render_term, render_terms)
+                        ZERO, monomial_texts, render_sum, render_term, render_terms)
 from .observables import (Generator, Mode, ObservableError, Series, Slot, TraceWord,
                           UNIT_GENERATOR, make_generator)
 
@@ -376,9 +377,9 @@ def render_series(series: Series) -> str:
     monomial's, since monomials sort by eps first), then larger
     generators first, so the unit lands last within a degree, then by
     generator key.  Each term is rendered once, in the series' own order,
-    with texts read from caches that live for this call: each distinct
-    monomial (and kernel symbol inside it) and each distinct trace word
-    is rendered once.  A monomial with an odd eps half-unit raises there,
+    with texts from ``functools.cache`` wrappers made for this call: each
+    distinct monomial (and kernel symbol inside it) and each distinct
+    trace word is rendered once.  A monomial with an odd eps half-unit raises there,
     at the first in the series' order.
 
     The text form needs distinct slot labels within each generator, so a
@@ -386,18 +387,18 @@ def render_series(series: Series) -> str:
     """
     if series.is_zero():
         return "0"
-    monomials, traces = monomial_texts(), Texts(TraceWord.render)
+    monomial, trace = monomial_texts(), cache(TraceWord.render)
     rows, repeats = [], []
     for gen, coeff in series.terms:
         terms = coeff.terms
         if len(terms) == 1:
             mono, q = terms[0]
-            piece = render_term(monomials[mono], q)
+            piece = render_term(monomial(mono), q)
         else:
-            piece = "+ (" + render_terms(terms, monomials) + ")"
+            piece = "+ (" + render_terms(terms, monomial) + ")"
         labels = gen.labels()
         key = (terms[0][0].eps_half >> 1 if terms else 0, -len(labels), gen._key)
-        rows.append((key, piece + "*" + gen.render_with(traces.__getitem__)))
+        rows.append((key, piece + "*" + gen.render_with(trace)))
         if len(set(labels)) != len(labels):
             repeats.append((key, gen, labels))
     if repeats:

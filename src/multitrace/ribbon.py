@@ -489,8 +489,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
                 s_exp[color] = s_exp.get(color, 0) + 1
             continue
         if len(word) > 1:   # a one-letter word is its own least rotation
-            low = min(word)
-            k = word.index(low) if word.count(low) == 1 else least_rotation(word)
+            k = least_rotation(word)
             if k:
                 word = word[k:] + word[:k]
         words.append(tuple(word))

@@ -67,6 +67,14 @@ def test_products_refuse_factors_that_share_a_label():
             call()
 
 
+def test_products_refuse_mixed_modes_and_empty_factor_lists():
+    with pytest.raises(AlgebraError, match="mode mismatch"):
+        product(series_of((1,)), series_of((1,), "y", KERNEL))
+    for call in (product_chain, connected_product):
+        with pytest.raises(AlgebraError, match="need at least one factor"):
+            call([])
+
+
 def test_kernel_mode_refuses_a_generator_that_repeats_a_label():
     # K(x1,y1) would name two different pairs of legs
     twice = [[Slot("x1"), Slot("x1", True)]]
@@ -335,14 +343,18 @@ def test_restrict_colors_to_a_face():
     assert other.coefficient(want_gen) == Coefficient.block_ratio(1)
 
 
+def test_restrict_colors_drops_block_ratios_outside_the_face():
+    # hbar*s2*g is zero once color 2 is gone; the unit generator stays
+    s = parse_series("hbar*s1*g*W{} + hbar*s2*g*W{}", COLORED)
+    assert restrict_colors(s, [1]) == parse_series("hbar*s1*g*W{}", Mode("matrix", 1))
+
+
 def test_restrict_colors_validation():
     s = colored_single("x1", 1)
     with pytest.raises(AlgebraError):
         restrict_colors(s, [])
     with pytest.raises(AlgebraError):
         restrict_colors(s, [3])
-    with pytest.raises(AlgebraError):
-        restrict_colors(s, [1], relabel={1: 2})
     with pytest.raises(AlgebraError):
         restrict_colors(series_of((1,)), [1])
 

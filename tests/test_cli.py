@@ -233,21 +233,41 @@ class TestVerify:
             "CHECK W{Tr[x1 x2 x3 x4 x5]} W{Tr[y1 y2 y3 y4 y5]} == 0 @ N=100, c=1",
             "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=1/0, c=1",
             "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2, c=1/0",
+            "CHECK W{Tr[x1]} W{Tr[y1] == 1 @ N=2, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2, c=1, q=3",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == hbar*g @ N=2, c=1 3",
+            "CHECK == 1 @ N=2, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == W{Tr[z1]} @ N=2, c=1",
+            "CHECK W{Tr[x1]} W{Tr[y1]} == 1 2 @ N=2, c=1",
         ]
         path = tmp_path / "ugly.txt"
-        path.write_text("".join(f"{line}\n{good}\n" for line in bad))
+        # the last line, a unit generator with no legs, passes
+        path.write_text("".join(f"{line}\n{good}\n" for line in bad)
+                        + "CHECK W{} == 1 @ N=2, c=1\n")
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
-        for number in (1, 3, 5, 7, 9, 11, 13):
+        for number in range(1, 2 * len(bad), 2):
             assert f"FAIL line {number}: " in out
             assert f"PASS line {number + 1}: " in out
+        lines = out.splitlines()
+        # a malformed generator is named where it is, not as a missing configuration
+        assert "FAIL line 1: line 1 column 12: expected 'ident', found '}'" in lines
+        assert "FAIL line 15: line 1 column 26: expected 'Tr', found '='" in lines
+        assert "FAIL line 17: line 1 column 51: unknown configuration key 'q'" in lines
+        assert "FAIL line 19: line 1 column 42: configuration needs at least N and c" in lines
+        assert "FAIL line 21: line 1 column 48: trailing configuration input" in lines
+        assert "FAIL line 23: line 1 column 7: CHECK needs at least one generator" in lines
+        assert "FAIL line 25: line 1 column 50: the claimed value must be scalar" in lines
+        assert "FAIL line 27: line 1 column 32: trailing input '2'" in lines
+        assert "PASS line 29: CHECK W{} == 1 @ N=2, c=1" in lines
         assert "FAIL line 3: block sizes (1, 1) do not sum" in out
         assert "FAIL line 5: 12 legs exceed the oracle cap" in out
         assert "FAIL line 7: no assignment for symbol 'K(x1,y1)'" in out
         assert "FAIL line 9: N=100 at 10 legs" in out
         assert "FAIL line 11: line 1 column 41: zero denominator in 1/0" in out
         assert "FAIL line 13: line 1 column 46: zero denominator in 1/0" in out
-        assert "7/14 checks passed" in out
+        assert "15/29 checks passed" in out
 
     def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))

@@ -128,6 +128,17 @@ class TestParseErrors:
                 parse_series(text, MATRIX)
             assert str(info.value) == f"line {line} column {column}: unexpected character {char!r}"
 
+    @pytest.mark.parametrize("text, mode, message", [
+        ("W{Tr[x1 x2]", MATRIX, "line 1 column 12: expected 'Tr', found 'end of input'"),
+        ("1 +", MATRIX, "line 1 column 4: expected a number, symbol, W{...} or parenthesis, "
+                        "found 'end of input'"),
+        ("_g*W{}", MATRIX, "line 1 column 1: bad kernel symbol name '_g'"),
+        ("W{Tr[x1@0]}", Mode("matrix", 2), "line 1 column 6: slot colors start at 1"),
+        ("W{Tr[x1@1/2]}", Mode("matrix", 2), "line 1 column 9: colors are integers"),
+    ])
+    def test_grammar_errors_name_their_position(self, text, mode, message):
+        assert self.err(text, mode) == message
+
     @pytest.mark.parametrize("text, column", [
         ("2^20000*W{Tr[x1]}", 1),
         ("eps + 2^99999999", 7),      # refused from the bit length, before any power
