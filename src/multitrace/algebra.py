@@ -14,12 +14,18 @@ that differ only by which equal-label leg they use still count
 separately.  A call ranks the distinct slots of all its input
 generators once (``ribbon.rank_table``, in ``Slot.key`` order).  Per
 generator pair (a job), the pair's map is built on that table
-(``ribbon.map_of``), and ``ribbon.enumerate_pairings`` walks the schemes
-on its leg numbers, carrying each scheme's census state along its walk,
-and yields each scheme's integer key (``None`` for weight zero); the
+(``ribbon.map_of``), and ``ribbon.enumerate_pairings`` yields each
+scheme's integer key (``None`` for weight zero) on its leg numbers; the
 schemes are counted per key.  A key is its output words and its
 monomial part (eps half-units, block ratios, kernels).  All jobs share
-the table, so equal keys of different jobs name the same term.
+the table, so equal keys of different jobs name the same term.  Without
+an eps cap, they also share one memo of survivor patterns: the matchings
+of each pattern (each trace's least-rotated word of contracted and
+surviving legs) are censused once for the call, on leg positions, and
+relabeled to slot ranks for each survivor set of each job; the 727 jobs
+of the ``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 51 times
+for their 4,037 schemes.  With a cap, each job walks its schemes depth
+first, cutting branches past the cap.
 
 How a key becomes a term: each job's key counts, times the rationals of
 each pair of its scale terms (one from each factor's coefficient), are
@@ -148,6 +154,7 @@ def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
                                    "kernel-mode pair kernels need distinct labels")
     # (scale monomial of side A, of side B) -> {census key: count times rationals}
     sums: dict[tuple[Monomial, Monomial], dict[tuple, RationalLike]] = {}
+    patterns: dict = {}   # the uncapped enumeration's census of each pattern, for the call
     for gen_a, ca in terms_a:
         scales_a = _rationals(ca)
         for gen_b, scales_b in sides_b:
@@ -156,7 +163,7 @@ def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
             stats = EnumerationStats()
             counts = Counter(filter(None, enumerate_pairings(
                 range(heads), None if gen_b is None else range(heads, n), pair_map=pair_map,
-                mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
+                mode=mode, max_eps_degree=max_eps_degree, stats=stats, patterns=patterns)))
             if stats.pruned_branches:
                 flags.add("truncated")
             for ma, ra in scales_a:

@@ -220,7 +220,7 @@ def parse_manifest_line(line: str) -> ManifestCheck | None:
     if tokens[0].kind == "end":
         return None
     split = _split_config(tokens)
-    end = tokens[-1]
+    end = tokens[split]._replace(kind="end", text="")   # claim errors point at the '@'
     config_parser = Parser(tokens[split + 1:], Mode("matrix"))
     cfg = _parse_config(config_parser)
     if not config_parser.done():

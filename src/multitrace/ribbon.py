@@ -25,18 +25,39 @@ of the pair, or of every generator of a call, in ``Slot.key`` order.
 
 The census state of a scheme is ``alpha``, the face permutation, each
 vertex's count of contracted legs and each vertex's component label.
-``enumerate_pairings`` keeps that state along its depth-first walk:
-pairing two legs sets two entries of ``alpha`` and two of the face
-permutation, raises two degrees and relabels a merged component, and
-backtracking undoes it.  At each leaf it yields the scheme's key.
-``census`` builds the same state from a list of leg-number pairs
-(hand-built or recorded pairings).  Both hand the state to one private
-leaf reduction, the only face walk, so every scheme passes the Euler
-and half-unit checks.  The walk takes one step ``leg -> (sigma .
+``census`` builds that state from a list of leg-number pairs
+(hand-built, recorded or enumerated pairings) and hands it to one
+private leaf reduction, the only face walk, so every scheme passes the
+Euler and half-unit checks.  The walk takes one step ``leg -> (sigma .
 alpha)[leg]``.  An uncontracted leg is a surviving current, a
 contracted one hands the strand to its partner, and corners carry the
 projector colors of a colored model.  Each output trace's rank word is
 built during the walk, and faces are counted per component.
+
+``enumerate_pairings`` yields the key of every scheme, in one of two
+ways.  With an eps cap it walks the schemes depth first and keeps the
+census state along the walk: pairing two legs sets two entries of
+``alpha`` and two of the face permutation, raises two degrees and
+relabels a merged component, and backtracking undoes it; each leaf goes
+to the face walk.  Without a cap it goes survivor set by survivor set.
+A scheme is its survivor set (the legs left uncontracted) and a perfect
+matching of the other legs that ``first_mate`` allows.  The matchings,
+and each one's census on leg positions, depend only on the survivor
+set's pattern: each trace's cyclic word of leg codes (``2 * color + 1``
+for a surviving leg, ``2 * color`` for a contracted one, color 0 when
+uncolored), least rotated, the traces in map order and, in a product,
+split by side.  The first survivor set of a pattern numbers its legs by
+position, each trace from the start of its least rotation, and
+``census`` reduces every matching on that position-numbered copy of the
+map (its slot ranks replaced by leg positions).  Its keys, which name
+positions, go with their counts into a memo that the maps of one call
+share (``algebra.scheme_series`` makes one per call, as it makes one
+rank table).  Every survivor set of the pattern then
+relabels them: positions become slot ranks, words are least-rotated and
+sorted again, and kernel rank pairs re-oriented and sorted.  So
+``(6)x(6)`` runs the face walk 1,172 times for its 13,327 schemes (38
+patterns), and a 10-leg trace 1,872 times for its 9,496 (56 patterns).
+
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
 and a pair that ``first_mate`` forbids (a same-side product pair),
@@ -78,7 +99,9 @@ schemes (1,386 without them).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
@@ -243,31 +266,43 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
 
 def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: PairMap,
                        mode: Mode, max_eps_degree: int | None = None,
-                       stats: EnumerationStats | None = None) -> Iterator[tuple | None]:
+                       stats: EnumerationStats | None = None,
+                       patterns: dict | None = None) -> Iterator[tuple | None]:
     """Yield the census key of every admissible scheme exactly once, the
     empty scheme first, or ``None`` for a scheme of weight zero.
 
     ``legs_a`` and ``legs_b`` must be the leg numbers of the map's sides:
     ``range(heads)`` and ``range(heads, n)`` on a product map, ``range(n)``
     and ``None`` on a transport map.  Legs pair as ``first_mate`` allows.
-    Order is deterministic: each head leg (every leg of ``legs_a``), in
-    order, first stays uncontracted and then pairs with each free leg
-    from its ``first_mate`` on, in turn.
+    Every scheme passes the one face walk, shared with ``census``, and
+    its Euler and half-unit checks.  Order is deterministic.
 
-    The depth-first walk (a loop over the path of heads, not recursion)
-    carries the census state of the scheme it is building: ``alpha``, the
-    face permutation ``nxt = sigma . alpha``, each vertex's count of
-    contracted legs and each vertex's component label.
-    Pairing two legs sets two entries of ``alpha`` and of ``nxt`` and two
-    degrees, and relabels a merged component; backtracking undoes it.  At
-    a leaf the one face walk, shared with ``census``, reduces that state
-    to the scheme's key, so every scheme passes the Euler and half-unit
-    checks.
+    Without ``max_eps_degree``, the schemes come survivor set by survivor
+    set (see the module docstring): by the number of contracted legs,
+    fewest first, so the empty scheme comes first.  In a product, the
+    side-A sets of each size run over the side-B sets of that size.  A
+    side's sets come from ``_side_patterns``, in its fixed order; they
+    depend only on the side's trace lengths and colors.  Each survivor
+    set yields its pattern's keys in the memo's order, each as often as
+    its count.  ``patterns`` is that memo, from pattern to its position
+    keys and their counts, which also keeps each side's survivor sets: a
+    fresh one by default, or one that the maps of a call share, all of
+    one mode.  ``stats.yielded`` counts every scheme, and
+    ``stats.pruned_branches`` stays zero.
 
     With ``max_eps_degree`` set, exactly the schemes whose eps exponent
-    is at most the cap are yielded.  A branch is cut once its
-    ``exponent_bound`` exceeds the cap; each cut branch holds at least
-    one scheme (leave every open leg uncontracted) and counts in
+    is at most the cap are yielded, in the order of the depth-first
+    walk: each head leg (every leg of ``legs_a``), in order, first stays
+    uncontracted and then pairs with each free leg from its
+    ``first_mate`` on, in turn.  The walk (a loop over the path of
+    heads, not recursion) carries the census state of the scheme it is
+    building: ``alpha``, the face permutation ``nxt = sigma . alpha``,
+    each vertex's count of contracted legs and each vertex's component
+    label.  Pairing two legs sets two entries of ``alpha`` and of ``nxt``
+    and two degrees, and relabels a merged component; backtracking undoes
+    it; a leaf reduces that state to the scheme's key.  A branch is cut
+    once its ``exponent_bound`` exceeds the cap; each cut branch holds at
+    least one scheme (leave every open leg uncontracted) and counts in
     ``stats.pruned_branches``, which is therefore nonzero exactly when
     the cap excluded a scheme, whatever that scheme's weight.
     """
@@ -276,6 +311,9 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     heads, n = pair_map.heads, len(pair_map.sigma)   # legs 0..heads-1 take turns as heads
     if legs_a != range(heads) or legs_b != (range(heads, n) if pair_map.product else None):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
+    if max_eps_degree is None:
+        yield from _by_survivors(pair_map, mode, stats, {} if patterns is None else patterns)
+        return
     sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
     alpha = list(range(n))
     nxt = sigma.copy()
@@ -333,6 +371,161 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
             path.pop()
         else:
             return
+
+
+def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
+                  patterns: dict) -> Iterator[tuple | None]:
+    """The uncapped schemes, survivor set by survivor set (see
+    ``enumerate_pairings``): each pattern's matchings are censused once
+    into ``patterns``, and their position keys relabeled per survivor set."""
+    heads, n, ranks, slots = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.slots
+    traces: dict[int, list[int]] = {}   # each trace's first leg and its end
+    for leg, v in enumerate(pair_map.vertex):
+        traces.setdefault(v, [leg, leg])[1] = leg + 1
+
+    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple, tuple]]]:
+        """(trace patterns, slot ranks by position, legs by position counted
+        from the first of ``legs``) of each way to contract k of ``legs``,
+        whole traces of the map, for each k of ``sizes``."""
+        colors = tuple(tuple([slot.color or 0 for slot in slots[start:end]])
+                       for start, end in traces.values() if start in legs)
+        side_ranks = ranks[legs.start:legs.stop]
+        return {k: [(pattern, tuple([side_ranks[i] for i in order]), order)
+                    for pattern, order in parts]
+                for k, parts in _side_patterns(colors, sizes, patterns).items()}
+
+    if pair_map.product:
+        sizes = range(min(heads, n - heads) + 1)
+        heads_side, tails_side = side(range(heads), sizes), side(range(heads, n), sizes)
+    else:   # a transport: one side, whose sets all pair with no legs of another
+        sizes = range(0, n + 1, 2)
+        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), (), ())])
+    kernel = mode.kind != "matrix"
+    for k in sizes:
+        for head_pattern, head_ranks, head_legs in heads_side[k]:
+            for tail_pattern, tail_ranks, tail_legs in tails_side[k]:
+                pattern = head_pattern, tail_pattern
+                keys = patterns.get(pattern)
+                if keys is None:
+                    keys = patterns[pattern] = _pattern_keys(
+                        pair_map, mode, head_legs + tuple([heads + i for i in tail_legs]),
+                        pattern)
+                rank = head_ranks + tail_ranks   # the slot rank at each position
+                for key, count in keys:
+                    stats.yielded += count
+                    if key is not None:
+                        key = _relabel(key, rank, pair_map, kernel)
+                    for _ in range(count):
+                        yield key
+
+
+def _relabel(key: tuple, rank: tuple[int, ...], pair_map: PairMap, kernel: bool) -> tuple:
+    """A census key from a position key (see ``_pattern_keys``), ``rank``
+    the slot rank at each position: words least-rotated and sorted again,
+    and in kernel mode the rank pairs oriented as the face walk orients
+    them and sorted."""
+    current, untouched, half_units, s_exponents, kernels = key
+    vertex_ranks = pair_map.vertex_ranks
+    words = [vertex_ranks[v] for v in untouched]
+    for word in current:
+        out = [rank[p] for p in word]
+        if len(out) > 1:
+            k = least_rotation(out)
+            if k:
+                out = out[k:] + out[:k]
+        words.append(tuple(out))
+    words.sort()
+    if kernel:
+        ends = [(rank[i], rank[j]) for i, j in kernels]
+        if not pair_map.product:   # a transport's pair: (least, greatest) rank
+            ends = [(u, v) if u < v else (v, u) for u, v in ends]
+        ends.sort()
+        kernels = tuple(ends)
+    return tuple(words), half_units, s_exponents, kernels
+
+
+def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
+                   memo: dict) -> dict[int, list[tuple[tuple, tuple[int, ...]]]]:
+    """For each k of ``sizes``, each way to contract k legs of a side whose
+    traces' legs have ``colors`` (0 uncolored): its trace patterns, and
+    its legs by position, counted from the side's first leg.
+
+    A trace's pattern is the least rotation of its legs' codes, ``2 *
+    color + 1`` for a leg that survives and ``2 * color`` for one that
+    does not, and positions follow that rotation.  The side is built up
+    trace by trace, never past the greatest size, once per ``memo``
+    (keyed ``(colors, sizes)``, which no pattern equals: a pattern's
+    second entry is a tuple, never a range).
+    """
+    parts = memo.get((colors, sizes))
+    if parts is not None:
+        return parts
+    parts = {0: [((), ())]}
+    start = 0
+    for t, trace in enumerate(colors):
+        length, last = len(trace), t == len(colors) - 1
+        grown: dict[int, list] = {}
+        for cut_count in range(length + 1):
+            wanted = [k for k in parts if k + cut_count <= sizes[-1]
+                      and (not last or k + cut_count in sizes)]
+            if not wanted:
+                continue
+            choices = []
+            for cut in combinations(range(length), cut_count):
+                word = [2 * color + 1 for color in trace]
+                for leg in cut:
+                    word[leg] -= 1
+                k = least_rotation(word) if length > 1 else 0
+                choices.append(((tuple(word[k:] + word[:k]),),
+                                (*range(start + k, start + length), *range(start, start + k))))
+            for k in wanted:
+                grown.setdefault(k + cut_count, []).extend(
+                    (pattern + word, order + legs) for pattern, order in parts[k]
+                    for word, legs in choices)
+        parts, start = grown, start + length
+    memo[colors, sizes] = parts
+    return parts
+
+
+def _pattern_keys(pair_map: PairMap, mode: Mode, order: tuple[int, ...],
+                  pattern: tuple) -> list[tuple[tuple | None, int]]:
+    """The census of every matching of one survivor set's contracted legs,
+    as its distinct position keys and their counts.
+
+    ``order[p]`` is the leg at position p, and ``pattern`` the survivor
+    set's trace patterns, side by side.  The census runs on a
+    position-numbered copy of the map: its legs' slot ranks are their
+    positions, and each trace's word the positions of its legs, as long as
+    its ``vertex_ranks`` word.  A position key is the key's current words,
+    its untouched traces (whose words are their own ``vertex_ranks``), its
+    eps half-units and block ratios, and its kernels, whose pairs name
+    positions.
+    """
+    n = len(order)
+    position = [0] * n
+    for p, leg in enumerate(order):
+        position[leg] = p
+    first: dict[int, int] = {}   # each trace's first leg, and so its first position
+    for leg, v in enumerate(pair_map.vertex):
+        first.setdefault(v, leg)
+    vertex_ranks = [tuple(range(first[v], first[v] + len(word)))
+                    for v, word in enumerate(pair_map.vertex_ranks)]
+    codes = [code for side in pattern for word in side for code in word]
+    cut = sorted(order[p] for p in range(n) if not codes[p] & 1)
+    touched = {pair_map.vertex[leg] for leg in cut}
+    untouched = [v for v in range(len(vertex_ranks)) if v not in touched]
+    alone = {vertex_ranks[v] for v in untouched}
+    positions = pair_map._replace(ranks=position, vertex_ranks=vertex_ranks)
+    counts = Counter(census(pairs, positions, mode)
+                     for pairs in _matchings(cut, pair_map.heads, pair_map.product))
+    keys = []
+    for key, count in counts.items():
+        if key is not None:
+            words, half_units, s_exponents, kernels = key
+            key = (tuple([word for word in words if word not in alone]), tuple(untouched),
+                   half_units, s_exponents, kernels)
+        keys.append((key, count))
+    return keys
 
 
 @dataclass(frozen=True)
@@ -570,6 +763,23 @@ def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) 
         elif slots[c].color != chain:
             return False
     return True
+
+
+def _matchings(legs: list[int], heads: int, product: bool) -> Iterator[Scheme]:
+    """Every perfect matching of ``legs`` (ascending), each pair (head,
+    mate): in a product, each leg below ``heads`` with one at or above it."""
+    if product:
+        split = sum(leg < heads for leg in legs)
+        for mates in permutations(legs[split:]):
+            yield tuple(zip(legs[:split], mates))
+        return
+    if not legs:
+        yield ()
+        return
+    head, rest = legs[0], legs[1:]
+    for i, mate in enumerate(rest):
+        for others in _matchings(rest[:i] + rest[i + 1:], heads, product):
+            yield ((head, mate),) + others
 
 
 def result_generator(report: LoopReport) -> Generator:

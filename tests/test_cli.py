@@ -258,7 +258,7 @@ class TestVerify:
         assert "FAIL line 19: line 1 column 42: configuration needs at least N and c" in lines
         assert "FAIL line 21: line 1 column 48: trailing configuration input" in lines
         assert "FAIL line 23: line 1 column 7: CHECK needs at least one generator" in lines
-        assert "FAIL line 25: line 1 column 50: the claimed value must be scalar" in lines
+        assert "FAIL line 25: line 1 column 40: the claimed value must be scalar" in lines
         assert "FAIL line 27: line 1 column 32: trailing input '2'" in lines
         assert "PASS line 29: CHECK W{} == 1 @ N=2, c=1" in lines
         assert "FAIL line 3: block sizes (1, 1) do not sum" in out

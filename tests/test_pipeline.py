@@ -3,13 +3,15 @@
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import multitrace.algebra
+import multitrace.ribbon
 from multitrace import (KERNEL, MATRIX, ONE, Coefficient, Generator, KernelSymbol, Mode,
                         Monomial, Series, TraceWord, analyze, connected_product, expectation,
                         legs_of, make_generator, nested_commutator_sym, parse_series, product,
@@ -302,6 +304,54 @@ def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomia
     assert len(generators_built) == len(set(generators_built)) == len(out.terms) == outputs
     assert sum(s.yielded for s in stats) == sum(
         product_scheme_count(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms)
+
+
+def _trace_patterns(gen, cut):
+    """Each trace's contracted (True) and surviving legs, least rotated."""
+    flags, start = [], 0
+    for trace in gen.traces:
+        word = tuple(leg in cut for leg in range(start, start + len(trace.slots)))
+        flags.append(min(word[k:] + word[:k] for k in range(len(word))))
+        start += len(word)
+    return tuple(flags)
+
+
+def test_each_pattern_is_censused_once_per_call(monkeypatch):
+    # the 727-term (5)x(5) output times W{Tr[z1]}: 727 jobs of 4,037 schemes
+    # share one memo, so the face walk runs once per distinct pattern matching
+    a = product(series_of((5,), "x"), series_of((5,), "y"))
+    b = series_of((1,), "z")
+    patterns = {}
+    for ga, _ in a.terms:
+        for gb, _ in b.terms:
+            for k in range(min(ga.size, gb.size) + 1):
+                for cut_a in combinations(range(ga.size), k):
+                    for cut_b in combinations(range(gb.size), k):
+                        patterns[_trace_patterns(ga, cut_a), _trace_patterns(gb, cut_b)] = k
+    reductions, memos = [], []
+    inner_reduce = multitrace.ribbon._reduce
+
+    def counted_reduce(*args):
+        reductions.append(args)
+        return inner_reduce(*args)
+
+    monkeypatch.setattr(multitrace.ribbon, "_reduce", counted_reduce)
+    _, stats, drawn = traced(monkeypatch)
+    inner_enumerate = multitrace.algebra.enumerate_pairings
+
+    def kept_memo(*args, **kwargs):
+        memos.append(kwargs["patterns"])
+        return inner_enumerate(*args, **kwargs)
+
+    monkeypatch.setattr(multitrace.algebra, "enumerate_pairings", kept_memo)
+    for calls in (1, 2):   # a second call censuses its patterns again
+        out = product(a, b)
+        assert len(reductions) == calls * sum(factorial(k) for k in patterns.values()) == calls * 51
+    assert len(out.terms) == 1847
+    assert len(memos) == 2 * 727 and len({id(memo) for memo in memos}) == 2
+    jobs = [(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms] * 2
+    assert [len(items) for _, _, items in drawn] == [product_scheme_count(*job) for job in jobs]
+    assert sum(s.yielded for s in stats) == 2 * 4037
 
 
 def test_the_loop_draws_every_scheme_the_tracer_counts(monkeypatch):

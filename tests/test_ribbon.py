@@ -1,6 +1,7 @@
 """Pairing enumeration and the strand-walk census behind every product."""
 
 import json
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from multitrace import (
     analyze,
     enumerate_pairings,
     legs_of,
+    make_generator,
     result_generator,
 )
 from multitrace.ribbon import census, exponent_bound, map_of
@@ -148,8 +150,48 @@ def test_enumerator_yields_the_census_of_each_reference_scheme_in_order(
                                       max_eps_degree=cap, stats=got_stats))
         want = [census(p, pair_map, mode) for p in reference_pairings(
             legs_a, legs_b, max_eps_degree=cap, stats=want_stats)]
-        assert got == want
+        if cap is None:   # uncapped, the order is by survivor set
+            assert Counter(got) == Counter(want) and got[0] == want[0]
+        else:
+            assert got == want
         assert got_stats == want_stats
+
+
+def _with_a_repeated_slot(gen, data):
+    """``gen`` with one slot replaced by a copy of another of its slots."""
+    words = [list(trace.slots) for trace in gen.traces]
+    places = [(t, s) for t, word in enumerate(words) for s in range(len(word))]
+    (t, s), (u, r) = data.draw(st.permutations(places))[:2]
+    words[t][s] = words[u][r]
+    return make_generator(words, MATRIX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_uncapped_enumeration_equals_the_depth_first_walk(data, mode, product_mode):
+    # traces of one to three legs; in matrix mode, a generator may repeat a slot
+    ga = data.draw(generators(mode, "x", 6))
+    if mode == MATRIX and ga.size > 1 and data.draw(st.booleans()):
+        ga = _with_a_repeated_slot(ga, data)
+        assert len(set(ga.labels())) < ga.size
+    gb = data.draw(generators(mode, "y", 5)) if product_mode else None
+    pair_map = map_of(ga, gb)
+    legs = leg_numbers(pair_map)
+    got_stats, walk_stats = EnumerationStats(), EnumerationStats()
+    got = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, stats=got_stats))
+    # a cap no exponent exceeds (it is at most the pair count) runs the walk, pruning nothing
+    walk = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
+                                   max_eps_degree=len(pair_map.sigma), stats=walk_stats))
+    assert Counter(got) == Counter(walk)   # weight-zero schemes (None) included
+    assert got_stats == walk_stats and walk_stats.pruned_branches == 0
+    assert got[0] == census((), pair_map, mode)
+    assert got == list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
+    # a memo shared with other maps gives the same keys in the same order
+    patterns: dict = {}
+    for other in ([map_of(gb, ga)] if product_mode else [map_of(ga)]) + [pair_map]:
+        shared = list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode,
+                                         patterns=patterns))
+    assert shared == got
 
 
 # Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
@@ -485,7 +527,8 @@ def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
             if p is not None:
                 alternating[k].append(census(p, map_of(ga, gb), mode))
     assert alternating == one_by_one
-    # two enumerators drawn alternately keep their states apart
+    # two enumerators drawn alternately keep their states apart: each yields
+    # its own run's order, and the schemes' keys (uncapped, by survivor set)
     enumerators = [enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode)
                    for pair_map in maps]
     drawn, done = [[], []], object()
@@ -493,4 +536,6 @@ def test_census_keys_of_interleaved_pairs_equal_those_of_each_pair(data, mode):
         for k, key in enumerate(step):
             if key is not done:
                 drawn[k].append(key)
-    assert drawn == one_by_one
+    assert drawn == [list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map,
+                                             mode=mode)) for pair_map in maps]
+    assert list(map(Counter, drawn)) == list(map(Counter, one_by_one))
