@@ -21,10 +21,12 @@ monomial part (eps half-units, block ratios, kernels).  All jobs share
 the table, so equal keys of different jobs name the same term.  Without
 an eps cap, they also share one memo of survivor patterns: the matchings
 of each pattern (each trace's least-rotated word of contracted and
-surviving legs) are censused once for the call, on leg positions, and
-relabeled to slot ranks for each survivor set of each job; the 727 jobs
-of the ``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 51 times
-for their 4,037 schemes.  With a cap, each job walks its schemes depth
+surviving legs) are censused once for the call, on a map of leg
+positions built from the pattern alone, so a pattern's keys come in the
+same order whichever job meets it first, and they are relabeled to slot
+ranks for each survivor set of each job; the 727 jobs of the
+``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 51 times for
+their 4,037 schemes.  With a cap, each job walks its schemes depth
 first, cutting branches past the cap.
 
 How a key becomes a term: each job's key counts, times the rationals of

@@ -90,6 +90,18 @@ class KeyedValue:
 
 SlotRef = tuple[str, bool]  # (label, conjugated)
 
+# the parser's identifier token: every slot label and kernel argument label is one
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+def is_identifier(text: object) -> bool:
+    """Whether ``text`` is a string that the parser reads as one identifier.
+
+    The ASCII Python identifiers are exactly the strings ``IDENTIFIER``
+    matches, and the string methods test that faster than the pattern.
+    """
+    return type(text) is str and text.isascii() and text.isidentifier()
+
 
 def render_slot_ref(ref: SlotRef) -> str:
     label, conjugated = ref
@@ -109,10 +121,13 @@ class KernelSymbol(KeyedValue):
     args: tuple[SlotRef, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name[0].isalpha():
+        if not is_identifier(self.name) or self.name[0] == "_":
             raise CoefficientError(f"bad kernel symbol name {self.name!r}")
         if len(self.args) not in (0, 2):
             raise CoefficientError("kernel symbols take zero or two slot arguments")
+        for label, conjugated in self.args:
+            if not is_identifier(label) or type(conjugated) is not bool:
+                raise CoefficientError(f"bad kernel argument {(label, conjugated)!r}")
         self._keep_key()
 
     def _make_key(self) -> tuple:

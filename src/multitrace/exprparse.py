@@ -36,8 +36,8 @@ from functools import cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .coeffring import (Coefficient, CoefficientError, KernelSymbol, Monomial, ONE, SlotRef,
-                        ZERO, monomial_texts, render_sum, render_term, render_terms)
+from .coeffring import (IDENTIFIER, Coefficient, CoefficientError, KernelSymbol, Monomial, ONE,
+                        SlotRef, ZERO, monomial_texts, render_sum, render_term, render_terms)
 from .observables import (Generator, Mode, ObservableError, Series, Slot, TraceWord,
                           UNIT_GENERATOR, make_generator)
 
@@ -57,8 +57,8 @@ class Token(NamedTuple):
 
 
 # one alternative per token kind, then any other character; blanks and comments give no token
-_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_]"
-                       r"[A-Za-z0-9_]*)|(?P<punct>[~@+\-*^(),{}\[\]=])|(?P<bad>.)")
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)"
+                       rf"|(?P<ident>{IDENTIFIER})|(?P<punct>[~@+\-*^(),{{}}\[\]=])|(?P<bad>.)")
 _RESERVED_BLOCK = re.compile(r"s\d+\Z")
 _LOG10_2 = math.log10(2)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .coeffring import Coefficient, CoefficientError, KeyedValue, ONE, ZERO
+from .coeffring import Coefficient, CoefficientError, KeyedValue, ONE, ZERO, is_identifier
 
 
 class ObservableError(ValueError):
@@ -68,8 +68,10 @@ class Slot(KeyedValue):
     color: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.label or not (self.label[0].isalpha() or self.label[0] == "_"):
+        if not is_identifier(self.label):
             raise ObservableError(f"bad slot label {self.label!r}")
+        if type(self.conjugated) is not bool:
+            raise ObservableError(f"slot conjugation {self.conjugated!r} is not a bool")
         if self.color is not None and self.color < 1:
             raise ObservableError("slot colors start at 1")
         self._keep_key()

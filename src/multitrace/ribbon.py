@@ -25,38 +25,42 @@ of the pair, or of every generator of a call, in ``Slot.key`` order.
 
 The census state of a scheme is ``alpha``, the face permutation, each
 vertex's count of contracted legs and each vertex's component label.
-``census`` builds that state from a list of leg-number pairs
-(hand-built, recorded or enumerated pairings) and hands it to one
-private leaf reduction, the only face walk, so every scheme passes the
-Euler and half-unit checks.  The walk takes one step ``leg -> (sigma .
+``census`` builds that state from a list of leg-number pairs (a
+hand-built or recorded pairing, for ``analyze`` and the tests) and
+hands it to one private leaf reduction, the only face walk, which the
+enumerator's leaves reach too, so every scheme passes the Euler and
+half-unit checks.  The face walk takes one step ``leg -> (sigma .
 alpha)[leg]``.  An uncontracted leg is a surviving current, a
 contracted one hands the strand to its partner, and corners carry the
 projector colors of a colored model.  Each output trace's rank word is
 built during the walk, and faces are counted per component.
 
-``enumerate_pairings`` yields the key of every scheme, in one of two
-ways.  With an eps cap it walks the schemes depth first and keeps the
-census state along the walk: pairing two legs sets two entries of
-``alpha`` and two of the face permutation, raises two degrees and
-relabels a merged component, and backtracking undoes it; each leaf goes
-to the face walk.  Without a cap it goes survivor set by survivor set.
-A scheme is its survivor set (the legs left uncontracted) and a perfect
+``enumerate_pairings`` yields the key of every scheme, and one private
+depth-first walk enumerates the pairings in both of its ways.  The walk
+keeps the census state along its path: pairing two legs sets two
+entries of ``alpha`` and two of the face permutation, raises two
+degrees and relabels a merged component, and backtracking undoes it;
+each leaf goes to the face walk.  With an eps cap it walks the job's
+own map, each head leg first staying uncontracted, and cuts branches
+past the cap.  Without a cap it goes survivor set by survivor set.  A
+scheme is its survivor set (the legs left uncontracted) and a perfect
 matching of the other legs that ``first_mate`` allows.  The matchings,
 and each one's census on leg positions, depend only on the survivor
 set's pattern: each trace's cyclic word of leg codes (``2 * color + 1``
 for a surviving leg, ``2 * color`` for a contracted one, color 0 when
 uncolored), least rotated, the traces in map order and, in a product,
-split by side.  The first survivor set of a pattern numbers its legs by
-position, each trace from the start of its least rotation, and
-``census`` reduces every matching on that position-numbered copy of the
-map (its slot ranks replaced by leg positions).  Its keys, which name
-positions, go with their counts into a memo that the maps of one call
-share (``algebra.scheme_series`` makes one per call, as it makes one
-rank table).  Every survivor set of the pattern then
-relabels them: positions become slot ranks, words are least-rotated and
-sorted again, and kernel rank pairs re-oriented and sorted.  So
-``(6)x(6)`` runs the face walk 1,172 times for its 13,327 schemes (38
-patterns), and a 10-leg trace 1,872 times for its 9,496 (56 patterns).
+split by side.  Each pattern's census is the walk on the pattern's own
+map, whose legs are positions, each trace numbered from the start of
+its least rotation: exactly the contracted positions pair, each
+position is its own slot rank, and its keys, which name positions, come
+in an order that the pattern fixes.  They go with their counts into a
+memo that the maps of one call share (``algebra.scheme_series`` makes
+one per call, as it makes one rank table).  Every survivor set of the
+pattern then relabels them: positions become slot ranks, words are
+least-rotated and sorted again, and kernel rank pairs re-oriented and
+sorted.  So ``(6)x(6)`` runs the face walk 1,172 times for its 13,327
+schemes (38 patterns), and a 10-leg trace 1,872 times for its 9,496 (56
+patterns).
 
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
@@ -101,7 +105,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
@@ -120,7 +124,7 @@ class LegId(NamedTuple):
 
 
 Pairing = tuple[tuple[LegId, LegId], ...]
-# a scheme as the enumerator yields it: leg-number pairs (head, mate)
+# a scheme as ``census`` takes it: leg-number pairs (head, mate)
 Scheme = tuple[tuple[int, int], ...]
 
 
@@ -283,38 +287,52 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     side-A sets of each size run over the side-B sets of that size.  A
     side's sets come from ``_side_patterns``, in its fixed order; they
     depend only on the side's trace lengths and colors.  Each survivor
-    set yields its pattern's keys in the memo's order, each as often as
-    its count.  ``patterns`` is that memo, from pattern to its position
-    keys and their counts, which also keeps each side's survivor sets: a
-    fresh one by default, or one that the maps of a call share, all of
-    one mode.  ``stats.yielded`` counts every scheme, and
+    set yields its pattern's keys (``_pattern_keys``, the walk on the
+    pattern's own map) in the order that census found them, which the
+    pattern alone fixes, each as often as its count.  ``patterns`` is
+    the memo from pattern to its position keys and their counts, which
+    also keeps each side's survivor sets: a fresh one by default, or one
+    that the maps of a call share, all of one mode; the order is the
+    same either way.  ``stats.yielded`` counts every scheme, and
     ``stats.pruned_branches`` stays zero.
 
     With ``max_eps_degree`` set, exactly the schemes whose eps exponent
-    is at most the cap are yielded, in the order of the depth-first
-    walk: each head leg (every leg of ``legs_a``), in order, first stays
-    uncontracted and then pairs with each free leg from its
-    ``first_mate`` on, in turn.  The walk (a loop over the path of
-    heads, not recursion) carries the census state of the scheme it is
-    building: ``alpha``, the face permutation ``nxt = sigma . alpha``,
-    each vertex's count of contracted legs and each vertex's component
-    label.  Pairing two legs sets two entries of ``alpha`` and of ``nxt``
-    and two degrees, and relabels a merged component; backtracking undoes
-    it; a leaf reduces that state to the scheme's key.  A branch is cut
-    once its ``exponent_bound`` exceeds the cap; each cut branch holds at
-    least one scheme (leave every open leg uncontracted) and counts in
+    is at most the cap are yielded, in the order of the depth-first walk
+    (``_walk``) on the job's map, each head leg (every leg of ``legs_a``)
+    first staying uncontracted.  A branch is cut once its
+    ``exponent_bound`` exceeds the cap; each cut branch holds at least
+    one scheme (leave every open leg uncontracted) and counts in
     ``stats.pruned_branches``, which is therefore nonzero exactly when
     the cap excluded a scheme, whatever that scheme's weight.
     """
     if stats is None:
         stats = EnumerationStats()
-    heads, n = pair_map.heads, len(pair_map.sigma)   # legs 0..heads-1 take turns as heads
+    heads, n = pair_map.heads, len(pair_map.sigma)
     if legs_a != range(heads) or legs_b != (range(heads, n) if pair_map.product else None):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
     if max_eps_degree is None:
         yield from _by_survivors(pair_map, mode, stats, {} if patterns is None else patterns)
-        return
+    else:
+        yield from _walk(pair_map, mode, stats, max_eps_degree)
+
+
+def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
+          max_eps_degree: int | None = None,
+          stays: Sequence[int] | None = None) -> Iterator[tuple | None]:
+    """The one pairing walk (see the module docstring): the key of each
+    scheme it reaches.  Legs ``0..heads-1`` take turns as heads, in
+    order, and a head pairs with each free leg from its ``first_mate``
+    on, in turn.  Without ``stays`` each head first stays uncontracted,
+    and a branch is cut once its ``exponent_bound`` exceeds
+    ``max_eps_degree``.  With ``stays`` (a pattern census) exactly the
+    legs whose entry is false pair, and each head pairs at once.
+    """
     sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
+    heads, n = pair_map.heads, len(sigma)
+    exact = stays is not None
+    # a leg that is a mate on the path, or stays: never a head nor a mate.  A
+    # head needs no mark: every leg it could meet as a mate lies past it
+    taken = list(stays) if exact else [False] * n
     alpha = list(range(n))
     nxt = sigma.copy()
     degree = [0] * len(pair_map.vertex_ranks)
@@ -326,7 +344,7 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     path: list[list] = []
     idx = 0
     while True:
-        while idx < heads and alpha[idx] != idx:
+        while idx < heads and taken[idx]:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
                 sigma, alpha, pairs, idx if idx < heads else n, first_mate) > max_eps_degree:
@@ -334,10 +352,11 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
         elif idx == heads:
             stats.yielded += 1
             yield _reduce(pairs, alpha, nxt, degree, comp, pair_map, mode, None)
-        else:   # the head leg first stays uncontracted
+        else:
             path.append([idx, -1, comp])
-            idx += 1
-            continue
+            if not exact:   # the head leg first stays uncontracted
+                idx += 1
+                continue
         # back up to the newest head with a free mate left, and pair them
         while path:
             step = path[-1]
@@ -351,11 +370,13 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
                 degree[vertex[mate]] -= 1
                 nxt[head], nxt[mate] = sigma[head], sigma[mate]
                 alpha[head], alpha[mate] = head, mate
+                taken[mate] = False
                 mate += 1
-            while mate < n and alpha[mate] != mate:
+            while mate < n and taken[mate]:
                 mate += 1
             if mate < n:
                 step[1] = mate
+                taken[mate] = True
                 vj = vertex[mate]
                 alpha[head], alpha[mate] = mate, head
                 nxt[head], nxt[mate] = sigma[mate], sigma[head]
@@ -452,72 +473,62 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
 
     A trace's pattern is the least rotation of its legs' codes, ``2 *
     color + 1`` for a leg that survives and ``2 * color`` for one that
-    does not, and positions follow that rotation.  The side is built up
-    trace by trace, never past the greatest size, once per ``memo``
-    (keyed ``(colors, sizes)``, which no pattern equals: a pattern's
-    second entry is a tuple, never a range).
+    does not, and positions follow that rotation.  The sets are built
+    once per ``memo`` (keyed ``(colors, sizes)``, which no pattern
+    equals: a pattern's second entry is a tuple, never a range), those
+    of each size in ``combinations`` order of the side's legs.
     """
     parts = memo.get((colors, sizes))
     if parts is not None:
         return parts
-    parts = {0: [((), ())]}
-    start = 0
-    for t, trace in enumerate(colors):
-        length, last = len(trace), t == len(colors) - 1
-        grown: dict[int, list] = {}
-        for cut_count in range(length + 1):
-            wanted = [k for k in parts if k + cut_count <= sizes[-1]
-                      and (not last or k + cut_count in sizes)]
-            if not wanted:
-                continue
-            choices = []
-            for cut in combinations(range(length), cut_count):
-                word = [2 * color + 1 for color in trace]
-                for leg in cut:
-                    word[leg] -= 1
-                k = least_rotation(word) if length > 1 else 0
-                choices.append(((tuple(word[k:] + word[:k]),),
-                                (*range(start + k, start + length), *range(start, start + k))))
-            for k in wanted:
-                grown.setdefault(k + cut_count, []).extend(
-                    (pattern + word, order + legs) for pattern, order in parts[k]
-                    for word, legs in choices)
-        parts, start = grown, start + length
-    memo[colors, sizes] = parts
+    codes = [2 * color + 1 for trace in colors for color in trace]
+    spans = list(zip(accumulate(map(len, colors), initial=0), accumulate(map(len, colors))))
+    parts = memo[colors, sizes] = {}
+    for k in sizes:
+        found = parts[k] = []
+        for cut in combinations(range(len(codes)), k):
+            word = codes.copy()
+            for leg in cut:
+                word[leg] -= 1
+            pattern, order = [], []
+            for start, end in spans:
+                trace = word[start:end]
+                r = least_rotation(trace) if end - start > 1 else 0
+                pattern.append(tuple(trace[r:] + trace[:r]))
+                order += [*range(start + r, end), *range(start, start + r)]
+            found.append((tuple(pattern), tuple(order)))
     return parts
 
 
 def _pattern_keys(pair_map: PairMap, mode: Mode, order: tuple[int, ...],
                   pattern: tuple) -> list[tuple[tuple | None, int]]:
-    """The census of every matching of one survivor set's contracted legs,
-    as its distinct position keys and their counts.
+    """The census of every matching of one survivor pattern's contracted
+    legs, as its distinct position keys and their counts.
 
-    ``order[p]`` is the leg at position p, and ``pattern`` the survivor
-    set's trace patterns, side by side.  The census runs on a
-    position-numbered copy of the map: its legs' slot ranks are their
-    positions, and each trace's word the positions of its legs, as long as
-    its ``vertex_ranks`` word.  A position key is the key's current words,
-    its untouched traces (whose words are their own ``vertex_ranks``), its
-    eps half-units and block ratios, and its kernels, whose pairs name
-    positions.
+    ``pattern`` is the survivor set's trace patterns, side by side, and
+    ``order[p]`` the job's leg at position p.  The walk runs on a map of
+    positions built from the pattern: a rotation inside a trace keeps
+    ``sigma``, ``vertex``, ``first_mate`` and ``heads``, so these are the
+    job map's; the slots go in position order (only their colors, which
+    the pattern holds, reach a key), each position is its own slot rank,
+    each trace's word is its range of positions, and exactly the
+    positions whose code is even pair.  So the keys and their order
+    depend on the pattern alone, whichever job meets it first.  A
+    position key is the key's current words, its untouched traces (whose
+    words are their own ``vertex_ranks``), its eps half-units and block
+    ratios, and its kernels, whose pairs name positions.
     """
-    n = len(order)
-    position = [0] * n
-    for p, leg in enumerate(order):
-        position[leg] = p
-    first: dict[int, int] = {}   # each trace's first leg, and so its first position
-    for leg, v in enumerate(pair_map.vertex):
-        first.setdefault(v, leg)
-    vertex_ranks = [tuple(range(first[v], first[v] + len(word)))
-                    for v, word in enumerate(pair_map.vertex_ranks)]
-    codes = [code for side in pattern for word in side for code in word]
-    cut = sorted(order[p] for p in range(n) if not codes[p] & 1)
-    touched = {pair_map.vertex[leg] for leg in cut}
-    untouched = [v for v in range(len(vertex_ranks)) if v not in touched]
+    codes = [word for side in pattern for word in side]   # each trace's codes
+    traces = pair_map.vertex_ranks
+    vertex_ranks = [tuple(range(start, start + len(word)))
+                    for start, word in zip(accumulate(map(len, traces), initial=0), traces)]
+    untouched = [v for v, word in enumerate(codes) if all(code & 1 for code in word)]
     alone = {vertex_ranks[v] for v in untouched}
-    positions = pair_map._replace(ranks=position, vertex_ranks=vertex_ranks)
-    counts = Counter(census(pairs, positions, mode)
-                     for pairs in _matchings(cut, pair_map.heads, pair_map.product))
+    slots = pair_map.slots
+    positions = pair_map._replace(slots=[slots[leg] for leg in order],
+                                  ranks=list(range(len(order))), vertex_ranks=vertex_ranks)
+    counts = Counter(_walk(positions, mode, EnumerationStats(),
+                           stays=[code & 1 for word in codes for code in word]))
     keys = []
     for key, count in counts.items():
         if key is not None:
@@ -602,11 +613,13 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
     docstring), or ``None`` if its weight is zero.
 
     ``pairs`` are leg-number pairs on ``pair_map``, the head first (in a
-    product, the side-A leg), and are not checked again.  ``census``
-    builds from them the state that ``enumerate_pairings`` carries along
-    its walk (``alpha``, ``sigma . alpha``, the vertex degrees and the
-    component labels) and hands it to the same leaf reduction, so the
-    Euler and half-unit checks run here too.  ``report``, when a dict,
+    product, the side-A leg), and are not checked again: a pairing that
+    ``analyze`` checked, or one that a test built or recorded.  The
+    enumerator never calls it.  ``census`` builds from the pairs, at
+    once, the state that the enumerator's walk carries along its path
+    (``alpha``, ``sigma . alpha``, the vertex degrees and the component
+    labels) and hands it to the same leaf reduction, so the Euler and
+    half-unit checks run here too.  ``report``, when a dict,
     also gets the other fields of the scheme's ``LoopReport``, its
     current loops as leg numbers.
     """
@@ -763,23 +776,6 @@ def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) 
         elif slots[c].color != chain:
             return False
     return True
-
-
-def _matchings(legs: list[int], heads: int, product: bool) -> Iterator[Scheme]:
-    """Every perfect matching of ``legs`` (ascending), each pair (head,
-    mate): in a product, each leg below ``heads`` with one at or above it."""
-    if product:
-        split = sum(leg < heads for leg in legs)
-        for mates in permutations(legs[split:]):
-            yield tuple(zip(legs[:split], mates))
-        return
-    if not legs:
-        yield ()
-        return
-    head, rest = legs[0], legs[1:]
-    for i, mate in enumerate(rest):
-        for others in _matchings(rest[:i] + rest[i + 1:], heads, product):
-            yield ((head, mate),) + others
 
 
 def result_generator(report: LoopReport) -> Generator:

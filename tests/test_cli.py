@@ -29,6 +29,15 @@ def test_product_rejects_shared_labels(capsys):
     assert "x1" in err and "error:" in err
 
 
+@pytest.mark.parametrize("symbol", ["G H", "G\u00e9", "_G"])
+def test_transport_refuses_a_symbol_whose_text_would_not_parse(capsys, symbol):
+    for mode in ("matrix", "kernel"):
+        code, out, err = run(capsys, "transport", "--mode", mode, "--symbol", symbol,
+                             "W{Tr[x1 x2]}")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad kernel symbol name {symbol!r}\n"
+
+
 def test_moment_json_document(capsys):
     code, out, _ = run(capsys, "moment", "W{Tr[x1 x2]}", "W{Tr[y1 y2]}",
                        "--json")

@@ -1,5 +1,6 @@
 """Ring laws, evaluation, and rendering of exact coefficients."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,13 +9,19 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from multitrace import (
+    KERNEL,
     Coefficient,
     CoefficientError,
     KernelSymbol,
     Monomial,
+    ObservableError,
     ONE,
+    Slot,
     ZERO,
+    parse_coefficient,
+    parse_series,
 )
+from multitrace.coeffring import IDENTIFIER, is_identifier
 
 from helpers import (EVAL_ENV, KERNEL_POOL, coefficients, eps_max_degree, monomials,
                      rational_value, rationals, reference_coefficient_product,
@@ -260,6 +267,31 @@ class TestValidation:
     def test_kernel_symbol_name(self):
         with pytest.raises(CoefficientError):
             KernelSymbol("2bad")
+
+    @pytest.mark.parametrize("label", ["x y", "x-1", "\u00e9", "x\n", "1x", "", 5, None])
+    def test_slot_and_kernel_labels_must_be_parser_identifiers(self, label):
+        with pytest.raises(ObservableError, match="bad slot label"):
+            Slot(label)
+        with pytest.raises(CoefficientError, match="bad kernel argument"):
+            KernelSymbol("K", (("x1", False), (label, False)))
+
+    def test_slot_and_kernel_conjugation_flags_must_be_bools(self):
+        with pytest.raises(ObservableError, match="not a bool"):
+            Slot("x1", 1)
+        with pytest.raises(CoefficientError, match="bad kernel argument"):
+            KernelSymbol("K", (("x1", "false"), ("y1", False)))
+
+    @given(st.one_of(st.text(max_size=6), st.from_regex(IDENTIFIER, fullmatch=True)))
+    def test_the_identifier_check_is_the_parser_rule(self, text):
+        assert is_identifier(text) == (re.fullmatch(IDENTIFIER, text) is not None)
+
+    @pytest.mark.parametrize("label", ["x", "_x", "X_1", "a1b2"])
+    def test_identifier_labels_render_text_that_parses_back(self, label):
+        slot = Slot(label, True, None)
+        assert parse_series(f"W{{Tr[{slot.render()}]}}", KERNEL).terms[0][0].traces[0].slots \
+            == (slot,)
+        kernel = Coefficient.kernel(KernelSymbol("K", ((label, True), ("y1", False))))
+        assert parse_coefficient(kernel.render(), KERNEL) == kernel
 
     def test_block_ratio_color_positive(self):
         with pytest.raises(CoefficientError):

@@ -332,8 +332,8 @@ def _json_mono(**fields):
     return {"rational": "1", "eps_half": 0, "hbar": 0, "s": [], "kernels": [], **fields}
 
 
-def _json_kernel(conjugated=False, power=1):
-    return [{"name": "K", "args": [["x1", conjugated], ["y1", False]], "pow": power}]
+def _json_kernel(conjugated=False, power=1, label="x1"):
+    return [{"name": "K", "args": [[label, conjugated], ["y1", False]], "pow": power}]
 
 
 def test_json_documents_of_these_fields_decode():
@@ -363,11 +363,24 @@ def test_json_documents_of_these_fields_decode():
     _json_doc(coeff=[_json_mono(kernels=_json_kernel(power="1"))]),
     _json_doc(colors="1", slot=_COLORED_SLOT),
     _json_doc(colors=1, slot={"label": "x1", "conjugated": False, "color": True}),
+    # labels whose text form would not parse back as the same series
+    _json_doc(slot={"label": "x y", "conjugated": False, "color": None}),
+    _json_doc(slot={"label": "x-1", "conjugated": False, "color": None}),
+    _json_doc(slot={"label": "\u00e9", "conjugated": False, "color": None}),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(label=5))]),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(label=""))]),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(label="1x"))]),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(label="x y"))]),
+    _json_doc(coeff=[_json_mono(kernels=_json_kernel(label=None))]),
+    _json_doc(coeff=[_json_mono(kernels=[{"name": "g h", "args": [], "pow": 1}])]),
 ], ids=["not-an-object", "no-mode", "slot-without-color", "color-outside-the-mode",
         "zero-denominator", "flags-a-string", "flag-not-a-string", "conjugated-a-string",
         "conjugated-an-int", "kernel-conjugated-a-string", "eps-half-a-float", "hbar-a-string",
         "hbar-a-bool", "block-power-a-float", "block-color-a-bool", "kernel-power-a-string",
-        "colors-a-string", "slot-color-a-bool"])
+        "colors-a-string", "slot-color-a-bool", "slot-label-with-a-space",
+        "slot-label-with-a-dash", "slot-label-not-ascii", "kernel-label-a-number",
+        "kernel-label-empty", "kernel-label-a-leading-digit", "kernel-label-with-a-space",
+        "kernel-label-null", "kernel-name-with-a-space"])
 def test_json_rejects_malformed_documents(text):
     with pytest.raises(ValueError):
         series_from_json(text)

@@ -21,6 +21,7 @@ from multitrace import (
     enumerate_pairings,
     legs_of,
     make_generator,
+    parse_series,
     result_generator,
 )
 from multitrace.ribbon import census, exponent_bound, map_of
@@ -192,6 +193,23 @@ def test_uncapped_enumeration_equals_the_depth_first_walk(data, mode, product_mo
         shared = list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode,
                                          patterns=patterns))
     assert shared == got
+
+
+def test_uncapped_order_does_not_depend_on_which_map_filled_the_memo():
+    # both sides repeat the trace pattern (x@1 x@2), one of them rotated, so
+    # the two maps of the pair meet the same survivor patterns from other legs
+    mode = Mode("matrix", 2)
+    ga, gb = (parse_series(text, mode).terms[0][0] for text in (
+        "W{Tr[x1@1 x2@2] Tr[x3@1 x4@2]}", "W{Tr[y1@1 y2@2] Tr[y3@2 y4@1]}"))
+    pair_map = map_of(ga, gb)
+    fresh = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode))
+    patterns: dict = {}
+    other = map_of(gb, ga)
+    list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode, patterns=patterns))
+    shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
+                                     patterns=patterns))
+    assert len(fresh) == product_scheme_count(4, 4)
+    assert shared == fresh
 
 
 # Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
