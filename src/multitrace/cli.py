@@ -201,7 +201,11 @@ def _parse_config(parser: Parser) -> OracleConfig:
                 sizes.append(int(parser.expect("num").text))
             blocks = tuple(sizes)
         elif key in ("N", "c", "hbar"):
+            tok = parser.peek()
             values[key] = parser.parse_rational()
+            if key == "N" and values[key].denominator != 1:
+                raise ParseError(f"matrix size N={tok.text} is not an integer",
+                                 tok.line, tok.column)
         else:
             raise parser.fail(f"unknown configuration key {key!r}")
         if parser.at_punct(","):

@@ -1,11 +1,16 @@
 """Brute-force finite-size checker, independent of the graph engine.
 
 Moments of normal-ordered trace words are computed the slow, literal
-way: enumerate perfect matchings of all legs, and for each matching
-sum the product of index deltas over every explicit index assignment
-(vectorized over assignments, but with no delta-chain simplification
-and no loop-walking shared with the ribbon module).  The matrix-entry
-covariance is
+way: one index variable per slot, a boolean grid over every explicit
+assignment of all N^legs index values, and a depth-first walk over the
+perfect matchings of the legs.  Each pair of the walk ANDs its two
+index deltas into its parent's grid, so matchings that share their
+first pairs share those grids; each leaf counts the assignments its
+matching satisfies, and the counts are summed by the number of pairs
+inside a generator.  Sharing a prefix only reuses an AND already done:
+every matching is still counted over the full grid, with no delta-chain
+simplification and no face walk shared with the ribbon module.  The
+matrix-entry covariance is
 
     < M[i,j] M[k,l] >  =  c * delta(i,l) * delta(k,j)
 
@@ -18,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +38,9 @@ class OracleError(ValueError):
     pass
 
 
-# Largest assignment grid (N^legs boolean cells) the oracle allocates; the
-# sum also builds temporaries of the same size.  The shipped checks use at
-# most 3^10 = 59,049 cells.
+# Largest assignment grid (N^legs boolean cells) the oracle allocates.  The
+# matching walk keeps one grid per level alive, so at most legs/2 + 1 grids
+# exist at once.  The shipped checks use at most 3^10 = 59,049 cells.
 MAX_GRID_CELLS = 10**7
 
 
@@ -48,6 +54,8 @@ class OracleConfig:
     hbar: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise OracleError(f"matrix size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise OracleError("matrix size must be at least 1")
         object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
@@ -67,68 +75,6 @@ class OracleConfig:
         return range(start, start + self.block_sizes[color - 1])
 
 
-_LEG = tuple[int, int, int]  # (generator, trace, slot)
-
-
-def _matchings(legs: list[_LEG], allow_intra: bool) -> Iterator[list[tuple[_LEG, _LEG]]]:
-    if not legs:
-        yield []
-        return
-    head = legs[0]
-    rest = legs[1:]
-    for i, mate in enumerate(rest):
-        if not allow_intra and mate[0] == head[0]:
-            continue
-        for tail in _matchings(rest[:i] + rest[i + 1:], allow_intra):
-            yield [(head, mate)] + tail
-
-
-def _satisfying_assignments(gens: Sequence[Generator], cfg: OracleConfig,
-                            matching: Sequence[tuple[_LEG, _LEG]]) -> int:
-    """Count index assignments compatible with the deltas of one matching.
-
-    One index variable per trace position; the literal sum over all
-    n^(positions) assignments is carried out with boolean arrays over
-    the full assignment grid.
-    """
-    var_id: dict[_LEG, int] = {}
-    lengths: dict[tuple[int, int], int] = {}
-    for gi, gen in enumerate(gens):
-        for ti, trace in enumerate(gen.traces):
-            lengths[gi, ti] = len(trace.slots)
-            for si in range(len(trace.slots)):
-                var_id[gi, ti, si] = len(var_id)
-    nvars = len(var_id)
-    n = cfg.n
-    if nvars == 0:
-        return 1
-
-    def axis(v: int) -> np.ndarray:
-        shape = [1] * nvars
-        shape[v] = n
-        return np.arange(n).reshape(shape)
-
-    grid = np.ones((n,) * nvars, dtype=bool)
-    for gi, gen in enumerate(gens):
-        for ti, trace in enumerate(gen.traces):
-            for si, slot in enumerate(trace.slots):
-                if slot.color is not None:
-                    block = cfg.block_range(slot.color)
-                    follower = var_id[gi, ti, (si + 1) % lengths[gi, ti]]
-                    allowed = np.zeros(n, dtype=bool)
-                    allowed[list(block)] = True
-                    shape = [1] * nvars
-                    shape[follower] = n
-                    grid &= allowed.reshape(shape)
-    for (ga, ta, sa), (gb, tb, sb) in matching:
-        row_a = var_id[ga, ta, sa]
-        col_a = var_id[ga, ta, (sa + 1) % lengths[ga, ta]]
-        row_b = var_id[gb, tb, sb]
-        col_b = var_id[gb, tb, (sb + 1) % lengths[gb, tb]]
-        grid = grid & (axis(row_a) == axis(col_b)) & (axis(row_b) == axis(col_a))
-    return int(np.count_nonzero(grid))
-
-
 def moment_with_ordering(gens: Sequence[Generator], cfg: OracleConfig,
                          ordering_covariance: RationalLike,
                          max_legs: int = 10) -> Fraction:
@@ -139,35 +85,60 @@ def moment_with_ordering(gens: Sequence[Generator], cfg: OracleConfig,
     plain normal-ordered moments, kappa zero the full moments.
     """
     kappa = Fraction(ordering_covariance)
-    legs: list[_LEG] = [(gi, ti, si)
-                        for gi, gen in enumerate(gens)
-                        for ti, trace in enumerate(gen.traces)
-                        for si in range(len(trace.slots))]
-    if len(legs) > max_legs:
+    # one index variable per slot: its row index; its column is the next
+    # slot's row index (cyclically within the trace)
+    owner: list[int] = []
+    follower: list[int] = []
+    colors: list[int | None] = []
+    for gi, gen in enumerate(gens):
+        for trace in gen.traces:
+            start, length = len(owner), len(trace.slots)
+            for si, slot in enumerate(trace.slots):
+                owner.append(gi)
+                follower.append(start + (si + 1) % length)
+                colors.append(slot.color)
+    nvars = len(owner)
+    if nvars > max_legs:
         raise OracleError(
-            f"{len(legs)} legs exceed the oracle cap of {max_legs}; "
+            f"{nvars} legs exceed the oracle cap of {max_legs}; "
             "the assignment sum would be too large")
-    if len(legs) % 2 != 0:
-        return Fraction(0)
-    cells = cfg.n ** len(legs)
+    n = cfg.n
+    cells = n ** nvars
     if cells > MAX_GRID_CELLS:
         raise OracleError(
-            f"N={cfg.n} at {len(legs)} legs needs an assignment grid of {cells} "
+            f"N={n} at {nvars} legs needs an assignment grid of {cells} "
             f"cells, over the oracle cap of {MAX_GRID_CELLS}")
+    axes = [np.arange(n).reshape([n if w == v else 1 for w in range(nvars)])
+            for v in range(nvars)]
+    root = np.ones((n,) * nvars, dtype=bool)
+    for v, color in enumerate(colors):
+        if color is not None:
+            block = cfg.block_range(color)
+            root &= (axes[follower[v]] >= block.start) & (axes[follower[v]] < block.stop)
+    if nvars % 2:
+        return Fraction(0)
     c = cfg.covariance
-    intra_weight = c - kappa
-    total = Fraction(0)
-    for matching in _matchings(legs, allow_intra=intra_weight != 0):
-        weight = cfg.hbar ** len(matching)
-        for (ga, _, _), (gb, _, _) in matching:
-            weight *= intra_weight if ga == gb else c
-        if weight == 0:
-            continue
-        count = _satisfying_assignments(gens, cfg, matching)
-        if count:
-            total += weight * count
-    norm = Fraction(1, cfg.n ** (len(legs) // 2))
-    return total * norm
+    pair_weight = (cfg.hbar * c, cfg.hbar * (c - kappa))   # cross, intra
+    counts: Counter[int] = Counter()   # satisfying assignments by intra pairs
+
+    def walk(grid: np.ndarray, free: tuple[int, ...], intra: int) -> None:
+        if not free:
+            counts[intra] += int(np.count_nonzero(grid))
+            return
+        a, rest = free[0], free[1:]
+        for j, b in enumerate(rest):
+            inside = owner[a] == owner[b]
+            if pair_weight[inside] == 0:
+                continue
+            # M[a, a+] M[b, b+] forces row(a) = col(b) and row(b) = col(a)
+            delta = (axes[a] == axes[follower[b]]) & (axes[b] == axes[follower[a]])
+            walk(grid & delta, rest[:j] + rest[j + 1:], intra + inside)
+
+    walk(root, tuple(range(nvars)), 0)
+    pairs = nvars // 2
+    total = sum(pair_weight[0] ** (pairs - i) * pair_weight[1] ** i * count
+                for i, count in counts.items())
+    return Fraction(total, n ** pairs)
 
 
 def oracle_moment(gens: Sequence[Generator], cfg: OracleConfig,

@@ -9,6 +9,7 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
+import numpy as np
 
 from multitrace import (
     Coefficient,
@@ -597,6 +598,97 @@ def reference_exponent_bound(sigma, alpha, pairs, frontier):
             leg = sigma[alpha[leg]]
         bound += decided - 1
     return bound
+
+
+# -- reference oracle: one full assignment grid per matching --------------------
+
+
+_LEG = tuple[int, int, int]  # (generator, trace, slot)
+
+
+def _reference_matchings(legs: list[_LEG], allow_intra: bool) -> Iterator[list[tuple[_LEG, _LEG]]]:
+    if not legs:
+        yield []
+        return
+    head = legs[0]
+    rest = legs[1:]
+    for i, mate in enumerate(rest):
+        if not allow_intra and mate[0] == head[0]:
+            continue
+        for tail in _reference_matchings(rest[:i] + rest[i + 1:], allow_intra):
+            yield [(head, mate)] + tail
+
+
+def _reference_satisfying_assignments(gens, cfg, matching) -> int:
+    """Count index assignments compatible with the deltas of one matching.
+
+    One index variable per trace position; the literal sum over all
+    n^(positions) assignments is carried out with boolean arrays over
+    the full assignment grid.
+    """
+    var_id: dict[_LEG, int] = {}
+    lengths: dict[tuple[int, int], int] = {}
+    for gi, gen in enumerate(gens):
+        for ti, trace in enumerate(gen.traces):
+            lengths[gi, ti] = len(trace.slots)
+            for si in range(len(trace.slots)):
+                var_id[gi, ti, si] = len(var_id)
+    nvars = len(var_id)
+    n = cfg.n
+    if nvars == 0:
+        return 1
+
+    def axis(v: int) -> np.ndarray:
+        shape = [1] * nvars
+        shape[v] = n
+        return np.arange(n).reshape(shape)
+
+    grid = np.ones((n,) * nvars, dtype=bool)
+    for gi, gen in enumerate(gens):
+        for ti, trace in enumerate(gen.traces):
+            for si, slot in enumerate(trace.slots):
+                if slot.color is not None:
+                    block = cfg.block_range(slot.color)
+                    follower = var_id[gi, ti, (si + 1) % lengths[gi, ti]]
+                    allowed = np.zeros(n, dtype=bool)
+                    allowed[list(block)] = True
+                    shape = [1] * nvars
+                    shape[follower] = n
+                    grid &= allowed.reshape(shape)
+    for (ga, ta, sa), (gb, tb, sb) in matching:
+        row_a = var_id[ga, ta, sa]
+        col_a = var_id[ga, ta, (sa + 1) % lengths[ga, ta]]
+        row_b = var_id[gb, tb, sb]
+        col_b = var_id[gb, tb, (sb + 1) % lengths[gb, tb]]
+        grid = grid & (axis(row_a) == axis(col_b)) & (axis(row_b) == axis(col_a))
+    return int(np.count_nonzero(grid))
+
+
+def reference_moment_with_ordering(gens, cfg, ordering_covariance):
+    """``oracle.moment_with_ordering`` one matching at a time, without its
+    size caps: each matching builds its own grid from scratch and carries
+    its own weight."""
+    kappa = Fraction(ordering_covariance)
+    legs: list[_LEG] = [(gi, ti, si)
+                        for gi, gen in enumerate(gens)
+                        for ti, trace in enumerate(gen.traces)
+                        for si in range(len(trace.slots))]
+    if len(legs) % 2 != 0:
+        return Fraction(0)
+    c = cfg.covariance
+    intra_weight = c - kappa
+    total = Fraction(0)
+    for matching in _reference_matchings(legs, allow_intra=intra_weight != 0):
+        weight = cfg.hbar ** len(matching)
+        for (ga, _, _), (gb, _, _) in matching:
+            weight *= intra_weight if ga == gb else c
+        if weight == 0:
+            continue
+        count = _reference_satisfying_assignments(gens, cfg, matching)
+        if count:
+            total += weight * count
+    norm = Fraction(1, cfg.n ** (len(legs) // 2))
+    return total * norm
 
 
 # -- closed forms, independent of the engine -----------------------------------

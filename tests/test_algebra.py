@@ -200,6 +200,16 @@ def test_moment_matches_brute_force(n, c):
     assert claim.eval(env) == oracle_moment(gens, cfg)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("shapes", [((6,), (6,)), ((3, 3), (4, 2))])
+def test_twelve_leg_moments_match_brute_force(n, shapes):
+    # past the oracle's default 10-leg reach: 2^12 = 4,096 cells at N = 2
+    gens = [shaped(shapes[0]), shaped(shapes[1], "y")]
+    cfg = OracleConfig(n=n, covariance=Fraction(1, 2), hbar=Fraction(2, 3))
+    env = {"eps": Fraction(1, n), "hbar": cfg.hbar, "g": cfg.covariance}
+    assert moment(gens, MATRIX).eval(env) == oracle_moment(gens, cfg, max_legs=12)
+
+
 # -- brackets ----------------------------------------------------------------
 
 def test_matrix_generators_commute():

@@ -278,6 +278,19 @@ class TestVerify:
         assert "FAIL line 13: line 1 column 46: zero denominator in 1/0" in out
         assert "15/29 checks passed" in out
 
+    def test_a_fractional_matrix_size_is_a_failed_line(self, tmp_path, capsys):
+        # N=5/2 used to be truncated to N=2, where the claim holds
+        path = tmp_path / "half.txt"
+        path.write_text("CHECK W{Tr[x1 x2]} W{Tr[y1 y2]} == 2*hbar^2*g^2 @ N=5/2, c=1\n"
+                        "CHECK W{Tr[x1 x2]} W{Tr[y1 y2]} == 2*hbar^2*g^2 @ N=4/2, c=1\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL line 1: line 1 column 53: matrix size N=5/2 is not an integer",
+            "PASS line 2: CHECK W{Tr[x1 x2]} W{Tr[y1 y2]} == 2*hbar^2*g^2 @ N=4/2, c=1",
+            "1/2 checks passed",
+        ]
+
     def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
         assert code == 2

@@ -5,15 +5,21 @@ literal matchings, literal index sums, no shared code with the engine.
 """
 
 from fractions import Fraction
+from itertools import count
+from math import prod
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from multitrace import (
     MATRIX,
     Mode,
     OracleConfig,
     OracleError,
+    Slot,
     eval_environment,
+    make_generator,
     oracle_check,
     oracle_moment,
     moment_with_ordering,
@@ -21,7 +27,7 @@ from multitrace import (
     sample_matrix_identity,
 )
 
-from helpers import shaped
+from helpers import harer_zagier, moment_matching_count, reference_moment_with_ordering, shaped
 
 
 def cfg(n, c=Fraction(1), blocks=(), hbar=Fraction(1)):
@@ -66,6 +72,11 @@ class TestPlainMoments:
     def test_legs_cap(self):
         with pytest.raises(OracleError, match="cap"):
             oracle_moment([shaped((6,)), shaped((6,), "y")], cfg(2))
+
+    def test_matrix_size_must_be_an_int(self):
+        for n in [Fraction(5, 2), Fraction(2), 2.0, True]:
+            with pytest.raises(OracleError, match="must be an integer"):
+                OracleConfig(n=n)
 
     def test_grid_cap(self):
         # 100^10 cells would be refused by numpy too; the oracle names the size first
@@ -118,6 +129,76 @@ class TestColoredMoments:
     def test_colored_slots_need_blocks(self):
         with pytest.raises(OracleError):
             oracle_moment([self.one("x1", 1), self.one("y1", 1)], cfg(2))
+
+    def test_colored_slots_need_blocks_whether_or_not_a_matching_exists(self):
+        # the same two slots in one generator admit no cross matching, and a
+        # single slot no matching at all; both are refused as the split form is
+        together = make_generator([[Slot("x1", False, 1), Slot("x2", False, 1)]],
+                                  self.MODE)
+        for gens in ([together], [self.one("x1", 1), self.one("x2", 1)],
+                     [self.one("x1", 1)]):
+            with pytest.raises(OracleError, match="no block for color 1"):
+                oracle_moment(gens, cfg(2))
+
+
+@st.composite
+def oracle_inputs(draw):
+    """One to three generators of traces of one to four slots, at most 8
+    legs in all, with a finite model: N in 1..3, blocks summing to N when
+    the slots are colored, and c, hbar and kappa = 0, c/2 or c."""
+    colors = draw(st.integers(0, 2))
+    mode = Mode("matrix", colors)
+    n = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(colors - 1):
+        blocks.append(draw(st.integers(0, n - sum(blocks))))
+    if colors:
+        blocks.append(n - sum(blocks))
+    gens, legs = [], 0
+    for prefix in "xyz"[:draw(st.integers(1, 3))]:
+        shape = []
+        for _ in range(draw(st.integers(1, 3))):
+            if legs + sum(shape) < 8:
+                shape.append(draw(st.integers(1, min(4, 8 - legs - sum(shape)))))
+        legs += sum(shape)
+        numbers = count(1)
+        gens.append(make_generator(
+            [[Slot(f"{prefix}{next(numbers)}", False,
+                   draw(st.integers(1, colors)) if colors else None)
+              for _ in range(length)] for length in shape], mode))
+    c = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3), Fraction(-2, 5),
+                              Fraction(0)]))
+    hbar = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(-3, 2), Fraction(0)]))
+    kappa = draw(st.sampled_from([c, c / 2, Fraction(0)]))
+    return gens, cfg(n, c=c, blocks=blocks, hbar=hbar), kappa
+
+
+class TestAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_inputs())
+    def test_the_walk_equals_the_per_matching_loop(self, inputs):
+        gens, config, kappa = inputs
+        assert moment_with_ordering(gens, config, kappa) \
+            == reference_moment_with_ordering(gens, config, kappa)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (1, 2, 3), (2, 2, 2),
+                                       (1, 1, 1, 1), (4, 4), (3, 3, 2, 2), (5, 5),
+                                       (2, 1, 3, 4), (3,), (1, 3)])
+    def test_at_size_one_the_moment_counts_matchings(self, shape):
+        # at N = c = hbar = 1 every matching satisfies its single assignment
+        gens = [shaped((length,), prefix) for length, prefix in zip(shape, "xyzw")]
+        legs = sum(shape)
+        assert oracle_moment(gens, cfg(1)) == moment_matching_count(shape)
+        double_factorial = prod(range(legs - 1, 0, -2)) if legs % 2 == 0 else 0
+        assert oracle_moment(gens, cfg(1), allow_intra=True) == double_factorial
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("half", [1, 2, 3, 4, 5])
+    def test_one_trace_follows_harer_zagier(self, n, half):
+        # <Tr M^2h> / N^h = sum over genera g of eps_g(h) N^(1 - 2g)
+        got = oracle_moment([shaped((2 * half,))], cfg(n), allow_intra=True)
+        assert got == sum(gluings * Fraction(n) ** (1 - 2 * g)
+                          for g, gluings in harer_zagier(half).items())
 
 
 class TestCheckReports:
