@@ -188,6 +188,15 @@ def _split_config(tokens: list[Token]) -> int:
                      tokens[-1].line, tokens[-1].column)
 
 
+def _parse_integer(parser: Parser, what: str) -> int:
+    """A number that must be an integer (``4/2`` is 2), located if not."""
+    tok = parser.peek()
+    value = parser.parse_rational()
+    if value.denominator != 1:
+        raise ParseError(f"{what}{tok.text} is not an integer", tok.line, tok.column)
+    return int(value)
+
+
 def _parse_config(parser: Parser) -> OracleConfig:
     values: dict[str, Fraction] = {}
     blocks: tuple[int, ...] = ()
@@ -195,17 +204,13 @@ def _parse_config(parser: Parser) -> OracleConfig:
         key = parser.expect("ident").text
         parser.expect("punct", "=")
         if key == "blocks":
-            sizes = [int(parser.expect("num").text)]
+            blocks = (_parse_integer(parser, "block size "),)
             while parser.at_punct(",") and parser.peek(1).kind == "num":
                 parser.advance()
-                sizes.append(int(parser.expect("num").text))
-            blocks = tuple(sizes)
+                blocks += (_parse_integer(parser, "block size "),)
         elif key in ("N", "c", "hbar"):
-            tok = parser.peek()
-            values[key] = parser.parse_rational()
-            if key == "N" and values[key].denominator != 1:
-                raise ParseError(f"matrix size N={tok.text} is not an integer",
-                                 tok.line, tok.column)
+            values[key] = (Fraction(_parse_integer(parser, "matrix size N=")) if key == "N"
+                           else parser.parse_rational())
         else:
             raise parser.fail(f"unknown configuration key {key!r}")
         if parser.at_punct(","):

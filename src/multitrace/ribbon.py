@@ -20,8 +20,9 @@ the standard permutation encoding of ribbon graphs ('t Hooft 1974;
 Lando and Zvonkin, *Graphs on Surfaces and Their Applications*, ch.
 1); an untouched trace is one cycle of ``sigma`` and so one face.  The
 map of a generator pair is built once per pair (``map_of``), with each
-leg's slot rank: its slot's place in a ``RankTable``, the distinct slots
-of the pair, or of every generator of a call, in ``Slot.key`` order.
+leg's color (0 when uncolored) and slot rank, its slot's place in a
+``RankTable``: the distinct slots of the pair, or of every generator of
+a call, in ``Slot.key`` order.  The slots stay in the table.
 
 The census state of a scheme is ``alpha``, the face permutation, each
 vertex's count of contracted legs and each vertex's component label.
@@ -52,15 +53,16 @@ uncolored), least rotated, the traces in map order and, in a product,
 split by side.  Each pattern's census is the walk on the pattern's own
 map, whose legs are positions, each trace numbered from the start of
 its least rotation: exactly the contracted positions pair, each
-position is its own slot rank, and its keys, which name positions, come
-in an order that the pattern fixes.  They go with their counts into a
-memo that the maps of one call share (``algebra.scheme_series`` makes
-one per call, as it makes one rank table).  Every survivor set of the
-pattern then relabels them: positions become slot ranks, words are
-least-rotated and sorted again, and kernel rank pairs re-oriented and
-sorted.  So ``(6)x(6)`` runs the face walk 1,172 times for its 13,327
-schemes (38 patterns), and a 10-leg trace 1,872 times for its 9,496 (56
-patterns).
+position's color is its code's and each position is its own slot rank.
+So the census is built from the pattern alone, and its keys, which name
+positions, come in an order that the pattern fixes.  They go with their
+counts into a memo that the maps of one call share
+(``algebra.scheme_series`` makes one per call, as it makes one rank
+table).  Every survivor set of the pattern then relabels them:
+positions become slot ranks, words are least-rotated and sorted again,
+and kernel rank pairs re-oriented and sorted.  So ``(6)x(6)`` runs the
+face walk 1,172 times for its 13,327 schemes (38 patterns), and a
+10-leg trace 1,872 times for its 9,496 (56 patterns).
 
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
@@ -157,21 +159,20 @@ def rank_table(gens: Iterable[Generator]) -> RankTable:
 
 
 class PairMap(NamedTuple):
-    """The map of one generator pair: the legs of ``gen_a`` and then of
-    ``gen_b``, numbered trace by trace, the first ``heads`` of them
-    ``gen_a``'s; ``sigma``, ``vertex`` and the pairing rule
-    ``first_mate`` (see the module docstring); the slot of each leg, each
-    leg's slot rank, the distinct slots in rank (``Slot.key``) order, the
-    ranks of each vertex's slots, and whether the map is a product's.
+    """The map of one generator pair, integers only: the legs of
+    ``gen_a`` and then of ``gen_b``, numbered trace by trace, the first
+    ``heads`` of them ``gen_a``'s; ``sigma``, ``vertex`` and the pairing
+    rule ``first_mate`` (see the module docstring); each leg's color (0
+    when uncolored) and slot rank, the ranks of each vertex's slots, and
+    whether the map is a product's.
     """
 
     heads: int
     sigma: list[int]
     vertex: list[int]
     first_mate: list[int]
-    slots: list[Slot]
+    colors: list[int]
     ranks: list[int]
-    by_rank: list[Slot]
     vertex_ranks: list[tuple[int, ...]]
     product: bool
 
@@ -195,11 +196,11 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
     n, heads = len(sigma), gen_a.size
     first_mate = (list(range(1, n + 1)) if gen_b is None
                   else [heads] * heads + [n] * (n - heads))
-    slots = [slot for trace in traces for slot in trace.slots]
-    by_rank, rank = table or rank_table(gens)
-    return PairMap(heads, sigma, vertex, first_mate, slots, [rank[slot] for slot in slots],
-                   by_rank, [tuple(rank[slot] for slot in trace.slots) for trace in traces],
-                   gen_b is not None)
+    rank = (table or rank_table(gens)).rank
+    vertex_ranks = [tuple([rank[slot] for slot in trace.slots]) for trace in traces]
+    return PairMap(heads, sigma, vertex, first_mate,
+                   [slot.color or 0 for trace in traces for slot in trace.slots],
+                   [r for word in vertex_ranks for r in word], vertex_ranks, gen_b is not None)
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
@@ -399,38 +400,31 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     """The uncapped schemes, survivor set by survivor set (see
     ``enumerate_pairings``): each pattern's matchings are censused once
     into ``patterns``, and their position keys relabeled per survivor set."""
-    heads, n, ranks, slots = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.slots
-    traces: dict[int, list[int]] = {}   # each trace's first leg and its end
-    for leg, v in enumerate(pair_map.vertex):
-        traces.setdefault(v, [leg, leg])[1] = leg + 1
+    heads, n, ranks, colors = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.colors
+    starts = list(accumulate(map(len, pair_map.vertex_ranks), initial=0))   # each trace's first leg
 
-    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple, tuple]]]:
-        """(trace patterns, slot ranks by position, legs by position counted
-        from the first of ``legs``) of each way to contract k of ``legs``,
-        whole traces of the map, for each k of ``sizes``."""
-        colors = tuple(tuple([slot.color or 0 for slot in slots[start:end]])
-                       for start, end in traces.values() if start in legs)
-        side_ranks = ranks[legs.start:legs.stop]
-        return {k: [(pattern, tuple([side_ranks[i] for i in order]), order)
-                    for pattern, order in parts]
-                for k, parts in _side_patterns(colors, sizes, patterns).items()}
+    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple]]]:
+        """(trace patterns, slot ranks by position) of each way to contract
+        k of ``legs``, whole traces of the map, for each k of ``sizes``."""
+        side_colors = tuple(tuple(colors[a:b]) for a, b in zip(starts, starts[1:]) if a in legs)
+        side_ranks = ranks[legs.start:]   # by leg, counted from the side's first
+        return {k: [(pattern, tuple([side_ranks[i] for i in order])) for pattern, order in parts]
+                for k, parts in _side_patterns(side_colors, sizes, patterns).items()}
 
     if pair_map.product:
         sizes = range(min(heads, n - heads) + 1)
         heads_side, tails_side = side(range(heads), sizes), side(range(heads, n), sizes)
     else:   # a transport: one side, whose sets all pair with no legs of another
         sizes = range(0, n + 1, 2)
-        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), (), ())])
+        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), ())])
     kernel = mode.kind != "matrix"
     for k in sizes:
-        for head_pattern, head_ranks, head_legs in heads_side[k]:
-            for tail_pattern, tail_ranks, tail_legs in tails_side[k]:
+        for head_pattern, head_ranks in heads_side[k]:
+            for tail_pattern, tail_ranks in tails_side[k]:
                 pattern = head_pattern, tail_pattern
                 keys = patterns.get(pattern)
                 if keys is None:
-                    keys = patterns[pattern] = _pattern_keys(
-                        pair_map, mode, head_legs + tuple([heads + i for i in tail_legs]),
-                        pattern)
+                    keys = patterns[pattern] = _pattern_keys(pair_map, mode, pattern)
                 rank = head_ranks + tail_ranks   # the slot rank at each position
                 for key, count in keys:
                     stats.yielded += count
@@ -500,35 +494,33 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
     return parts
 
 
-def _pattern_keys(pair_map: PairMap, mode: Mode, order: tuple[int, ...],
+def _pattern_keys(pair_map: PairMap, mode: Mode,
                   pattern: tuple) -> list[tuple[tuple | None, int]]:
     """The census of every matching of one survivor pattern's contracted
     legs, as its distinct position keys and their counts.
 
-    ``pattern`` is the survivor set's trace patterns, side by side, and
-    ``order[p]`` the job's leg at position p.  The walk runs on a map of
-    positions built from the pattern: a rotation inside a trace keeps
-    ``sigma``, ``vertex``, ``first_mate`` and ``heads``, so these are the
-    job map's; the slots go in position order (only their colors, which
-    the pattern holds, reach a key), each position is its own slot rank,
-    each trace's word is its range of positions, and exactly the
-    positions whose code is even pair.  So the keys and their order
-    depend on the pattern alone, whichever job meets it first.  A
-    position key is the key's current words, its untouched traces (whose
-    words are their own ``vertex_ranks``), its eps half-units and block
-    ratios, and its kernels, whose pairs name positions.
+    ``pattern`` is a survivor set's trace patterns, side by side.  The
+    walk runs on a map of positions built from the pattern: a rotation
+    inside a trace keeps ``sigma``, ``vertex``, ``first_mate`` and
+    ``heads``, which the pattern's trace lengths and sides fix, so these
+    are the job map's; each position's color is its code's (``code >>
+    1``) and its slot rank is itself, each trace's word is its range of
+    positions, and exactly the positions whose code is even pair.  So
+    the keys and their order depend on the pattern alone, whichever job
+    meets it first.  A position key is the key's current words, its
+    untouched traces (whose words are their own ``vertex_ranks``), its
+    eps half-units and block ratios, and its kernels, whose pairs name
+    positions.
     """
     codes = [word for side in pattern for word in side]   # each trace's codes
-    traces = pair_map.vertex_ranks
     vertex_ranks = [tuple(range(start, start + len(word)))
-                    for start, word in zip(accumulate(map(len, traces), initial=0), traces)]
+                    for start, word in zip(accumulate(map(len, codes), initial=0), codes)]
     untouched = [v for v, word in enumerate(codes) if all(code & 1 for code in word)]
     alone = {vertex_ranks[v] for v in untouched}
-    slots = pair_map.slots
-    positions = pair_map._replace(slots=[slots[leg] for leg in order],
-                                  ranks=list(range(len(order))), vertex_ranks=vertex_ranks)
-    counts = Counter(_walk(positions, mode, EnumerationStats(),
-                           stays=[code & 1 for word in codes for code in word]))
+    flat = [code for word in codes for code in word]
+    positions = pair_map._replace(colors=[code >> 1 for code in flat],
+                                  ranks=list(range(len(flat))), vertex_ranks=vertex_ranks)
+    counts = Counter(_walk(positions, mode, EnumerationStats(), stays=[code & 1 for code in flat]))
     keys = []
     for key, count in counts.items():
         if key is not None:
@@ -584,7 +576,8 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
     1) and handed to ``census``; the report's current loops are named as
     ``LegId``s again.
     """
-    pair_map = map_of(gen_a, gen_b)
+    table = rank_table([gen_a] if gen_b is None else [gen_a, gen_b])
+    pair_map = map_of(gen_a, gen_b, table)
     legs = legs_of(gen_a) + ([] if gen_b is None else legs_of(gen_b, 1))
     index = {leg: i for i, leg in enumerate(legs)}
     pairs: list[tuple[int, int]] = []
@@ -604,6 +597,8 @@ def analyze(pairing: Pairing, gen_a: Generator, gen_b: Generator | None = None,
     report: dict = {}
     census(pairs, pair_map, mode, report)
     report["current_loops"] = tuple(tuple(legs[c] for c in cur) for cur in report["current_loops"])
+    report["output_words"] = tuple(tuple(table.by_rank[r] for r in word)
+                                   for word in report["output_words"])
     return LoopReport(pairs=tuple(pairing), **report)
 
 
@@ -621,7 +616,7 @@ def census(pairs: Scheme, pair_map: PairMap, mode: Mode,
     labels) and hands it to the same leaf reduction, so the Euler and
     half-unit checks run here too.  ``report``, when a dict,
     also gets the other fields of the scheme's ``LoopReport``, its
-    current loops as leg numbers.
+    current loops as leg numbers and its output words as slot ranks.
     """
     sigma, vertex = pair_map.sigma, pair_map.vertex
     alpha = list(range(len(sigma)))
@@ -650,7 +645,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
     of contracted legs and ``comp`` each vertex's component label, where
     a component's label is one of its vertices.
     """
-    _, _, vertex, _, slots, ranks, by_rank, vertex_ranks, product = pair_map
+    _, _, vertex, _, colors, ranks, vertex_ranks, product = pair_map
     n, vertex_count = len(alpha), len(degree)
 
     # Face walk over the legs of contracted vertices, one step leg ->
@@ -683,7 +678,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
         faces[comp[vertex[start]]] += 1
         color = None
         if colored:
-            palette = {slots[c].color for c in corners}
+            palette = {colors[c] for c in corners}
             color = palette.pop() if len(palette) == 1 else "mixed"
         if full:
             loop_colors.append(color)
@@ -699,7 +694,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
             if k:
                 word = word[k:] + word[:k]
         words.append(tuple(word))
-        if colored and not _chains_monochrome(corners, alpha, slots):
+        if colored and not _chains_monochrome(corners, alpha, colors):
             zero_reason = zero_reason or "mixed-color projector chain between currents"
         if full:
             loops.append(corners)
@@ -748,8 +743,8 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
                       loop_colors=tuple(loop_colors), components=tuple(components),
                       exponent_half_units=half_units, s_exponents=s_exponents,
                       weight_zero=zero_reason is not None, zero_reason=zero_reason,
-                      output_words=tuple(tuple(slots[c] for c in cur) for cur in currents)
-                      + tuple(tuple(by_rank[r] for r in vertex_ranks[v]) for v in isolated))
+                      output_words=tuple(tuple(ranks[c] for c in cur) for cur in currents)
+                      + tuple(vertex_ranks[v] for v in isolated))
     if zero_reason is not None:
         return None
     if mode.kind == "matrix":
@@ -761,7 +756,7 @@ def _reduce(pair_count: int, alpha: list[int], nxt: list[int], degree: list[int]
     return tuple(sorted(words)), half_units, s_exponents, tuple(sorted(ends))
 
 
-def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) -> bool:
+def _chains_monochrome(corners: list[int], alpha: list[int], colors: list[int]) -> bool:
     """Check that every projector chain between consecutive currents is
     a single color (mixed chains annihilate under projector orthogonality).
 
@@ -772,8 +767,8 @@ def _chains_monochrome(corners: list[int], alpha: list[int], slots: list[Slot]) 
     chain = None
     for c in corners[first:] + corners[:first]:
         if alpha[c] == c:
-            chain = slots[c].color
-        elif slots[c].color != chain:
+            chain = colors[c]
+        elif colors[c] != chain:
             return False
     return True
 

@@ -291,6 +291,21 @@ class TestVerify:
             "1/2 checks passed",
         ]
 
+    def test_a_fractional_block_size_is_a_located_failed_line(self, tmp_path, capsys):
+        # block sizes read as N does: 4/2 is 2, and 3/2 fails at its own column
+        path = tmp_path / "blocks.txt"
+        path.write_text("CHECK W{Tr[x1@1]} W{Tr[y1@1]} == hbar*s1*g @ N=2, blocks=3/2,1/2, c=1\n"
+                        "CHECK W{Tr[x1@1]} W{Tr[y1@1]} == hbar*s1*g @ N=2, blocks=1,1/2, c=1\n"
+                        "CHECK W{Tr[x1@1]} W{Tr[y1@1]} == hbar*s1*g @ N=2, blocks=4/2,0, c=1\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL line 1: line 1 column 58: block size 3/2 is not an integer",
+            "FAIL line 2: line 1 column 60: block size 1/2 is not an integer",
+            "PASS line 3: CHECK W{Tr[x1@1]} W{Tr[y1@1]} == hbar*s1*g @ N=2, blocks=4/2,0, c=1",
+            "1/3 checks passed",
+        ]
+
     def test_unreadable_manifest_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
         assert code == 2

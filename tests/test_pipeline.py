@@ -222,8 +222,9 @@ def test_census_keys_build_the_per_scheme_terms(data, mode, product_mode):
     # the rank table of a call also holds the slots of its other jobs
     other = data.draw(generators(mode, data.draw(st.sampled_from("xyz")), 4))
     gens = (ga, gb)
-    pair_map = map_of(ga, gb, rank_table([g for g in (ga, gb, other) if g is not None]))
-    slots, words = pair_map.by_rank, {}
+    table = rank_table([g for g in (ga, gb, other) if g is not None])
+    pair_map = map_of(ga, gb, table)
+    slots, words = table.by_rank, {}
     # a pair kernel is the job's symbol, bare or on the pair's two slots in key order
     name = KernelSymbol(symbol) if mode.kind == "matrix" else lambda u, v: (KernelSymbol(
         symbol, ((slots[u].label, slots[u].conjugated), (slots[v].label, slots[v].conjugated))), 1)

@@ -24,7 +24,7 @@ from multitrace import (
     parse_series,
     result_generator,
 )
-from multitrace.ribbon import census, exponent_bound, map_of
+from multitrace.ribbon import census, exponent_bound, map_of, rank_table
 
 from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
                      reference_exponent_bound, reference_pairings, shaped, trace_lengths,
@@ -233,7 +233,7 @@ def _report_key(report, pair_map, mode, gens):
     """The census key of a scheme, read off its ``LoopReport``."""
     if report.weight_zero:
         return None
-    rank = {slot: r for r, slot in enumerate(pair_map.by_rank)}
+    rank = rank_table([g for g in gens if g is not None]).rank
     words = [tuple(rank[slot] for slot in word) for word in report.output_words]
     words = sorted(min(w[k:] + w[:k] for k in range(len(w))) for w in words)
     pairs = [tuple(rank[gens[leg.side].traces[leg.trace].slots[leg.slot]] for leg in pair)
