@@ -47,7 +47,9 @@ the output generator of each kept term is built from its words
 (``output_generator``, each trace word once).  The key is already in
 canonical order, so the values are built from it as they are, with
 their keys, and are never rotated or sorted again.  These tables and
-sums live for one ``scheme_series`` call.
+sums live for one ``scheme_series`` call, which runs with the cyclic
+garbage collector paused: the values it builds hold no reference
+cycles, so the collector's passes over them would free nothing.
 
 Everything downstream (moments, commutators, connected parts, the
 size-squared bracket, the genus table) is built from this one sum.
@@ -61,7 +63,8 @@ from itertools import permutations
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .coeffring import Coefficient, KernelSymbol, Monomial, ONE, RationalLike
+from .coeffring import (Coefficient, KernelSymbol, Monomial, ONE, RationalLike,
+                        _collector_paused)
 from .observables import (Generator, Mode, Series, Slot, TraceWord,
                           UNIT_GENERATOR, classical_product)
 from .ribbon import EnumerationStats, enumerate_pairings, map_of, rank_table
@@ -114,6 +117,7 @@ def _rationals(coeff: Coefficient) -> list[tuple[Monomial, RationalLike]]:
     return [(m, q.numerator if q.denominator == 1 else q) for m, q in coeff.terms]
 
 
+@_collector_paused
 def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
                   terms_b: Sequence[tuple[Generator, Coefficient]] | None,
                   symbol: str, max_eps_degree: int | None,

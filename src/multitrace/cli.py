@@ -21,6 +21,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import (commutator, connected_product, expectation, poisson_bracket,
                       product, product_chain)
@@ -286,6 +287,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@cache   # one tree per process: parsing arguments leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="multitrace",

@@ -23,9 +23,10 @@ is built, and equality, hashing and sorting read them.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from math import lcm
 from typing import Callable, Iterable, Mapping, Union
 
@@ -86,6 +87,31 @@ class KeyedValue:
         # rebuilt through the constructor: a stored hash of strings is only
         # valid in the process that computed it
         return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector disabled.
+
+    The engine's values (``KeyedValue`` subclasses, coefficients, series,
+    census keys) are immutable and acyclic, so reference counting frees
+    each of them at once and the collector's scans of the heap they fill
+    find nothing to free.  The collector is switched off for the call
+    only if it was on, and switched on again when the call returns or
+    raises; a nested call, or one whose caller disabled the collector,
+    leaves its state alone.  The state is process-wide: a thread running
+    meanwhile runs without the collector too.  The engine is
+    single-threaded, and nothing in it starts a thread.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 SlotRef = tuple[str, bool]  # (label, conjugated)

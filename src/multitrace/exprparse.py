@@ -37,7 +37,8 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .coeffring import (IDENTIFIER, Coefficient, CoefficientError, KernelSymbol, Monomial, ONE,
-                        SlotRef, ZERO, monomial_texts, render_sum, render_term, render_terms)
+                        SlotRef, ZERO, _collector_paused, monomial_texts, render_sum, render_term,
+                        render_terms)
 from .observables import (Generator, Mode, ObservableError, Series, Slot, TraceWord,
                           UNIT_GENERATOR, make_generator)
 
@@ -76,6 +77,8 @@ def _over_digit_limit(value: int, exponent: int, limit: int) -> bool:
 
 
 def tokenize(text: str) -> list[Token]:
+    # tuple.__new__ builds the same Token without the NamedTuple's Python-level __new__
+    new = tuple.__new__
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
@@ -85,7 +88,7 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "bad":
             raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
         elif kind:
-            tokens.append(Token(kind, m[0], line, m.start() - line_start + 1))
+            tokens.append(new(Token, (kind, m[0], line, m.start() - line_start + 1)))
     tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -352,6 +355,7 @@ def _guard_digits(values: Iterable[Fraction], exponent: int, at: Token, what: st
         raise ParseError(_too_long(limit, what), at.line, at.column)
 
 
+@_collector_paused
 def parse_series(text: str, mode: Mode) -> Series:
     parser = Parser(tokenize(text), mode)
     result = parser.parse_series()
@@ -370,6 +374,7 @@ def parse_coefficient(text: str, mode: Mode) -> Coefficient:
 # -- rendering ----------------------------------------------------------------
 
 
+@_collector_paused
 def render_series(series: Series) -> str:
     """Canonical text; ``parse_series`` inverts it exactly.
 

@@ -1,9 +1,14 @@
 """End-to-end command coverage through ``main`` with captured output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multitrace
 from multitrace import (MATRIX, RibbonError, Series, algebra, parse_series, product,
                         render_series, series_from_json)
 from multitrace.cli import main, parse_manifest_line
@@ -176,6 +181,34 @@ def test_identical_runs_are_identical(capsys):
     first = run(capsys, "product", "W{Tr[x1 x2 x3]}", "W{Tr[y1 y2 y3]}")
     second = run(capsys, "product", "W{Tr[x1 x2 x3]}", "W{Tr[y1 y2 y3]}")
     assert first == second
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    # one argument tree serves every call of a process; options set by a
+    # call, and a usage error, must not leak into the next call
+    calls = [
+        ("product", "--mode", "kernel", "W{Tr[x1 x2]}", "W{Tr[y1 y2]}"),
+        ("product", "W{Tr[x1 x2]}", "W{Tr[y1 y2]}"),
+        ("transport", "--negate", "W{Tr[x1 x2 x3 x4]}"),
+        ("transport", "W{Tr[x1 x2 x3 x4]}"),
+        ("product", "--mode", "tensor", "W{Tr[x1]}", "W{Tr[y1]}"),
+        ("moment", "W{Tr[x1 x2]}", "W{Tr[y1 y2]}"),
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            in_process.append(run(capsys, *argv))
+        except SystemExit as exc:   # argparse's usage error
+            captured = capsys.readouterr()
+            in_process.append((exc.code, captured.out, captured.err))
+    src = str(Path(multitrace.__file__).resolve().parents[1])
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "multitrace", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
+    assert in_process == fresh
 
 
 def test_parse_errors_exit_with_two(capsys):

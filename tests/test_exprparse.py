@@ -30,7 +30,7 @@ from multitrace import (
     series_to_json,
     transport,
 )
-from multitrace.exprparse import tokenize
+from multitrace.exprparse import Token, tokenize
 
 from helpers import MODES as DRAWN_MODES
 from helpers import (expression_texts, random_series, rational_value, reference_parse_series,
@@ -89,6 +89,7 @@ class TestParsing:
         assert got == [("ident", "eps", 1, 1), ("num", "3/2", 2, 3), ("punct", "*", 2, 6),
                        ("ident", "W", 2, 7), ("punct", "{", 2, 8), ("punct", "}", 2, 9),
                        ("end", "", 2, 10)]
+        assert all(type(t) is Token for t in tokenize("eps # c\n  3/2*W{}"))
         assert [(t.kind, t.line, t.column) for t in tokenize("")] == [("end", 1, 1)]
 
 
