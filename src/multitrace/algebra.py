@@ -20,12 +20,13 @@ schemes are counted per key.  A key is its output words and its
 monomial part (eps half-units, block ratios, kernels).  All jobs share
 the table, so equal keys of different jobs name the same term.  Without
 an eps cap, they also share one memo of survivor patterns: the matchings
-of each pattern (each trace's least-rotated word of contracted and
-surviving legs) are censused once for the call, on a map of leg
-positions built from the pattern alone, so a pattern's keys come in the
-same order whichever job meets it first, and they are relabeled to slot
-ranks for each survivor set of each job; the 727 jobs of the
-``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 51 times for
+of each pattern (the least-rotated words of contracted and surviving
+legs of the traces that hold a contracted leg, sorted) are censused
+once for the call, on a map of leg positions built from the pattern
+alone, so a pattern's keys come in the same order whichever job meets
+it first, and they are relabeled to slot ranks for each survivor set of
+each job, which adds its untouched traces' words; the 727 jobs of the
+``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 8 times for
 their 4,037 schemes.  With a cap, each job walks its schemes depth
 first, cutting branches past the cap.
 

@@ -49,16 +49,6 @@ class KeyedValue:
 
     __slots__ = ("_key", "_hash")
 
-    @classmethod
-    def _canonical(cls, *values):
-        """A value from field values (in field order) already in canonical
-        form, built without the checks and the sorting of the constructor."""
-        value = object.__new__(cls)
-        for name, field_value in zip(cls.__match_args__, values):
-            object.__setattr__(value, name, field_value)
-        value._keep_key()
-        return value
-
     def _make_key(self) -> tuple:
         raise NotImplementedError
 
@@ -218,6 +208,21 @@ class Monomial(KeyedValue):
         object.__setattr__(self, "kernels", _sorted_powers(self.kernels, "kernel"))
         self._keep_key()
 
+    @classmethod
+    def _canonical(cls, eps_half: int, hbar: int, s: tuple, kernels: tuple) -> "Monomial":
+        """A monomial from parts already in canonical form (``s`` and
+        ``kernels`` sorted, powers merged), built without the checks and
+        the sorting of the constructor, its key and hash stored directly."""
+        mono = object.__new__(cls)
+        key = eps_half, hbar, s, kernels
+        object.__setattr__(mono, "eps_half", eps_half)
+        object.__setattr__(mono, "hbar", hbar)
+        object.__setattr__(mono, "s", s)
+        object.__setattr__(mono, "kernels", kernels)
+        object.__setattr__(mono, "_key", key)
+        object.__setattr__(mono, "_hash", hash(key))
+        return mono
+
     def _make_key(self) -> tuple:
         return self.eps_half, self.hbar, self.s, self.kernels
 
@@ -236,7 +241,7 @@ class Monomial(KeyedValue):
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if other == _UNIT_MONOMIAL:
+        if other is _UNIT_MONOMIAL or other == _UNIT_MONOMIAL:
             return self
         return Monomial._canonical(self.eps_half + other.eps_half, self.hbar + other.hbar,
                                    _merged_powers(self.s, other.s),
@@ -290,6 +295,9 @@ class Coefficient:
     def _of_sums(acc: Mapping[Monomial, RationalLike]) -> "Coefficient":
         """The coefficient of summed terms: zeros dropped, each sum made one
         ``Fraction``, sorted once by monomial."""
+        if len(acc) == 1:   # one term needs no sort
+            (mono, q), = acc.items()
+            return Coefficient(((mono, q if type(q) is Fraction else Fraction(q)),) if q else ())
         return Coefficient(tuple(sorted(
             ((mono, q if type(q) is Fraction else Fraction(q)) for mono, q in acc.items() if q),
             key=lambda kv: kv[0]._key)))

@@ -109,6 +109,18 @@ class TraceWord(KeyedValue):
         object.__setattr__(self, "slots", slots[k:] + slots[:k])
         self._keep_key()
 
+    @classmethod
+    def _canonical(cls, slots: tuple[Slot, ...]) -> "TraceWord":
+        """A word from slots already in least rotation, built without the
+        checks and the rotation of the constructor, its key and hash
+        stored directly."""
+        word = object.__new__(cls)
+        key = tuple([s._key for s in slots])
+        object.__setattr__(word, "slots", slots)
+        object.__setattr__(word, "_key", key)
+        object.__setattr__(word, "_hash", hash(key))
+        return word
+
     def _make_key(self) -> tuple:
         return tuple([s._key for s in self.slots])
 
@@ -128,6 +140,17 @@ class Generator(KeyedValue):
     def __post_init__(self) -> None:
         object.__setattr__(self, "traces", tuple(sorted(self.traces, key=TraceWord.key)))
         self._keep_key()
+
+    @classmethod
+    def _canonical(cls, traces: tuple[TraceWord, ...]) -> "Generator":
+        """A generator from trace words already sorted, built without the
+        sort of the constructor, its key and hash stored directly."""
+        gen = object.__new__(cls)
+        key = tuple([t._key for t in traces])
+        object.__setattr__(gen, "traces", traces)
+        object.__setattr__(gen, "_key", key)
+        object.__setattr__(gen, "_hash", hash(key))
+        return gen
 
     def _make_key(self) -> tuple:
         return tuple([t._key for t in self.traces])

@@ -45,24 +45,28 @@ each leaf goes to the face walk.  With an eps cap it walks the job's
 own map, each head leg first staying uncontracted, and cuts branches
 past the cap.  Without a cap it goes survivor set by survivor set.  A
 scheme is its survivor set (the legs left uncontracted) and a perfect
-matching of the other legs that ``first_mate`` allows.  The matchings,
-and each one's census on leg positions, depend only on the survivor
-set's pattern: each trace's cyclic word of leg codes (``2 * color + 1``
-for a surviving leg, ``2 * color`` for a contracted one, color 0 when
-uncolored), least rotated, the traces in map order and, in a product,
-split by side.  Each pattern's census is the walk on the pattern's own
-map, whose legs are positions, each trace numbered from the start of
-its least rotation: exactly the contracted positions pair, each
-position's color is its code's and each position is its own slot rank.
-So the census is built from the pattern alone, and its keys, which name
-positions, come in an order that the pattern fixes.  They go with their
-counts into a memo that the maps of one call share
-(``algebra.scheme_series`` makes one per call, as it makes one rank
-table).  Every survivor set of the pattern then relabels them:
-positions become slot ranks, words are least-rotated and sorted again,
-and kernel rank pairs re-oriented and sorted.  So ``(6)x(6)`` runs the
-face walk 1,172 times for its 13,327 schemes (38 patterns), and a
-10-leg trace 1,872 times for its 9,496 (56 patterns).
+matching of the other legs that ``first_mate`` allows.  A trace with
+no contracted leg is untouched: it is one face in every matching, and
+its rank word goes to the key as it is.  The matchings, and each one's
+census on leg positions, depend only on the survivor set's pattern:
+the cyclic word of leg codes (``2 * color + 1`` for a surviving leg,
+``2 * color`` for a contracted one, color 0 when uncolored) of each
+touched trace, least rotated, the words sorted and, in a product, split
+by side.  Each pattern's census is the walk on the pattern's own map,
+whose legs are positions, each touched trace numbered from the start of
+its word: exactly the contracted positions pair, each position's color
+is its code's and each position is its own slot rank.  So the census is
+built from the pattern alone, and its keys, which name positions, come
+in an order that the pattern fixes.  They go with their counts into a
+memo that the maps of one call share (``algebra.scheme_series`` makes
+one per call, as it makes one rank table).  Every survivor set of the
+pattern then relabels them: positions become slot ranks, the words are
+least-rotated and sorted again with the untouched traces' words, and
+kernel rank pairs are re-oriented and sorted.  So ``(6)x(6)`` runs the
+face walk 1,172 times for its 13,327 schemes (38 patterns) and
+``(2,2,2)x(3,2,1)`` 1,416 times for as many, and a transport of ten
+legs 1,872 times for its 9,496 as one trace and 1,372 times as two
+traces of five.
 
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
@@ -108,6 +112,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
@@ -290,7 +295,8 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     depend only on the side's trace lengths and colors.  Each survivor
     set yields its pattern's keys (``_pattern_keys``, the walk on the
     pattern's own map) in the order that census found them, which the
-    pattern alone fixes, each as often as its count.  ``patterns`` is
+    pattern alone fixes, each as often as its count, relabeled with its
+    slot ranks and its untouched traces' words.  ``patterns`` is
     the memo from pattern to its position keys and their counts, which
     also keeps each side's survivor sets: a fresh one by default, or one
     that the maps of a call share, all of one mode; the order is the
@@ -401,14 +407,24 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     ``enumerate_pairings``): each pattern's matchings are censused once
     into ``patterns``, and their position keys relabeled per survivor set."""
     heads, n, ranks, colors = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.colors
-    starts = list(accumulate(map(len, pair_map.vertex_ranks), initial=0))   # each trace's first leg
+    vertex_ranks = pair_map.vertex_ranks
+    starts = list(accumulate(map(len, vertex_ranks), initial=0))   # each trace's first leg
+    # an untouched trace's rank word goes to the keys without a face walk, so
+    # its leg bookkeeping is checked here, once per job: one rank per leg
+    if [v for v, word in enumerate(vertex_ranks) for _ in word] != pair_map.vertex:
+        raise RibbonError("leg bookkeeping does not match the traces' rank words")
 
-    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple]]]:
-        """(trace patterns, slot ranks by position) of each way to contract
-        k of ``legs``, whole traces of the map, for each k of ``sizes``."""
-        side_colors = tuple(tuple(colors[a:b]) for a, b in zip(starts, starts[1:]) if a in legs)
+    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple, tuple, tuple]]]:
+        """(pattern, touched legs by position counted from the side's
+        first, their slot ranks, the untouched traces' rank words) of each
+        way to contract k of ``legs``, whole traces of the map, for each k
+        of ``sizes``."""
+        traces = [v for v in range(len(vertex_ranks)) if starts[v] in legs]
+        side_colors = tuple(tuple(colors[starts[v]:starts[v + 1]]) for v in traces)
         side_ranks = ranks[legs.start:]   # by leg, counted from the side's first
-        return {k: [(pattern, tuple([side_ranks[i] for i in order])) for pattern, order in parts]
+        return {k: [(pattern, order, tuple([side_ranks[i] for i in order]),
+                     tuple([vertex_ranks[traces[t]] for t in untouched]))
+                    for pattern, order, untouched in parts]
                 for k, parts in _side_patterns(side_colors, sizes, patterns).items()}
 
     if pair_map.product:
@@ -416,32 +432,35 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
         heads_side, tails_side = side(range(heads), sizes), side(range(heads, n), sizes)
     else:   # a transport: one side, whose sets all pair with no legs of another
         sizes = range(0, n + 1, 2)
-        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), ())])
+        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), (), (), ())])
     kernel = mode.kind != "matrix"
     for k in sizes:
-        for head_pattern, head_ranks in heads_side[k]:
-            for tail_pattern, tail_ranks in tails_side[k]:
+        for head_pattern, head_order, head_ranks, head_words in heads_side[k]:
+            for tail_pattern, tail_order, tail_ranks, tail_words in tails_side[k]:
                 pattern = head_pattern, tail_pattern
                 keys = patterns.get(pattern)
                 if keys is None:
-                    keys = patterns[pattern] = _pattern_keys(pair_map, mode, pattern)
+                    legs = head_order + tuple([heads + i for i in tail_order])
+                    keys = patterns[pattern] = _pattern_keys(pair_map, mode, pattern, legs)
                 rank = head_ranks + tail_ranks   # the slot rank at each position
+                untouched = head_words + tail_words
                 for key, count in keys:
                     stats.yielded += count
                     if key is not None:
-                        key = _relabel(key, rank, pair_map, kernel)
+                        key = _relabel(key, rank, untouched, pair_map.product, kernel)
                     for _ in range(count):
                         yield key
 
 
-def _relabel(key: tuple, rank: tuple[int, ...], pair_map: PairMap, kernel: bool) -> tuple:
+def _relabel(key: tuple, rank: tuple[int, ...], untouched: tuple[tuple[int, ...], ...],
+             product: bool, kernel: bool) -> tuple:
     """A census key from a position key (see ``_pattern_keys``), ``rank``
-    the slot rank at each position: words least-rotated and sorted again,
-    and in kernel mode the rank pairs oriented as the face walk orients
-    them and sorted."""
-    current, untouched, half_units, s_exponents, kernels = key
-    vertex_ranks = pair_map.vertex_ranks
-    words = [vertex_ranks[v] for v in untouched]
+    the slot rank at each position and ``untouched`` the rank words of
+    the survivor set's untouched traces: the current words least-rotated
+    and sorted again with the untouched ones, and in kernel mode the rank
+    pairs oriented as the face walk orients them and sorted."""
+    current, half_units, s_exponents, kernels = key
+    words = list(untouched)
     for word in current:
         out = [rank[p] for p in word]
         if len(out) > 1:
@@ -452,7 +471,7 @@ def _relabel(key: tuple, rank: tuple[int, ...], pair_map: PairMap, kernel: bool)
     words.sort()
     if kernel:
         ends = [(rank[i], rank[j]) for i, j in kernels]
-        if not pair_map.product:   # a transport's pair: (least, greatest) rank
+        if not product:   # a transport's pair: (least, greatest) rank
             ends = [(u, v) if u < v else (v, u) for u, v in ends]
         ends.sort()
         kernels = tuple(ends)
@@ -460,15 +479,19 @@ def _relabel(key: tuple, rank: tuple[int, ...], pair_map: PairMap, kernel: bool)
 
 
 def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
-                   memo: dict) -> dict[int, list[tuple[tuple, tuple[int, ...]]]]:
+                   memo: dict) -> dict[int, list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]]:
     """For each k of ``sizes``, each way to contract k legs of a side whose
-    traces' legs have ``colors`` (0 uncolored): its trace patterns, and
-    its legs by position, counted from the side's first leg.
+    traces' legs have ``colors`` (0 uncolored): its pattern, its touched
+    legs by position, counted from the side's first leg, and its
+    untouched traces, by their place on the side.
 
-    A trace's pattern is the least rotation of its legs' codes, ``2 *
-    color + 1`` for a leg that survives and ``2 * color`` for one that
-    does not, and positions follow that rotation.  The sets are built
-    once per ``memo`` (keyed ``(colors, sizes)``, which no pattern
+    A trace is touched when it holds a contracted leg.  Its word is the
+    least rotation of its legs' codes, ``2 * color + 1`` for a leg that
+    survives and ``2 * color`` for one that does not, and its positions
+    follow that rotation.  The pattern is the touched traces' words,
+    sorted; the sort is stable, so equal words keep the side's trace
+    order, and the positions follow the sorted traces.  The sets are
+    built once per ``memo`` (keyed ``(colors, sizes)``, which no pattern
     equals: a pattern's second entry is a tuple, never a range), those
     of each size in ``combinations`` order of the side's legs.
     """
@@ -477,6 +500,7 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
         return parts
     codes = [2 * color + 1 for trace in colors for color in trace]
     spans = list(zip(accumulate(map(len, colors), initial=0), accumulate(map(len, colors))))
+    trace_of = [t for t, trace in enumerate(colors) for _ in trace]
     parts = memo[colors, sizes] = {}
     for k in sizes:
         found = parts[k] = []
@@ -484,51 +508,57 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
             word = codes.copy()
             for leg in cut:
                 word[leg] -= 1
-            pattern, order = [], []
-            for start, end in spans:
+            hit = sorted({trace_of[leg] for leg in cut})
+            touched = []
+            for t in hit:
+                start, end = spans[t]
                 trace = word[start:end]
                 r = least_rotation(trace) if end - start > 1 else 0
-                pattern.append(tuple(trace[r:] + trace[:r]))
-                order += [*range(start + r, end), *range(start, start + r)]
-            found.append((tuple(pattern), tuple(order)))
+                touched.append((tuple(trace[r:] + trace[:r]),
+                                [*range(start + r, end), *range(start, start + r)]))
+            touched.sort(key=itemgetter(0))
+            found.append((tuple([trace for trace, _ in touched]),
+                          tuple([leg for _, order in touched for leg in order]),
+                          tuple([t for t in range(len(colors)) if t not in hit])))
     return parts
 
 
-def _pattern_keys(pair_map: PairMap, mode: Mode,
-                  pattern: tuple) -> list[tuple[tuple | None, int]]:
+def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
+                  legs: tuple[int, ...]) -> list[tuple[tuple | None, int]]:
     """The census of every matching of one survivor pattern's contracted
     legs, as its distinct position keys and their counts.
 
-    ``pattern`` is a survivor set's trace patterns, side by side.  The
-    walk runs on a map of positions built from the pattern: a rotation
-    inside a trace keeps ``sigma``, ``vertex``, ``first_mate`` and
-    ``heads``, which the pattern's trace lengths and sides fix, so these
-    are the job map's; each position's color is its code's (``code >>
-    1``) and its slot rank is itself, each trace's word is its range of
-    positions, and exactly the positions whose code is even pair.  So
-    the keys and their order depend on the pattern alone, whichever job
-    meets it first.  A position key is the key's current words, its
-    untouched traces (whose words are their own ``vertex_ranks``), its
-    eps half-units and block ratios, and its kernels, whose pairs name
-    positions.
+    ``pattern`` is a survivor set's touched traces, side by side, and
+    ``legs`` the job map's leg at each of their positions.  The walk runs
+    on a map of positions: each touched trace's positions in turn, each
+    numbered from the start of its word.  Its ``sigma`` is the job map's
+    read through ``legs`` (a rotation inside a trace keeps it, so a
+    consistent map gives the pattern's own), its ``vertex``,
+    ``first_mate`` and ``heads`` are fixed by the pattern's trace lengths
+    and sides, each position's color is its code's (``code >> 1``) and
+    its slot rank is itself, each trace's word is its range of positions,
+    and exactly the positions whose code is even pair.  So the keys and
+    their order depend on the pattern alone, whichever job meets it
+    first.  Every trace of the map is touched, so a position key's words
+    are its current words; with its eps half-units, block ratios and
+    kernels, whose pairs name positions, it has the shape of a census
+    key.
     """
     codes = [word for side in pattern for word in side]   # each trace's codes
-    vertex_ranks = [tuple(range(start, start + len(word)))
-                    for start, word in zip(accumulate(map(len, codes), initial=0), codes)]
-    untouched = [v for v, word in enumerate(codes) if all(code & 1 for code in word)]
-    alone = {vertex_ranks[v] for v in untouched}
     flat = [code for word in codes for code in word]
-    positions = pair_map._replace(colors=[code >> 1 for code in flat],
-                                  ranks=list(range(len(flat))), vertex_ranks=vertex_ranks)
+    n = len(flat)
+    heads = sum(map(len, pattern[0])) if pair_map.product else n
+    where = {leg: p for p, leg in enumerate(legs)}
+    positions = PairMap(
+        heads, [where[pair_map.sigma[leg]] for leg in legs],
+        [v for v, word in enumerate(codes) for _ in word],
+        [heads] * heads + [n] * (n - heads) if pair_map.product else list(range(1, n + 1)),
+        [code >> 1 for code in flat], list(range(n)),
+        [tuple(range(start, start + len(word)))
+         for start, word in zip(accumulate(map(len, codes), initial=0), codes)],
+        pair_map.product)
     counts = Counter(_walk(positions, mode, EnumerationStats(), stays=[code & 1 for code in flat]))
-    keys = []
-    for key, count in counts.items():
-        if key is not None:
-            words, half_units, s_exponents, kernels = key
-            key = (tuple([word for word in words if word not in alone]), tuple(untouched),
-                   half_units, s_exponents, kernels)
-        keys.append((key, count))
-    return keys
+    return list(counts.items())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import io
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 import hypothesis.strategies as st
 import pytest
@@ -308,13 +308,56 @@ def test_equal_schemes_are_assembled_once(monkeypatch, mode, legs, keys, monomia
 
 
 def _trace_patterns(gen, cut):
-    """Each trace's contracted (True) and surviving legs, least rotated."""
+    """The touched traces' words of contracted (True) and surviving legs,
+    each least rotated, sorted; an untouched trace is not in the pattern."""
     flags, start = [], 0
     for trace in gen.traces:
         word = tuple(leg in cut for leg in range(start, start + len(trace.slots)))
-        flags.append(min(word[k:] + word[:k] for k in range(len(word))))
+        if any(word):
+            flags.append(min(word[k:] + word[:k] for k in range(len(word))))
         start += len(word)
-    return tuple(flags)
+    return tuple(sorted(flags))
+
+
+def _counted_reductions(monkeypatch):
+    """The arguments of every face walk, in a list that grows as they run."""
+    reductions = []
+    inner_reduce = multitrace.ribbon._reduce
+
+    def counted_reduce(*args):
+        reductions.append(args)
+        return inner_reduce(*args)
+
+    monkeypatch.setattr(multitrace.ribbon, "_reduce", counted_reduce)
+    return reductions
+
+
+@pytest.mark.parametrize("mode, shape_a, shape_b, walks", [
+    (MATRIX, (6,), (6,), 1172), (MATRIX, (2, 2, 2), (3, 2, 1), 1416),
+    (MATRIX, (4, 1, 1), (3, 2, 1), 2111), (KERNEL, (3, 1, 1), (2, 2, 1), 293),
+    (MATRIX, (5, 5), None, 1372)])
+def test_face_walks_follow_the_touched_trace_patterns(monkeypatch, mode, shape_a, shape_b,
+                                                      walks):
+    # one face walk per matching of each distinct pattern: k! for a product's
+    # pattern pair with k contracted legs a side, (k-1)!! for a transport's k
+    reductions = _counted_reductions(monkeypatch)
+    a = series_of(shape_a, "x", mode)
+    (ga, _), = a.terms
+    if shape_b is None:
+        patterns = {_trace_patterns(ga, cut): k for k in range(0, ga.size + 1, 2)
+                    for cut in combinations(range(ga.size), k)}
+        expected = sum(prod(range(k - 1, 0, -2)) for k in patterns.values())
+        transport(a)
+    else:
+        b = series_of(shape_b, "y", mode)
+        (gb, _), = b.terms
+        patterns = {(_trace_patterns(ga, cut_a), _trace_patterns(gb, cut_b)): k
+                    for k in range(min(ga.size, gb.size) + 1)
+                    for cut_a in combinations(range(ga.size), k)
+                    for cut_b in combinations(range(gb.size), k)}
+        expected = sum(factorial(k) for k in patterns.values())
+        product(a, b)
+    assert len(reductions) == expected == walks
 
 
 def test_each_pattern_is_censused_once_per_call(monkeypatch):
@@ -329,14 +372,7 @@ def test_each_pattern_is_censused_once_per_call(monkeypatch):
                 for cut_a in combinations(range(ga.size), k):
                     for cut_b in combinations(range(gb.size), k):
                         patterns[_trace_patterns(ga, cut_a), _trace_patterns(gb, cut_b)] = k
-    reductions, memos = [], []
-    inner_reduce = multitrace.ribbon._reduce
-
-    def counted_reduce(*args):
-        reductions.append(args)
-        return inner_reduce(*args)
-
-    monkeypatch.setattr(multitrace.ribbon, "_reduce", counted_reduce)
+    reductions, memos = _counted_reductions(monkeypatch), []
     _, stats, drawn = traced(monkeypatch)
     inner_enumerate = multitrace.algebra.enumerate_pairings
 
@@ -347,7 +383,7 @@ def test_each_pattern_is_censused_once_per_call(monkeypatch):
     monkeypatch.setattr(multitrace.algebra, "enumerate_pairings", kept_memo)
     for calls in (1, 2):   # a second call censuses its patterns again
         out = product(a, b)
-        assert len(reductions) == calls * sum(factorial(k) for k in patterns.values()) == calls * 51
+        assert len(reductions) == calls * sum(factorial(k) for k in patterns.values()) == calls * 8
     assert len(out.terms) == 1847
     assert len(memos) == 2 * 727 and len({id(memo) for memo in memos}) == 2
     jobs = [(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms] * 2

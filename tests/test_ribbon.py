@@ -17,6 +17,7 @@ from multitrace import (
     MATRIX,
     Mode,
     RibbonError,
+    Slot,
     analyze,
     enumerate_pairings,
     legs_of,
@@ -210,6 +211,48 @@ def test_uncapped_order_does_not_depend_on_which_map_filled_the_memo():
                                      patterns=patterns))
     assert len(fresh) == product_scheme_count(4, 4)
     assert shared == fresh
+
+
+@st.composite
+def repeated_traces(draw, mode, prefix, max_legs):
+    """Two traces of one color word, one of them rotated, so survivor sets
+    can touch both with the same code word, and two traces of different
+    lengths, so survivor sets leave traces of mixed lengths untouched.
+
+    Labels come in a drawn order, so the generator's trace order mixes
+    the four traces.
+    """
+    length = draw(st.integers(1, 2))
+    others = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True)
+                  .filter(lambda lengths: 2 * length + sum(lengths) <= max_legs))
+    color = (lambda: draw(st.integers(1, mode.colors))) if mode.colored else (lambda: None)
+    word = [color() for _ in range(length)]
+    turn = draw(st.integers(0, length - 1))
+    shapes = [word, word[turn:] + word[:turn]] + [[color() for _ in range(n)] for n in others]
+    numbers = iter(draw(st.permutations(range(1, sum(map(len, shapes)) + 1))))
+    return make_generator([[Slot(f"{prefix}{next(numbers)}",
+                                 mode.kind == "kernel" and draw(st.booleans()), c)
+                            for c in colors] for colors in shapes], mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_sorted_touched_patterns_key_every_scheme(data, mode, product_mode):
+    # ties between equal touched words must not change the keys, and an
+    # untouched trace's word reaches the key straight from the survivor set
+    ga = data.draw(repeated_traces(mode, "x", 7 if product_mode else 8))
+    gb = data.draw(repeated_traces(mode, "y", 5)) if product_mode else None
+    pair_map = map_of(ga, gb)
+    legs = leg_numbers(pair_map)
+    fresh = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
+    patterns: dict = {}
+    other = map_of(gb, ga) if product_mode else map_of(data.draw(repeated_traces(mode, "z", 8)))
+    list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode, patterns=patterns))
+    shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, patterns=patterns))
+    walk = enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
+                              max_eps_degree=len(pair_map.sigma))
+    assert shared == fresh
+    assert Counter(fresh) == Counter(walk)
 
 
 # Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
