@@ -381,11 +381,12 @@ def render_series(series: Series) -> str:
     Terms are ordered by their coefficient's least eps degree (its first
     monomial's, since monomials sort by eps first), then larger
     generators first, so the unit lands last within a degree, then by
-    generator key.  Each term is rendered once, in the series' own order,
-    with texts from ``functools.cache`` wrappers made for this call: each
-    distinct monomial (and kernel symbol inside it) and each distinct
-    trace word is rendered once.  A monomial with an odd eps half-unit raises there,
-    at the first in the series' order.
+    generator key: the sort is stable, and a ``Series`` holds its terms
+    in generator-key order.  Each term is rendered once, in the series'
+    own order, with texts from ``functools.cache`` wrappers made for this
+    call: each distinct monomial (and kernel symbol inside it) and each
+    distinct trace word is rendered once.  A monomial with an odd eps
+    half-unit raises there, at the first in the series' order.
 
     The text form needs distinct slot labels within each generator, so a
     generator that repeats one (say, after ``forget_labels``) is refused.
@@ -402,11 +403,11 @@ def render_series(series: Series) -> str:
         else:
             piece = "+ (" + render_terms(terms, monomial) + ")"
         labels = gen.labels()
-        key = (terms[0][0].eps_half >> 1 if terms else 0, -len(labels), gen._key)
+        key = (terms[0][0].eps_half >> 1 if terms else 0, -len(labels))
         rows.append((key, piece + "*" + gen.render_with(trace)))
         if len(set(labels)) != len(labels):
             repeats.append((key, gen, labels))
-    if repeats:
+    if repeats:   # the first in render order: ``min`` keeps the first of equal keys
         _, gen, labels = min(repeats, key=itemgetter(0))
         repeated = next(lab for lab in labels if labels.count(lab) > 1)
         raise ValueError(f"slot label {repeated!r} repeats in {gen.render()}: the text "

@@ -231,6 +231,12 @@ class Series:
     cap that would have contributed zero still sets it.  So the flag
     does not depend on how early the enumeration prunes, and a
     truncated result can equal the uncapped one.
+
+    ``terms`` come in generator-key order, and ``render_series`` relies
+    on it: ``build`` sorts them, and every other ``Series`` made in this
+    package either has sorted keys (the scheme loop sorts its output
+    words, which sorts the generators) or keeps the order of a series'
+    terms (negation, the zero series).
     """
 
     mode: Mode

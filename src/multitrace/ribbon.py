@@ -62,11 +62,23 @@ memo that the maps of one call share (``algebra.scheme_series`` makes
 one per call, as it makes one rank table).  Every survivor set of the
 pattern then relabels them: positions become slot ranks, the words are
 least-rotated and sorted again with the untouched traces' words, and
-kernel rank pairs are re-oriented and sorted.  So ``(6)x(6)`` runs the
-face walk 1,172 times for its 13,327 schemes (38 patterns) and
-``(2,2,2)x(3,2,1)`` 1,416 times for as many, and a transport of ten
-legs 1,872 times for its 9,496 as one trace and 1,372 times as two
-traces of five.
+kernel rank pairs are re-oriented and sorted.
+
+In a matrix-mode product the census walks one matching per orbit of a
+symmetry group of one side of the pattern: rotations of a fully
+contracted trace that fix its word, and reorderings of equal fully
+contracted traces.  A matching is a bijection between the two sides'
+contracted positions, so the group acts freely; each of its moves
+commutes with ``sigma``, fixes every surviving position and keeps
+colors, so it keeps the words, faces, pure loops, block ratios and
+weight-zero status, and with them the key.  The walk keeps the
+matchings that an order on a few positions allows, one per orbit, and
+counts each key as often as the group's order.  Kernel keys name the
+positions of their pairs, and a transport's rotation can fix a
+self-matching, so both walk every matching.  So ``(6)x(6)`` runs the
+face walk 572 times for its 13,327 schemes (38 patterns) and
+``(2,2,2)x(3,2,1)`` 188 times, and a transport of ten legs 1,872 times
+for its 9,496 as one trace and 1,372 times as two traces of five.
 
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
@@ -324,8 +336,8 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
 
 
 def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
-          max_eps_degree: int | None = None,
-          stays: Sequence[int] | None = None) -> Iterator[tuple | None]:
+          max_eps_degree: int | None = None, stays: Sequence[int] | None = None,
+          before: Sequence[int] | None = None) -> Iterator[tuple | None]:
     """The one pairing walk (see the module docstring): the key of each
     scheme it reaches.  Legs ``0..heads-1`` take turns as heads, in
     order, and a head pairs with each free leg from its ``first_mate``
@@ -333,6 +345,12 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     and a branch is cut once its ``exponent_bound`` exceeds
     ``max_eps_degree``.  With ``stays`` (a pattern census) exactly the
     legs whose entry is false pair, and each head pairs at once.
+
+    ``before``, given only with ``stays`` on a product map, keeps one
+    matching per orbit of a symmetric pattern (see ``_pattern_keys``): a
+    leg ``p`` with ``before[p] = q >= 0`` comes after ``q``.  A head then
+    takes a mate past ``q``'s mate, and a side-B leg may be taken only
+    once ``q`` is: it stays marked taken until then.
     """
     sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
     heads, n = pair_map.heads, len(sigma)
@@ -340,6 +358,13 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     # a leg that is a mate on the path, or stays: never a head nor a mate.  A
     # head needs no mark: every leg it could meet as a mate lies past it
     taken = list(stays) if exact else [False] * n
+    after = None   # the side-B legs that wait for each leg to be taken
+    if before is not None:
+        after = [[] for _ in range(n)]
+        for p, q in enumerate(before):
+            if q >= heads:
+                taken[p] = True
+                after[q].append(p)
     alpha = list(range(n))
     nxt = sigma.copy()
     degree = [0] * len(pair_map.vertex_ranks)
@@ -371,6 +396,8 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
             vi = vertex[head]
             if mate < 0:
                 mate = first_mate[head]
+                if before is not None and before[head] >= 0:
+                    mate = alpha[before[head]] + 1   # past the earlier head's mate
             else:   # undo the pair
                 pairs -= 1
                 degree[vi] -= 1
@@ -378,12 +405,18 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
                 nxt[head], nxt[mate] = sigma[head], sigma[mate]
                 alpha[head], alpha[mate] = head, mate
                 taken[mate] = False
+                if after is not None:
+                    for p in after[mate]:
+                        taken[p] = True
                 mate += 1
             while mate < n and taken[mate]:
                 mate += 1
             if mate < n:
                 step[1] = mate
                 taken[mate] = True
+                if after is not None:
+                    for p in after[mate]:
+                        taken[p] = False
                 vj = vertex[mate]
                 alpha[head], alpha[mate] = mate, head
                 nxt[head], nxt[mate] = sigma[mate], sigma[head]
@@ -543,6 +576,13 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
     are its current words; with its eps half-units, block ratios and
     kernels, whose pairs name positions, it has the shape of a census
     key.
+
+    In a matrix-mode product the walk keeps one matching per orbit of
+    the symmetry group of one side (``_side_group``; the side of the
+    larger group, side A on a tie), and each count is the number of
+    representatives times the group's order (see the module docstring).
+    The group is worked out here, once per pattern, as part of the memo
+    entry.
     """
     codes = [word for side in pattern for word in side]   # each trace's codes
     flat = [code for word in codes for code in word]
@@ -557,8 +597,54 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
         [tuple(range(start, start + len(word)))
          for start, word in zip(accumulate(map(len, codes), initial=0), codes)],
         pair_map.product)
-    counts = Counter(_walk(positions, mode, EnumerationStats(), stays=[code & 1 for code in flat]))
-    return list(counts.items())
+    stays = [code & 1 for code in flat]
+    before, weight = None, 1
+    if pair_map.product and mode.kind == "matrix":
+        (order_a, links_a), (order_b, links_b) = (_side_group(pattern[0], 0, stays),
+                                                  _side_group(pattern[1], heads, stays))
+        weight, links = (order_a, links_a) if order_a >= order_b else (order_b, links_b)
+        if weight > 1:
+            before = [-1] * n
+            for p, q in links:
+                before[p] = q
+    counts = Counter(_walk(positions, mode, EnumerationStats(), stays=stays, before=before))
+    return [(key, count * weight) for key, count in counts.items()]
+
+
+def _side_group(words: tuple[tuple[int, ...], ...], start: int,
+                stays: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The symmetry group of one side of a pattern, whose touched traces'
+    ``words`` hold positions from ``start`` on (``stays`` marks each
+    surviving position): its order, and the links ``(position, earlier
+    position)`` that keep one matching per orbit.
+
+    The group rotates each fully contracted trace (every code even) by a
+    multiple of its word's period ``d`` and permutes the equal ones.  The
+    pattern sorts each side's words, so equal words are neighbours.  A
+    representative gives the head at each offset ``j * d`` (j >= 1) of
+    a trace a mate past that of the trace's first position, and the first
+    position of each equal trace after the first a mate past that of the
+    trace before it; on side B, the same order binds the heads that take
+    those positions.
+    """
+    order, links = 1, []
+    last, first, equal = None, -1, 0
+    for word in words:
+        length = len(word)
+        if 1 not in stays[start:start + length]:
+            period = next(d for d in range(1, length + 1) if word[d:] + word[:d] == word)
+            order *= length // period
+            links += [(p, start) for p in range(start + period, start + length, period)]
+            if word == last:
+                equal += 1
+                order *= equal
+                links.append((start, first))
+            else:
+                equal = 1
+            first = start
+        last = word
+        start += length
+    return order, links
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,13 @@ from multitrace import (
     ParseError,
     Series,
     Slot,
+    connected_product,
     forget_labels,
     make_generator,
     parse_coefficient,
     parse_series,
     product,
+    product_chain,
     render_series,
     series_from_json,
     series_to_json,
@@ -33,9 +35,9 @@ from multitrace import (
 from multitrace.exprparse import Token, tokenize
 
 from helpers import MODES as DRAWN_MODES
-from helpers import (expression_texts, random_series, rational_value, reference_parse_series,
-                     reference_render_coefficient, reference_render_series, rendered_series,
-                     series_of)
+from helpers import (expression_texts, generators, random_series, rational_value,
+                     reference_parse_series, reference_render_coefficient,
+                     reference_render_series, rendered_series, scalars, series_of)
 
 
 class TestParsing:
@@ -279,6 +281,23 @@ def test_rendering_matches_the_reference_on_each_feature():
     assert render_series(cases[2]) == ("(-2/5*eps^-1 + 1 + 3/2*hbar*s1*K(x1,~y1)^2)*W{Tr[x1 x2]}"
                                        " - 1*W{}")
     assert coeff.render() == reference_render_coefficient(coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(DRAWN_MODES))
+def test_series_hold_their_terms_in_generator_key_order(data, mode):
+    # render_series sorts its rows stably on (eps degree, -size) only, so
+    # every series must come with its terms in generator-key order
+    a, b, c = (Series.build(mode, data.draw(st.lists(st.tuples(generators(mode, prefix, 3),
+                                                                scalars), max_size=2)))
+               for prefix in "xyz")
+    made = [a, product(a, b), transport(a), product_chain([a, b, c]),
+            connected_product([a, b, c])]
+    made += [parse_series(render_series(series), mode) for series in made]
+    made += [series_from_json(series_to_json(series)) for series in made]
+    for series in made:
+        keys = [gen.key() for gen, _ in series.terms]
+        assert keys == sorted(set(keys))
 
 
 MODES = [MATRIX, KERNEL, Mode("matrix", 2), Mode("kernel", 3)]

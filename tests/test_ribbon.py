@@ -255,6 +255,50 @@ def test_sorted_touched_patterns_key_every_scheme(data, mode, product_mode):
     assert Counter(fresh) == Counter(walk)
 
 
+@st.composite
+def symmetric_traces(draw, mode, prefix, period_two):
+    """Two traces of one color word, one of them rotated, so a survivor
+    set that contracts both meets two equal words, which the census may
+    rotate and reorder, and one more trace: with ``period_two``, four
+    legs whose colors, in a colored mode, alternate (a b a b), a word
+    that only half its rotations fix; otherwise at most one leg."""
+    color = (lambda: draw(st.integers(1, mode.colors))) if mode.colored else (lambda: None)
+    length = draw(st.integers(1, 2))
+    word = [color() for _ in range(length)]
+    turn = draw(st.integers(0, length - 1))
+    shapes = [word, word[turn:] + word[:turn]]
+    if period_two:
+        a, b = (draw(st.permutations(range(1, mode.colors + 1)))[:2] if mode.colored
+                else (None, None))
+        shapes.append([a, b, a, b])
+    elif draw(st.booleans()):
+        shapes.append([color()])
+    numbers = iter(draw(st.permutations(range(1, sum(map(len, shapes)) + 1))))
+    return make_generator([[Slot(f"{prefix}{next(numbers)}", False, c) for c in colors]
+                           for colors in shapes], mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([m for m in MODES if m.kind == "matrix"]))
+def test_orbit_census_counts_every_matching(data, mode):
+    # the census walks one matching per orbit of a side's rotations and
+    # reorderings of fully contracted traces and counts its key |G| times
+    ga = data.draw(symmetric_traces(mode, "x", True))
+    gb = data.draw(symmetric_traces(mode, "y", False))
+    patterns: dict = {}
+    for pair_map in (map_of(ga, gb), map_of(gb, ga)):
+        legs = leg_numbers(pair_map)
+        fresh = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
+        # a cap no exponent exceeds (it is at most the pair count) runs the full walk
+        walk = enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
+                                  max_eps_degree=len(pair_map.sigma))
+        assert Counter(fresh) == Counter(walk)   # weight-zero schemes (None) included
+        # the second map meets the first map's patterns with its sides swapped
+        shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
+                                         patterns=patterns))
+        assert shared == fresh
+
+
 # Each scheme as the LegId enumerator yielded it, "sta-stb" per pair (side,
 # trace, slot of each leg), pairs space-separated, in enumeration order.
 RECORDED = json.loads((Path(__file__).parent / "recorded_pairings.json").read_text())
