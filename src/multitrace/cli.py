@@ -17,6 +17,7 @@ with optional ``blocks=n1,n2,...`` (which switches on colors) and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .observables import Generator, Mode, Series, UNIT_GENERATOR
 # oracle_moment is bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds it
 from .oracle import OracleConfig, oracle_check, oracle_moment  # noqa: F401
 from .ribbon import RibbonError
-from .scaling import (FieldDescriptor, connected_degree_bound,
+from .scaling import (FieldDescriptor, ScalingError, connected_degree_bound,
                       free_normalization_exponent,
                       interacting_normalization_exponent,
                       rg_strength_exponent, thooft_coupling_exponent)
@@ -152,19 +153,27 @@ def _descriptor_of(text: str) -> FieldDescriptor:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    # every line is computed before the first is printed, so a refused
+    # option leaves stdout empty
     fd = _descriptor_of(args.field)
-    print(f"traces: {fd.traces}, slots: {fd.size}")
-    print(f"free normalization exponent: {free_normalization_exponent(fd)}")
-    print(f"interacting normalization exponent: {interacting_normalization_exponent(fd)}")
-    print(f"coupling exponent: {thooft_coupling_exponent(fd)}")
-    if args.target:
+    lines = [f"traces: {fd.traces}, slots: {fd.size}",
+             f"free normalization exponent: {free_normalization_exponent(fd)}",
+             f"interacting normalization exponent: {interacting_normalization_exponent(fd)}",
+             f"coupling exponent: {thooft_coupling_exponent(fd)}"]
+    if args.target is not None:
         dst = _descriptor_of(args.target)
-        print(f"flow strength exponent into traces={dst.traces},slots={dst.size}: "
-              f"{rg_strength_exponent(fd, dst)}")
-    if args.connected_bound:
-        counts = [int(x) for x in args.connected_bound.split(",")]
-        print(f"connected degree bound for trace counts {counts}: "
-              f"{connected_degree_bound(counts)}")
+        lines.append(f"flow strength exponent into traces={dst.traces},slots={dst.size}: "
+                     f"{rg_strength_exponent(fd, dst)}")
+    if args.connected_bound is not None:
+        try:
+            counts = [int(x) for x in args.connected_bound.split(",")]
+        except ValueError:
+            raise ScalingError(
+                "--connected-bound expects comma-separated integer trace counts, "
+                f"got {args.connected_bound!r}") from None
+        lines.append(f"connected degree bound for trace counts {counts}: "
+                     f"{connected_degree_bound(counts)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -346,7 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout, which is not bad input: no error line.
+        # What is left goes to the null device, so the flush at shutdown
+        # cannot fail again; 141 is 128 + SIGPIPE, as a shell reports it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except RibbonError as exc:
         # a counting invariant failed inside the engine: a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)

@@ -17,6 +17,11 @@ matrix-entry covariance is
 with an optional block decomposition of the index range for colored
 projectors.  Everything is exact: counts are integers and weights are
 rationals.
+
+numpy builds the grids, and it is imported inside
+``moment_with_ordering`` when a grid is walked, not when the module
+loads: importing the package, or running the CLI's engine commands,
+leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .coeffring import Coefficient, RationalLike
 from .observables import Generator
@@ -108,6 +111,7 @@ def moment_with_ordering(gens: Sequence[Generator], cfg: OracleConfig,
         raise OracleError(
             f"N={n} at {nvars} legs needs an assignment grid of {cells} "
             f"cells, over the oracle cap of {MAX_GRID_CELLS}")
+    import numpy as np
     axes = [np.arange(n).reshape([n if w == v else 1 for w in range(nvars)])
             for v in range(nvars)]
     root = np.ones((n,) * nvars, dtype=bool)

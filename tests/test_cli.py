@@ -177,6 +177,39 @@ def test_scaling_table(capsys):
     assert "connected degree bound for trace counts [1, 1, 1]: 1" in out
 
 
+@pytest.mark.parametrize("option, message", [
+    (("--connected-bound", "1,x"),
+     "error: --connected-bound expects comma-separated integer trace counts, got '1,x'\n"),
+    (("--connected-bound=-1,2",), "error: trace counts must be positive\n"),
+    (("--connected-bound", "3"), "error: connected bounds need at least two factors\n"),
+    (("--connected-bound", ""),
+     "error: --connected-bound expects comma-separated integer trace counts, got ''\n"),
+    (("--target", "W{Tr["), "error: line 1 column 6: expected 'ident', found 'end of input'\n"),
+])
+def test_scaling_refuses_its_options_before_printing(capsys, option, message):
+    code, out, err = run(capsys, "scaling", "W{Tr[x1]}", *option)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_closed_stdout_is_not_bad_input():
+    # the product's 223,946 bytes overflow the pipe; the reader stops after five
+    src = str(Path(multitrace.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multitrace", "product",
+         "W{Tr[x1 x2 x3 x4 x5 x6]}", "W{Tr[y1 y2 y3 y4 y5 y6]}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.read(5) == b"1*W{T"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
 def test_identical_runs_are_identical(capsys):
     first = run(capsys, "product", "W{Tr[x1 x2 x3]}", "W{Tr[y1 y2 y3]}")
     second = run(capsys, "product", "W{Tr[x1 x2 x3]}", "W{Tr[y1 y2 y3]}")
