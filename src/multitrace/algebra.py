@@ -12,7 +12,7 @@ with weight one, where W(out) collects surviving currents (one trace
 per current loop) and untouched traces.  Legs are numbered, so schemes
 that differ only by which equal-label leg they use still count
 separately.  A call ranks the distinct slots of all its input
-generators once (``ribbon.rank_table``, in ``Slot.key`` order).  Per
+generators once (``ribbon.rank_table``, in slot order).  Per
 generator pair (a job), the pair's map is built on that table
 (``ribbon.map_of``), and ``ribbon.enumerate_pairings`` yields each
 scheme's integer key (``None`` for weight zero) on its leg numbers; the
@@ -102,7 +102,7 @@ def output_generator(key_words: tuple, by_rank: Sequence[Slot],
     ``words`` (rank word -> trace word), or built and added there.
 
     The words come least-rotated and sorted on slot ranks, and rank order
-    is ``Slot.key`` order, so they are already in canonical form.
+    is slot order, so they are already in canonical form.
     """
     traces = []
     for ranks in key_words:
@@ -399,12 +399,11 @@ def restrict_colors(series: Series, face: Sequence[int]) -> Series:
 
     out = []
     for gen, coeff in series.terms:
-        if any(s.color not in face_set for t in gen.traces for s in t.slots):
+        if any(s.color not in face_set for t in gen for s in t):
             continue
         new_gen = Generator(tuple(
-            TraceWord(tuple(Slot(s.label, s.conjugated, relabel[s.color])
-                            for s in t.slots))
-            for t in gen.traces))
+            TraceWord(tuple(Slot(s.label, s.conjugated, relabel[s.color]) for s in t))
+            for t in gen))
         kept = []
         for mono, q in coeff.terms:
             if any(color not in face_set for color, _ in mono.s):
@@ -437,7 +436,6 @@ def strip_colors(series: Series) -> Series:
     out = []
     for gen, coeff in series.terms:
         new_gen = Generator(tuple(
-            TraceWord(tuple(Slot(s.label, s.conjugated, None) for s in t.slots))
-            for t in gen.traces))
+            TraceWord(tuple(Slot(s.label, s.conjugated, None) for s in t)) for t in gen))
         out.append((new_gen, coeff))
     return Series.build(Mode(series.mode.kind, 0), out, series.flags)

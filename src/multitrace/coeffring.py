@@ -16,18 +16,23 @@ Coefficients are sparse polynomials with rational coefficients in:
 
 Everything is immutable and exact; no floats enter at any point.
 Kernel symbols and monomials, like the slots, trace words and
-generators of ``observables``, carry their canonical keys
-(``KeyedValue``): the key and its hash are computed once, when a value
-is built, and equality, hashing and sorting read them.
+generators of ``observables``, are their own canonical keys: each is a
+``tuple`` subclass (``CanonicalTuple``) holding exactly its key, so
+equality, hashing and sorting are the tuple's own, in C.  A kernel
+symbol is ``(name, args)`` and a monomial ``(eps_half, hbar, s,
+kernels)``; the named attributes read those places.  Such a value
+equals a plain tuple of the same contents.  ``KernelSymbol.star`` swaps
+and conjugates the two arguments and keeps the name.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -37,52 +42,40 @@ class CoefficientError(ValueError):
     """Raised for malformed monomials, bad evaluations, half-unit leaks."""
 
 
-class KeyedValue:
-    """Base of the immutable value types that carry their canonical key.
+class CanonicalTuple(tuple):
+    """Base of the immutable values that are their own canonical keys.
 
-    A subclass (a frozen, slotted dataclass) names itself exactly by the
-    tuple ``_make_key()`` returns, of plain values or of its parts' keys
-    (shared, not copied) or keyed parts.  That key and its hash are
-    computed once, when the value is built, and equality, hashing,
-    ordering and ``key()`` read the stored pair.
+    A subclass is a ``tuple`` whose contents are exactly the value's key:
+    plain values, or parts that are keys themselves.  Building one is a
+    single ``tuple.__new__``, and ``==``, ``<`` and ``hash`` are the
+    tuple's own, so they run in C and in key order.  Two consequences are
+    deliberate: a value compares equal to, and hashes like, a plain tuple
+    with the same contents, and values of two classes compare as tuples.
+    ``_fields`` names the constructor's parameters, read back from the
+    value's attributes: the ``repr`` is the dataclass-style
+    ``Name(field=value, ...)``, and pickling and ``copy`` rebuild the
+    value through its constructor with them.
     """
 
-    __slots__ = ("_key", "_hash")
-
-    def _make_key(self) -> tuple:
-        raise NotImplementedError
-
-    def _keep_key(self) -> None:
-        key = self._make_key()
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def key(self) -> tuple:
-        return self._key
+        """The canonical key as a plain tuple of the value's contents."""
+        return tuple(self)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
+    def __getnewargs__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key < other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through the constructor: a stored hash of strings is only
-        # valid in the process that computed it
-        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields))
 
 
 def _collector_paused(fn):
     """Run ``fn`` with the cyclic garbage collector disabled.
 
-    The engine's values (``KeyedValue`` subclasses, coefficients, series,
+    The engine's values (``CanonicalTuple`` values, coefficients, series,
     census keys) are immutable and acyclic, so reference counting frees
     each of them at once and the collector's scans of the heap they fill
     find nothing to free.  The collector is switched off for the call
@@ -124,42 +117,42 @@ def render_slot_ref(ref: SlotRef) -> str:
     return ("~" + label) if conjugated else label
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class KernelSymbol(KeyedValue):
-    """A named scalar kernel factor, ordered by its key ``(name, args)``.
+class KernelSymbol(CanonicalTuple):
+    """A named scalar kernel factor, the tuple ``(name, args)``.
 
     ``args`` is empty for bare model-wide symbols (``g``, a transport
     difference symbol, ...) and has exactly two entries for pointwise
     two-argument kernels.  Argument order is significant.
     """
 
-    name: str
-    args: tuple[SlotRef, ...] = ()
+    __slots__ = ()
+    _fields = ("name", "args")
+    name = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.name) or self.name[0] == "_":
-            raise CoefficientError(f"bad kernel symbol name {self.name!r}")
-        if len(self.args) not in (0, 2):
+    def __new__(cls, name: str, args: tuple[SlotRef, ...] = ()) -> "KernelSymbol":
+        if not is_identifier(name) or name[0] == "_":
+            raise CoefficientError(f"bad kernel symbol name {name!r}")
+        if len(args) not in (0, 2):
             raise CoefficientError("kernel symbols take zero or two slot arguments")
-        for label, conjugated in self.args:
+        for label, conjugated in args:
             if not is_identifier(label) or type(conjugated) is not bool:
                 raise CoefficientError(f"bad kernel argument {(label, conjugated)!r}")
-        self._keep_key()
-
-    def _make_key(self) -> tuple:
-        return self.name, self.args
+        return tuple.__new__(cls, (name, args))
 
     def star(self) -> "KernelSymbol":
         """Adjoint: swap the two arguments and conjugate each label."""
-        if not self.args:
+        name, args = self
+        if not args:
             return self
-        (la, ca), (lb, cb) = self.args
-        return KernelSymbol(self.name, ((lb, not cb), (la, not ca)))
+        (la, ca), (lb, cb) = args
+        return KernelSymbol(name, ((lb, not cb), (la, not ca)))
 
     def render(self) -> str:
-        if not self.args:
-            return self.name
-        return "%s(%s,%s)" % (self.name, render_slot_ref(self.args[0]), render_slot_ref(self.args[1]))
+        name, args = self
+        if not args:
+            return name
+        return "%s(%s,%s)" % (name, render_slot_ref(args[0]), render_slot_ref(args[1]))
 
 
 def _sorted_powers(pairs, what):
@@ -185,46 +178,36 @@ def _merged_powers(a: tuple, b: tuple) -> tuple:
     return _sorted_powers(a + b, "merged")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Monomial(KeyedValue):
-    """One multi-degree: eps half-units, hbar, block ratios, kernels.
+class Monomial(CanonicalTuple):
+    """One multi-degree, the tuple ``(eps_half, hbar, s, kernels)``: eps
+    half-units, hbar, block ratios, kernels.
 
-    The ``s`` and ``kernels`` lists are kept sorted with merged powers,
-    and the key (``key()``) holds them as they are.
+    The ``s`` and ``kernels`` lists are kept sorted with merged powers.
     """
 
-    eps_half: int = 0
-    hbar: int = 0
-    s: tuple[tuple[int, int], ...] = ()
-    kernels: tuple[tuple[KernelSymbol, int], ...] = ()
+    __slots__ = ()
+    _fields = ("eps_half", "hbar", "s", "kernels")
+    eps_half = property(itemgetter(0))
+    hbar = property(itemgetter(1))
+    s = property(itemgetter(2))
+    kernels = property(itemgetter(3))
 
-    def __post_init__(self) -> None:
-        if self.hbar < 0:
+    def __new__(cls, eps_half: int = 0, hbar: int = 0, s: tuple = (),
+                kernels: tuple = ()) -> "Monomial":
+        if hbar < 0:
             raise CoefficientError("hbar exponent must be a natural number")
-        object.__setattr__(self, "s", _sorted_powers(self.s, "block-ratio"))
-        for color, _ in self.s:
+        s = _sorted_powers(s, "block-ratio")
+        for color, _ in s:
             if color < 1:
                 raise CoefficientError(f"color indices start at 1, got {color}")
-        object.__setattr__(self, "kernels", _sorted_powers(self.kernels, "kernel"))
-        self._keep_key()
+        return tuple.__new__(cls, (eps_half, hbar, s, _sorted_powers(kernels, "kernel")))
 
     @classmethod
     def _canonical(cls, eps_half: int, hbar: int, s: tuple, kernels: tuple) -> "Monomial":
         """A monomial from parts already in canonical form (``s`` and
         ``kernels`` sorted, powers merged), built without the checks and
-        the sorting of the constructor, its key and hash stored directly."""
-        mono = object.__new__(cls)
-        key = eps_half, hbar, s, kernels
-        object.__setattr__(mono, "eps_half", eps_half)
-        object.__setattr__(mono, "hbar", hbar)
-        object.__setattr__(mono, "s", s)
-        object.__setattr__(mono, "kernels", kernels)
-        object.__setattr__(mono, "_key", key)
-        object.__setattr__(mono, "_hash", hash(key))
-        return mono
-
-    def _make_key(self) -> tuple:
-        return self.eps_half, self.hbar, self.s, self.kernels
+        the sorting of the constructor."""
+        return tuple.__new__(cls, (eps_half, hbar, s, kernels))
 
     # -- queries ---------------------------------------------------------
 
@@ -243,22 +226,23 @@ class Monomial(KeyedValue):
     def mul(self, other: "Monomial") -> "Monomial":
         if other is _UNIT_MONOMIAL or other == _UNIT_MONOMIAL:
             return self
-        return Monomial._canonical(self.eps_half + other.eps_half, self.hbar + other.hbar,
-                                   _merged_powers(self.s, other.s),
-                                   _merged_powers(self.kernels, other.kernels))
+        (eps_a, hbar_a, s_a, kernels_a), (eps_b, hbar_b, s_b, kernels_b) = self, other
+        return Monomial._canonical(eps_a + eps_b, hbar_a + hbar_b, _merged_powers(s_a, s_b),
+                                   _merged_powers(kernels_a, kernels_b))
 
     def render_with(self, kernel_text: Callable[[KernelSymbol], str]) -> str:
         """Text such as ``eps^2*hbar*s1*K(x1,y2)^2`` (empty for the unit),
         with each kernel symbol's text from ``kernel_text``."""
+        eps_half, hbar, s, kernels = self
         parts = []
-        if self.eps_half:
+        if eps_half:
             d = self.eps_degree  # raises on odd half-units
             parts.append("eps" if d == 1 else f"eps^{d}")
-        if self.hbar:
-            parts.append("hbar" if self.hbar == 1 else f"hbar^{self.hbar}")
-        for color, power in self.s:
+        if hbar:
+            parts.append("hbar" if hbar == 1 else f"hbar^{hbar}")
+        for color, power in s:
             parts.append(f"s{color}" if power == 1 else f"s{color}^{power}")
-        for sym, power in self.kernels:
+        for sym, power in kernels:
             base = kernel_text(sym)
             parts.append(base if power == 1 else f"{base}^{power}")
         return "*".join(parts)
@@ -300,7 +284,7 @@ class Coefficient:
             return Coefficient(((mono, q if type(q) is Fraction else Fraction(q)),) if q else ())
         return Coefficient(tuple(sorted(
             ((mono, q if type(q) is Fraction else Fraction(q)) for mono, q in acc.items() if q),
-            key=lambda kv: kv[0]._key)))
+            key=itemgetter(0))))
 
     @staticmethod
     def rational(value: RationalLike) -> "Coefficient":
@@ -346,13 +330,12 @@ class Coefficient:
         # factors' symbols: one Monomial and one Fraction per output term.
         da = lcm(*(q.denominator for _, q in self.terms))
         db = lcm(*(q.denominator for _, q in other.terms))
-        right = [(mb.eps_half, mb.hbar, mb, qb.numerator * (db // qb.denominator))
-                 for mb, qb in other.terms]
+        right = [(*mb, qb.numerator * (db // qb.denominator)) for mb, qb in other.terms]
         acc: dict[tuple, int] = {}
-        for ma, qa in self.terms:
+        for (eps_a, hbar_a, sa, ka), qa in self.terms:
             na = qa.numerator * (da // qa.denominator)
-            for eps_half, hbar, mb, nb in right:
-                key = (ma.eps_half + eps_half, ma.hbar + hbar, ma.s, ma.kernels, mb.s, mb.kernels)
+            for eps_b, hbar_b, sb, kb, nb in right:
+                key = (eps_a + eps_b, hbar_a + hbar_b, sa, ka, sb, kb)
                 acc[key] = acc.get(key, 0) + na * nb
         sums = {}
         for (eps_half, hbar, sa, ka, sb, kb), v in acc.items():

@@ -104,7 +104,7 @@ class Parser:
         self.tokens = tokens
         self.mode = mode
         self.pos = 0
-        # one Slot value (and so one key tuple) per distinct slot of the text
+        # one Slot value per distinct slot of the text
         self.slots: dict[tuple[str, bool, int | None], Slot] = {}
 
     # -- cursor helpers ----------------------------------------------------
@@ -463,8 +463,8 @@ def series_to_json(series: Series) -> str:
                 "coeff": [_mono_to_obj(mono, q) for mono, q in coeff.terms],
                 "generator": [
                     [{"label": s.label, "conjugated": s.conjugated, "color": s.color}
-                     for s in trace.slots]
-                    for trace in gen.traces
+                     for s in trace]
+                    for trace in gen
                 ],
             }
             for gen, coeff in series.terms

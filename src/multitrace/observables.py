@@ -10,18 +10,24 @@ inside its trace.
 Canonical form: every trace word is rotated to its least cyclic
 rotation and the traces of a generator are sorted, so two generators
 compare equal exactly when they name the same observable.  Slots, trace
-words and generators carry their canonical keys (``KeyedValue``): the
-key of a word is the tuple of its slots' keys and that of a generator
-the tuple of its words' keys, each computed once at construction and
-shared, not copied, by the values built from it.
+words and generators are their own canonical keys, ``tuple`` subclasses
+(``coeffring.CanonicalTuple``) whose equality, hashing and order are the
+tuple's: a slot is ``(label, conjugated, color)`` with color -1 when
+uncolored, a trace word the tuple of its slots in least rotation, and a
+generator the sorted tuple of its trace words.  So a value equals a
+plain tuple of the same contents, a word and a generator have ``len``
+and iterate over their slots and traces, and ``slots`` and ``traces``
+are plain-tuple copies.  Every generator is truthy, the unit
+``Generator(())`` too, though it has no traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .coeffring import Coefficient, CoefficientError, KeyedValue, ONE, ZERO, is_identifier
+from .coeffring import CanonicalTuple, Coefficient, CoefficientError, ONE, ZERO, is_identifier
 
 
 class ObservableError(ValueError):
@@ -55,35 +61,37 @@ MATRIX = Mode("matrix")
 KERNEL = Mode("kernel")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Slot(KeyedValue):
-    """One field factor inside a trace, ordered by its key.
+class Slot(CanonicalTuple):
+    """One field factor inside a trace, the tuple ``(label, conjugated,
+    color)``, stored with color -1 when uncolored.
 
-    ``color`` is the projector index following this factor; it is
+    ``color`` is the projector index following this factor; it reads
     ``None`` exactly in uncolored modes.
     """
 
-    label: str
-    conjugated: bool = False
-    color: int | None = None
+    __slots__ = ()
+    _fields = ("label", "conjugated", "color")
+    label = property(itemgetter(0))
+    conjugated = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.label):
-            raise ObservableError(f"bad slot label {self.label!r}")
-        if type(self.conjugated) is not bool:
-            raise ObservableError(f"slot conjugation {self.conjugated!r} is not a bool")
-        if self.color is not None and self.color < 1:
+    def __new__(cls, label: str, conjugated: bool = False, color: int | None = None) -> "Slot":
+        if not is_identifier(label):
+            raise ObservableError(f"bad slot label {label!r}")
+        if type(conjugated) is not bool:
+            raise ObservableError(f"slot conjugation {conjugated!r} is not a bool")
+        if color is not None and color < 1:
             raise ObservableError("slot colors start at 1")
-        self._keep_key()
+        return tuple.__new__(cls, (label, conjugated, -1 if color is None else color))
 
-    def _make_key(self) -> tuple:
-        return self.label, self.conjugated, -1 if self.color is None else self.color
+    @property
+    def color(self) -> int | None:
+        color = self[2]
+        return None if color < 0 else color
 
     def render(self) -> str:
-        text = ("~" + self.label) if self.conjugated else self.label
-        if self.color is not None:
-            text += f"@{self.color}"
-        return text
+        label, conjugated, color = self
+        text = ("~" + label) if conjugated else label
+        return text if color < 0 else f"{text}@{color}"
 
 
 def least_rotation(keys: list) -> int:
@@ -95,84 +103,68 @@ def least_rotation(keys: list) -> int:
                key=lambda i: keys[i:] + keys[:i])
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TraceWord(KeyedValue):
-    """A cyclic word of slots, stored in its least rotation."""
+class TraceWord(CanonicalTuple):
+    """A cyclic word of slots, the tuple of its slots in least rotation."""
 
-    slots: tuple[Slot, ...]
+    __slots__ = ()
+    _fields = ("slots",)
+    slots = property(tuple)
 
-    def __post_init__(self) -> None:
-        if not self.slots:
+    def __new__(cls, slots: Sequence[Slot]) -> "TraceWord":
+        slots = tuple(slots)
+        if not slots:
             raise ObservableError("trace words must contain at least one slot")
-        slots = tuple(self.slots)
-        k = least_rotation([s._key for s in slots])
-        object.__setattr__(self, "slots", slots[k:] + slots[:k])
-        self._keep_key()
+        k = least_rotation(list(slots))
+        return tuple.__new__(cls, slots[k:] + slots[:k])
 
     @classmethod
     def _canonical(cls, slots: tuple[Slot, ...]) -> "TraceWord":
         """A word from slots already in least rotation, built without the
-        checks and the rotation of the constructor, its key and hash
-        stored directly."""
-        word = object.__new__(cls)
-        key = tuple([s._key for s in slots])
-        object.__setattr__(word, "slots", slots)
-        object.__setattr__(word, "_key", key)
-        object.__setattr__(word, "_hash", hash(key))
-        return word
-
-    def _make_key(self) -> tuple:
-        return tuple([s._key for s in self.slots])
-
-    def __len__(self) -> int:
-        return len(self.slots)
+        checks and the rotation of the constructor."""
+        return tuple.__new__(cls, slots)
 
     def render(self) -> str:
-        return "Tr[" + " ".join(s.render() for s in self.slots) + "]"
+        return "Tr[" + " ".join([s.render() for s in self]) + "]"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Generator(KeyedValue):
-    """A normalized multi-trace word; ``Generator(())`` is the unit."""
+class Generator(CanonicalTuple):
+    """A normalized multi-trace word, the sorted tuple of its trace words;
+    ``Generator(())`` is the unit, and truthy like every generator."""
 
-    traces: tuple[TraceWord, ...] = ()
+    __slots__ = ()
+    _fields = ("traces",)
+    traces = property(tuple)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "traces", tuple(sorted(self.traces, key=TraceWord.key)))
-        self._keep_key()
+    def __new__(cls, traces: Iterable[TraceWord] = ()) -> "Generator":
+        return tuple.__new__(cls, sorted(traces))
 
     @classmethod
     def _canonical(cls, traces: tuple[TraceWord, ...]) -> "Generator":
         """A generator from trace words already sorted, built without the
-        sort of the constructor, its key and hash stored directly."""
-        gen = object.__new__(cls)
-        key = tuple([t._key for t in traces])
-        object.__setattr__(gen, "traces", traces)
-        object.__setattr__(gen, "_key", key)
-        object.__setattr__(gen, "_hash", hash(key))
-        return gen
+        sort of the constructor."""
+        return tuple.__new__(cls, traces)
 
-    def _make_key(self) -> tuple:
-        return tuple([t._key for t in self.traces])
+    def __bool__(self) -> bool:
+        return True
 
     @property
     def trace_count(self) -> int:
-        return len(self.traces)
+        return len(self)
 
     @property
     def size(self) -> int:
         """Total slot count across traces."""
-        return sum(len(t) for t in self.traces)
+        return sum(map(len, self))
 
     def labels(self) -> list[str]:
-        return [s.label for t in self.traces for s in t.slots]
+        return [label for t in self for label, _, _ in t]
 
     def render(self) -> str:
         return self.render_with(TraceWord.render)
 
     def render_with(self, trace_text) -> str:
         """``render``, with each trace word's text from ``trace_text``."""
-        return "W{" + " ".join([trace_text(t) for t in self.traces]) + "}"
+        return "W{" + " ".join([trace_text(t) for t in self]) + "}"
 
 
 UNIT_GENERATOR = Generator(())
@@ -206,13 +198,12 @@ def star_generator(gen: Generator) -> Generator:
     reversed order.
     """
     new_traces = []
-    for trace in gen.traces:
-        slots = trace.slots
-        n = len(slots)
+    for trace in gen:
+        n = len(trace)
         reversed_slots = []
         for j in range(n):
-            src = slots[n - 1 - j]
-            color_src = slots[(n - 2 - j) % n]
+            src = trace[n - 1 - j]
+            color_src = trace[(n - 2 - j) % n]
             reversed_slots.append(Slot(src.label, not src.conjugated, color_src.color))
         new_traces.append(TraceWord(tuple(reversed_slots)))
     return Generator(tuple(new_traces))
@@ -254,7 +245,7 @@ class Series:
                    Coefficient.build(term for coeff in coeffs for term in coeff.terms))
                   for gen, coeffs in grouped.items())
         ordered = tuple(sorted(((gen, coeff) for gen, coeff in merged if coeff),
-                               key=lambda kv: kv[0].key()))
+                               key=itemgetter(0)))
         return Series(mode, ordered, frozenset(flags))
 
     @staticmethod
@@ -321,8 +312,7 @@ def forget_labels(series: Series) -> Series:
     out = []
     for gen, coeff in series.terms:
         folded = Generator(tuple(
-            TraceWord(tuple(Slot("x", s.conjugated, s.color) for s in t.slots))
-            for t in gen.traces))
+            TraceWord(tuple(Slot("x", s.conjugated, s.color) for s in t)) for t in gen))
         out.append((folded, coeff))
     return Series.build(series.mode, out, series.flags)
 

@@ -94,9 +94,9 @@ def moment_with_ordering(gens: Sequence[Generator], cfg: OracleConfig,
     follower: list[int] = []
     colors: list[int | None] = []
     for gi, gen in enumerate(gens):
-        for trace in gen.traces:
-            start, length = len(owner), len(trace.slots)
-            for si, slot in enumerate(trace.slots):
+        for trace in gen:
+            start, length = len(owner), len(trace)
+            for si, slot in enumerate(trace):
                 owner.append(gi)
                 follower.append(start + (si + 1) % length)
                 colors.append(slot.color)

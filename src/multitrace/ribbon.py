@@ -22,7 +22,7 @@ Lando and Zvonkin, *Graphs on Surfaces and Their Applications*, ch.
 map of a generator pair is built once per pair (``map_of``), with each
 leg's color (0 when uncolored) and slot rank, its slot's place in a
 ``RankTable``: the distinct slots of the pair, or of every generator of
-a call, in ``Slot.key`` order.  The slots stay in the table.
+a call, in slot order.  The slots stay in the table.
 
 The census state of a scheme is ``alpha``, the face permutation, each
 vertex's count of contracted legs and each vertex's component label.
@@ -148,8 +148,7 @@ Scheme = tuple[tuple[int, int], ...]
 
 
 def legs_of(gen: Generator, side: int = 0) -> list[LegId]:
-    return [LegId(side, t, s) for t, trace in enumerate(gen.traces)
-            for s in range(len(trace.slots))]
+    return [LegId(side, t, s) for t, trace in enumerate(gen) for s in range(len(trace))]
 
 
 @dataclass
@@ -161,8 +160,8 @@ class EnumerationStats:
 
 
 class RankTable(NamedTuple):
-    """Slot ranks: the distinct slots in ``Slot.key`` order, and each
-    slot's place among them."""
+    """Slot ranks: the distinct slots in order, and each slot's place
+    among them."""
 
     by_rank: list[Slot]
     rank: dict[Slot, int]
@@ -170,8 +169,7 @@ class RankTable(NamedTuple):
 
 def rank_table(gens: Iterable[Generator]) -> RankTable:
     """The ``RankTable`` of the slots of ``gens``."""
-    by_rank = sorted({slot for gen in gens for trace in gen.traces for slot in trace.slots},
-                     key=Slot.key)
+    by_rank = sorted({slot for gen in gens for trace in gen for slot in trace})
     return RankTable(by_rank, {slot: r for r, slot in enumerate(by_rank)})
 
 
@@ -204,19 +202,19 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
     same output words and kernel slots with the same integers.
     """
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
-    traces = [trace for gen in gens for trace in gen.traces]
+    traces = [trace for gen in gens for trace in gen]
     sigma, vertex = [], []
     for v, trace in enumerate(traces):
-        start, length = len(sigma), len(trace.slots)
+        start, length = len(sigma), len(trace)
         sigma += [start + (s + 1) % length for s in range(length)]
         vertex += [v] * length
     n, heads = len(sigma), gen_a.size
     first_mate = (list(range(1, n + 1)) if gen_b is None
                   else [heads] * heads + [n] * (n - heads))
     rank = (table or rank_table(gens)).rank
-    vertex_ranks = [tuple([rank[slot] for slot in trace.slots]) for trace in traces]
+    vertex_ranks = [tuple([rank[slot] for slot in trace]) for trace in traces]
     return PairMap(heads, sigma, vertex, first_mate,
-                   [slot.color or 0 for trace in traces for slot in trace.slots],
+                   [max(color, 0) for trace in traces for _, _, color in trace],
                    [r for word in vertex_ranks for r in word], vertex_ranks, gen_b is not None)
 
 

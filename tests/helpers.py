@@ -16,6 +16,7 @@ from multitrace import (
     CoefficientError,
     ComponentStats,
     EnumerationStats,
+    Generator,
     KERNEL,
     KernelSymbol,
     LegId,
@@ -27,6 +28,7 @@ from multitrace import (
     RibbonError,
     Series,
     Slot,
+    TraceWord,
     UNIT_GENERATOR,
     classical_product,
     legs_of,
@@ -165,6 +167,28 @@ def generators(draw, mode, prefix, max_legs):
 
 
 # -- accessors only tests read, kept out of the package ------------------------
+
+
+def reference_key(value):
+    """The canonical key of a slot, trace word, generator, kernel symbol or
+    monomial, rebuilt as nested plain tuples from its public attributes:
+    slots ``(label, conjugated, color or -1)``, a word's slot keys, a
+    generator's word keys, ``(name, args)`` and ``(eps_half, hbar, s,
+    kernels)`` with each kernel symbol's key.  The values must order,
+    compare and hash as these keys do."""
+    if isinstance(value, Slot):
+        return value.label, value.conjugated, -1 if value.color is None else value.color
+    if isinstance(value, TraceWord):
+        return tuple(reference_key(slot) for slot in value.slots)
+    if isinstance(value, Generator):
+        return tuple(reference_key(trace) for trace in value.traces)
+    if isinstance(value, KernelSymbol):
+        return value.name, tuple((label, conjugated) for label, conjugated in value.args)
+    if isinstance(value, Monomial):
+        return (value.eps_half, value.hbar, tuple((color, power) for color, power in value.s),
+                tuple((reference_key(sym), power) for sym, power in value.kernels))
+    raise TypeError(f"no reference key for {type(value).__name__}")
+
 
 
 def eps_max_degree(coeff):
