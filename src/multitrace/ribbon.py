@@ -36,15 +36,13 @@ contracted one hands the strand to its partner, and corners carry the
 projector colors of a colored model.  Each output trace's rank word is
 built during the walk, and faces are counted per component.
 
-``enumerate_pairings`` yields the key of every scheme, and one private
-depth-first walk enumerates the pairings in both of its ways.  The walk
-keeps the census state along its path: pairing two legs sets two
-entries of ``alpha`` and two of the face permutation, raises two
-degrees and relabels a merged component, and backtracking undoes it;
-each leaf goes to the face walk.  With an eps cap it walks the job's
-own map, each head leg first staying uncontracted, and cuts branches
-past the cap.  Without a cap it goes survivor set by survivor set.  A
-scheme is its survivor set (the legs left uncontracted) and a perfect
+``enumerate_pairings`` yields the key of every scheme within the eps
+cap, survivor set by survivor set, and one private depth-first walk
+enumerates each pattern's matchings.  The walk keeps the census state
+along its path: pairing two legs sets two entries of ``alpha`` and two
+of the face permutation, raises two degrees and relabels a merged
+component, and backtracking undoes it; each leaf goes to the face walk.
+A scheme is its survivor set (the legs left uncontracted) and a perfect
 matching of the other legs that ``first_mate`` allows.  A trace with
 no contracted leg is untouched: it is one face in every matching, and
 its rank word goes to the key as it is.  The matchings, and each one's
@@ -56,13 +54,14 @@ by side.  Each pattern's census is the walk on the pattern's own map,
 whose legs are positions, each touched trace numbered from the start of
 its word: exactly the contracted positions pair, each position's color
 is its code's and each position is its own slot rank.  So the census is
-built from the pattern alone, and its keys, which name positions, come
-in an order that the pattern fixes.  They go with their counts into a
-memo that the maps of one call share (``algebra.scheme_series`` makes
-one per call, as it makes one rank table).  Every survivor set of the
-pattern then relabels them: positions become slot ranks, the words are
-least-rotated and sorted again with the untouched traces' words, and
-kernel rank pairs are re-oriented and sorted.
+built from the pattern and the cap alone, and its keys, which name
+positions, come in an order that they fix.  They go with their counts
+into a memo, per pattern and cap, that the maps of one call share
+(``algebra.scheme_series`` makes one per call, as it makes one rank
+table).  Every survivor set of the pattern then relabels them:
+positions become slot ranks, the words are least-rotated and sorted
+again with the untouched traces' words, and kernel rank pairs are
+re-oriented and sorted.
 
 In a matrix-mode product the census walks one matching per orbit of a
 symmetry group of one side of the pattern: rotations of a fully
@@ -109,23 +108,28 @@ Euler relation ``F - P + V = 2 - 2*H``.
 
 The eps cap.  With every face counted (``F = I + J + D``) the exponent
 is ``P - F + (faces holding an uncontracted leg)``.  On a partial
-scheme the same expression, counting only legs already decided to stay
+scheme the same expression, counting only legs decided to stay
 uncontracted, plus one for each face that can no longer split (no
 decided leg, and no two open legs that may pair), is
-``exponent_bound``: it never decreases as the enumeration goes deeper
-and equals the exponent at a leaf, so a branch whose bound exceeds the
-cap holds no scheme within it.  The lone faces let side-B legs count
-before the leaf: ``(7)x(7)`` at cap 0 cuts 189 branches to yield its 8
-schemes (1,386 without them).
+``exponent_bound``: it never decreases as a walk goes deeper and equals
+the exponent at a leaf, so a branch whose bound exceeds the cap holds
+no scheme within it.  Each pattern's census cuts its branches by it.
+In a product every component holds a trace of each side, so the
+component form gives two floors, read off a survivor set's pattern: a
+scheme's exponent is at least ``|V_A - V_B|`` (touched traces per
+side), plus one if a touched trace keeps a leg (a current loop).  They
+skip whole sizes and then single pairs of sets before any census, so
+``(7)x(7)`` at cap 0 runs two: the empty pattern and the full one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
 
@@ -219,20 +223,21 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
-                   frontier: int, first_mate: Sequence[int]) -> int:
+                   stays: Sequence[int], first_mate: Sequence[int]) -> int:
     """Lower bound ``P - F + J_dec + L`` on the exponent of every completion.
 
     ``alpha`` is the partial pairing (a fixed point for an unpaired
     leg) with ``pairs`` = P pairs.  F counts the cycles of
     ``sigma . alpha`` over all legs, so an untouched trace is one face.
-    An unpaired leg below ``frontier`` is decided to stay uncontracted;
-    one at or above it is still open.  J_dec counts the faces that hold
-    a decided leg.  L counts the lone faces: faces with no decided leg
-    and at least one open leg, no two of which may pair.  Leg i may pair
-    with a leg j > i exactly when ``j >= first_mate[i]``, and
-    ``first_mate`` never decreases, so two open legs of a face may pair
-    exactly when its greatest open leg ``hi`` may pair with its least
-    ``lo``: a face is lone exactly when ``lo <= hi < first_mate[lo]``.
+    An unpaired leg whose ``stays`` entry is true is decided to stay
+    uncontracted; any other unpaired leg is still open.  J_dec counts
+    the faces that hold a decided leg.  L counts the lone faces: faces
+    with no decided leg and at least one open leg, no two of which may
+    pair.  Leg i may pair with a leg j > i exactly when ``j >=
+    first_mate[i]``, and ``first_mate`` never decreases, so two open legs
+    of a face may pair exactly when its greatest open leg ``hi`` may pair
+    with its least ``lo``: a face is lone exactly when ``lo <= hi <
+    first_mate[lo]``.
 
     Proof that it bounds.  At a leaf every leg is paired or decided, so
     L = 0 and J_dec is the number of faces holding an uncontracted leg,
@@ -253,8 +258,8 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
     * deciding an open leg uncontracted leaves the faces alone and
       raises J_dec by 0 or 1.  It lowers L by 1 only when its face was
       lone, and then that face gains its first decided leg, so J_dec
-      rises by 1.  The leaf step, which decides every mate still open,
-      is a sequence of such moves.
+      rises by 1.  A pattern's census decides every leg before its
+      first pair, so it makes only the first move.
 
     So the bound is monotone along every path, and every leaf below a
     node has an exponent at least the node's bound.
@@ -272,7 +277,7 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
             seen[leg] = True
             corner = alpha[leg]
             if corner == leg:
-                if leg < frontier:
+                if stays[leg]:
                     decided = True
                 else:
                     if leg < lo:
@@ -288,8 +293,8 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
                        mode: Mode, max_eps_degree: int | None = None,
                        stats: EnumerationStats | None = None,
                        patterns: dict | None = None) -> Iterator[tuple | None]:
-    """Yield the census key of every admissible scheme exactly once, the
-    empty scheme first, or ``None`` for a scheme of weight zero.
+    """Yield the census key of every admissible scheme within the eps cap
+    exactly once, or ``None`` for a scheme of weight zero.
 
     ``legs_a`` and ``legs_b`` must be the leg numbers of the map's sides:
     ``range(heads)`` and ``range(heads, n)`` on a product map, ``range(n)``
@@ -297,65 +302,51 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     Every scheme passes the one face walk, shared with ``census``, and
     its Euler and half-unit checks.  Order is deterministic.
 
-    Without ``max_eps_degree``, the schemes come survivor set by survivor
-    set (see the module docstring): by the number of contracted legs,
-    fewest first, so the empty scheme comes first.  In a product, the
-    side-A sets of each size run over the side-B sets of that size.  A
-    side's sets come from ``_side_patterns``, in its fixed order; they
-    depend only on the side's trace lengths and colors.  Each survivor
-    set yields its pattern's keys (``_pattern_keys``, the walk on the
-    pattern's own map) in the order that census found them, which the
-    pattern alone fixes, each as often as its count, relabeled with its
-    slot ranks and its untouched traces' words.  ``patterns`` is
-    the memo from pattern to its position keys and their counts, which
-    also keeps each side's survivor sets: a fresh one by default, or one
-    that the maps of a call share, all of one mode; the order is the
-    same either way.  ``stats.yielded`` counts every scheme, and
-    ``stats.pruned_branches`` stays zero.
-
-    With ``max_eps_degree`` set, exactly the schemes whose eps exponent
-    is at most the cap are yielded, in the order of the depth-first walk
-    (``_walk``) on the job's map, each head leg (every leg of ``legs_a``)
-    first staying uncontracted.  A branch is cut once its
-    ``exponent_bound`` exceeds the cap; each cut branch holds at least
-    one scheme (leave every open leg uncontracted) and counts in
-    ``stats.pruned_branches``, which is therefore nonzero exactly when
-    the cap excluded a scheme, whatever that scheme's weight.
+    The schemes come survivor set by survivor set (see the module
+    docstring): by the number of contracted legs, fewest first, so the
+    empty scheme comes first when the cap admits it.  In a product, the
+    side-A sets of each size run over the side-B sets of that size, in
+    the fixed order of ``_side_patterns``.  Each survivor set yields its
+    pattern's keys (``_pattern_keys``, the walk on the pattern's own map)
+    in the order that census found them, which the pattern and the cap
+    alone fix, each as often as its count, relabeled with its slot ranks
+    and its untouched traces' words.  ``patterns`` is the memo from
+    pattern and cap to its position keys and their counts: a fresh one by
+    default, or one that the maps of a call share, all of one mode; the
+    order is the same either way.  ``stats.yielded`` counts every scheme,
+    and ``stats.pruned_branches`` the survivor sets whose schemes the cap
+    cut, all or some, so it is nonzero exactly when the cap excluded a
+    scheme, whatever that scheme's weight.
     """
     if stats is None:
         stats = EnumerationStats()
     heads, n = pair_map.heads, len(pair_map.sigma)
     if legs_a != range(heads) or legs_b != (range(heads, n) if pair_map.product else None):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
-    if max_eps_degree is None:
-        yield from _by_survivors(pair_map, mode, stats, {} if patterns is None else patterns)
-    else:
-        yield from _walk(pair_map, mode, stats, max_eps_degree)
+    yield from _by_survivors(pair_map, mode, stats, {} if patterns is None else patterns,
+                             max_eps_degree)
 
 
-def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
-          max_eps_degree: int | None = None, stays: Sequence[int] | None = None,
-          before: Sequence[int] | None = None) -> Iterator[tuple | None]:
+def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats, stays: Sequence[int],
+          before: Sequence[int] | None = None,
+          max_eps_degree: int | None = None) -> Iterator[tuple | None]:
     """The one pairing walk (see the module docstring): the key of each
-    scheme it reaches.  Legs ``0..heads-1`` take turns as heads, in
-    order, and a head pairs with each free leg from its ``first_mate``
-    on, in turn.  Without ``stays`` each head first stays uncontracted,
-    and a branch is cut once its ``exponent_bound`` exceeds
-    ``max_eps_degree``.  With ``stays`` (a pattern census) exactly the
-    legs whose entry is false pair, and each head pairs at once.
+    matching of the legs whose ``stays`` entry is false.  Legs
+    ``0..heads-1`` that do not stay take turns as heads, in order, each
+    pairing with each free leg from its ``first_mate`` on, in turn.  A
+    branch is cut once its ``exponent_bound`` exceeds ``max_eps_degree``.
 
-    ``before``, given only with ``stays`` on a product map, keeps one
-    matching per orbit of a symmetric pattern (see ``_pattern_keys``): a
-    leg ``p`` with ``before[p] = q >= 0`` comes after ``q``.  A head then
-    takes a mate past ``q``'s mate, and a side-B leg may be taken only
-    once ``q`` is: it stays marked taken until then.
+    ``before``, given only on a product map, keeps one matching per orbit
+    of a symmetric pattern (see ``_pattern_keys``): a leg ``p`` with
+    ``before[p] = q >= 0`` comes after ``q``.  A head then takes a mate
+    past ``q``'s mate, and a side-B leg may be taken only once ``q`` is:
+    it stays marked taken until then.
     """
     sigma, vertex, first_mate = pair_map.sigma, pair_map.vertex, pair_map.first_mate
     heads, n = pair_map.heads, len(sigma)
-    exact = stays is not None
     # a leg that is a mate on the path, or stays: never a head nor a mate.  A
     # head needs no mark: every leg it could meet as a mate lies past it
-    taken = list(stays) if exact else [False] * n
+    taken = list(stays)
     after = None   # the side-B legs that wait for each leg to be taken
     if before is not None:
         after = [[] for _ in range(n)]
@@ -370,23 +361,20 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     # comp is replaced on a merge, never changed in place
     pairs, comp = 0, list(range(len(degree)))
     # the heads on the path to the current node, each as [head, its mate or
-    # -1 while it stays uncontracted, the component labels before its pair]
+    # -1 before its first, the component labels before its pair]
     path: list[list] = []
     idx = 0
     while True:
         while idx < heads and taken[idx]:
             idx += 1
         if max_eps_degree is not None and exponent_bound(
-                sigma, alpha, pairs, idx if idx < heads else n, first_mate) > max_eps_degree:
+                sigma, alpha, pairs, stays, first_mate) > max_eps_degree:
             stats.pruned_branches += 1
         elif idx == heads:
             stats.yielded += 1
             yield _reduce(pairs, alpha, nxt, degree, comp, pair_map, mode, None)
         else:
             path.append([idx, -1, comp])
-            if not exact:   # the head leg first stays uncontracted
-                idx += 1
-                continue
         # back up to the newest head with a free mate left, and pair them
         while path:
             step = path[-1]
@@ -432,9 +420,9 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
             return
 
 
-def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
-                  patterns: dict) -> Iterator[tuple | None]:
-    """The uncapped schemes, survivor set by survivor set (see
+def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats, patterns: dict,
+                  max_eps_degree: int | None) -> Iterator[tuple | None]:
+    """The schemes within the cap, survivor set by survivor set (see
     ``enumerate_pairings``): each pattern's matchings are censused once
     into ``patterns``, and their position keys relabeled per survivor set."""
     heads, n, ranks, colors = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.colors
@@ -444,35 +432,46 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
     # its leg bookkeeping is checked here, once per job: one rank per leg
     if [v for v, word in enumerate(vertex_ranks) for _ in word] != pair_map.vertex:
         raise RibbonError("leg bookkeeping does not match the traces' rank words")
+    # a transport has one side, whose sets all pair with no legs of another
+    sizes = range(min(heads, n - heads) + 1) if pair_map.product else range(0, n + 1, 2)
 
-    def side(legs: range, sizes: range) -> dict[int, list[tuple[tuple, tuple, tuple, tuple]]]:
-        """(pattern, touched legs by position counted from the side's
-        first, their slot ranks, the untouched traces' rank words) of each
-        way to contract k of ``legs``, whole traces of the map, for each k
-        of ``sizes``."""
+    def side(legs: range) -> tuple[tuple, Callable[[tuple], list[tuple]]]:
+        """``_side_patterns`` of ``legs`` (whole traces of the map), and what
+        adds its touched legs' slot ranks and untouched words to a size's sets."""
         traces = [v for v in range(len(vertex_ranks)) if starts[v] in legs]
         side_colors = tuple(tuple(colors[starts[v]:starts[v + 1]]) for v in traces)
         side_ranks = ranks[legs.start:]   # by leg, counted from the side's first
-        return {k: [(pattern, order, tuple([side_ranks[i] for i in order]),
-                     tuple([vertex_ranks[traces[t]] for t in untouched]))
-                    for pattern, order, untouched in parts]
-                for k, parts in _side_patterns(side_colors, sizes, patterns).items()}
+        return _side_patterns(side_colors, sizes), lambda parts: [
+            (pattern, kind, order, tuple([side_ranks[i] for i in order]),
+             tuple([vertex_ranks[traces[t]] for t in untouched]))
+            for pattern, kind, order, untouched in parts]
 
+    # the Euler floors (module docstring) need a trace of each side per component
+    capped = max_eps_degree is not None and pair_map.product
+    heads_side, ranked_a = side(range(heads))   # a transport's heads are all its legs
     if pair_map.product:
-        sizes = range(min(heads, n - heads) + 1)
-        heads_side, tails_side = side(range(heads), sizes), side(range(heads, n), sizes)
-    else:   # a transport: one side, whose sets all pair with no legs of another
-        sizes = range(0, n + 1, 2)
-        heads_side, tails_side = side(range(n), sizes), dict.fromkeys(sizes, [((), (), (), ())])
+        tails_side, ranked_b = side(range(heads, n))
+    else:   # every size pairs with the empty set, whose ranking needs no ranks
+        tails_side, ranked_b = [({(0, False)}, [((), (0, False), (), ())])] * len(sizes), ranked_a
     kernel = mode.kind != "matrix"
-    for k in sizes:
-        for head_pattern, head_order, head_ranks, head_words in heads_side[k]:
-            for tail_pattern, tail_order, tail_ranks, tail_words in tails_side[k]:
-                pattern = head_pattern, tail_pattern
-                keys = patterns.get(pattern)
-                if keys is None:
+    for (kinds_a, sets_a), (kinds_b, sets_b) in zip(heads_side, tails_side):
+        if capped and min(abs(va - vb) + (ka or kb) for va, ka in kinds_a
+                          for vb, kb in kinds_b) > max_eps_degree:
+            stats.pruned_branches += len(sets_a) * len(sets_b)
+            continue
+        tails = ranked_b(sets_b)
+        for head_pattern, (va, ka), head_order, head_ranks, head_words in ranked_a(sets_a):
+            for tail_pattern, (vb, kb), tail_order, tail_ranks, tail_words in tails:
+                if capped and abs(va - vb) + (ka or kb) > max_eps_degree:
+                    stats.pruned_branches += 1
+                    continue
+                entry = patterns.get((head_pattern, tail_pattern, max_eps_degree))
+                if entry is None:
                     legs = head_order + tuple([heads + i for i in tail_order])
-                    keys = patterns[pattern] = _pattern_keys(pair_map, mode, pattern, legs)
+                    entry = patterns[head_pattern, tail_pattern, max_eps_degree] = _pattern_keys(
+                        pair_map, mode, (head_pattern, tail_pattern), legs, max_eps_degree)
+                keys, cut = entry
+                stats.pruned_branches += cut
                 rank = head_ranks + tail_ranks   # the slot rank at each position
                 untouched = head_words + tail_words
                 for key, count in keys:
@@ -509,32 +508,30 @@ def _relabel(key: tuple, rank: tuple[int, ...], untouched: tuple[tuple[int, ...]
     return tuple(words), half_units, s_exponents, kernels
 
 
-def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
-                   memo: dict) -> dict[int, list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]]:
-    """For each k of ``sizes``, each way to contract k legs of a side whose
-    traces' legs have ``colors`` (0 uncolored): its pattern, its touched
-    legs by position, counted from the side's first leg, and its
-    untouched traces, by their place on the side.
+@lru_cache(maxsize=256)
+def _side_patterns(colors: tuple[tuple[int, ...], ...],
+                   sizes: range) -> tuple[tuple[frozenset, tuple[tuple, ...]], ...]:
+    """For each k of ``sizes``, the kinds of size k and each way to
+    contract k legs of a side whose traces' legs have ``colors`` (0
+    uncolored): its pattern, its kind, its touched legs by position,
+    counted from the side's first leg, and its untouched traces, by their
+    place on the side, in ``combinations`` order.  The process keeps the
+    sets of its last 256 sides, which bounds their memory.
 
     A trace is touched when it holds a contracted leg.  Its word is the
     least rotation of its legs' codes, ``2 * color + 1`` for a leg that
     survives and ``2 * color`` for one that does not, and its positions
     follow that rotation.  The pattern is the touched traces' words,
     sorted; the sort is stable, so equal words keep the side's trace
-    order, and the positions follow the sorted traces.  The sets are
-    built once per ``memo`` (keyed ``(colors, sizes)``, which no pattern
-    equals: a pattern's second entry is a tuple, never a range), those
-    of each size in ``combinations`` order of the side's legs.
+    order, and the positions follow the sorted traces.  The kind, all that
+    the Euler floors read, is (touched traces, one of them keeps a leg).
     """
-    parts = memo.get((colors, sizes))
-    if parts is not None:
-        return parts
     codes = [2 * color + 1 for trace in colors for color in trace]
     spans = list(zip(accumulate(map(len, colors), initial=0), accumulate(map(len, colors))))
     trace_of = [t for t, trace in enumerate(colors) for _ in trace]
-    parts = memo[colors, sizes] = {}
+    parts = []
     for k in sizes:
-        found = parts[k] = []
+        found = []
         for cut in combinations(range(len(codes)), k):
             word = codes.copy()
             for leg in cut:
@@ -548,16 +545,19 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range,
                 touched.append((tuple(trace[r:] + trace[:r]),
                                 [*range(start + r, end), *range(start, start + r)]))
             touched.sort(key=itemgetter(0))
-            found.append((tuple([trace for trace, _ in touched]),
+            kept = len(cut) < sum(len(colors[t]) for t in hit)
+            found.append((tuple([trace for trace, _ in touched]), (len(hit), kept),
                           tuple([leg for _, order in touched for leg in order]),
                           tuple([t for t in range(len(colors)) if t not in hit])))
-    return parts
+        parts.append((frozenset([kind for _, kind, _, _ in found]), tuple(found)))
+    return tuple(parts)
 
 
-def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
-                  legs: tuple[int, ...]) -> list[tuple[tuple | None, int]]:
+def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple, legs: tuple[int, ...],
+                  max_eps_degree: int | None) -> tuple[list[tuple[tuple | None, int]], bool]:
     """The census of every matching of one survivor pattern's contracted
-    legs, as its distinct position keys and their counts.
+    legs within the eps cap, as its distinct position keys and their
+    counts, and whether the cap cut a branch.
 
     ``pattern`` is a survivor set's touched traces, side by side, and
     ``legs`` the job map's leg at each of their positions.  The walk runs
@@ -568,19 +568,17 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
     ``first_mate`` and ``heads`` are fixed by the pattern's trace lengths
     and sides, each position's color is its code's (``code >> 1``) and
     its slot rank is itself, each trace's word is its range of positions,
-    and exactly the positions whose code is even pair.  So the keys and
-    their order depend on the pattern alone, whichever job meets it
-    first.  Every trace of the map is touched, so a position key's words
-    are its current words; with its eps half-units, block ratios and
-    kernels, whose pairs name positions, it has the shape of a census
-    key.
+    and exactly the positions whose code is even pair; the others stay.
+    So the keys and their order depend on the pattern and the cap alone,
+    whichever job meets it first.  Every trace of the map is touched, so
+    a position key's words are its current words; with its eps
+    half-units, block ratios and kernels, whose pairs name positions, it
+    has the shape of a census key.
 
     In a matrix-mode product the walk keeps one matching per orbit of
     the symmetry group of one side (``_side_group``; the side of the
     larger group, side A on a tie), and each count is the number of
     representatives times the group's order (see the module docstring).
-    The group is worked out here, once per pattern, as part of the memo
-    entry.
     """
     codes = [word for side in pattern for word in side]   # each trace's codes
     flat = [code for word in codes for code in word]
@@ -605,8 +603,11 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple,
             before = [-1] * n
             for p, q in links:
                 before[p] = q
-    counts = Counter(_walk(positions, mode, EnumerationStats(), stays=stays, before=before))
-    return [(key, count * weight) for key, count in counts.items()]
+    if max_eps_degree is not None and 2 * max_eps_degree >= n - sum(stays):
+        max_eps_degree = None   # the exponent P - I is at most P: nothing to cut
+    stats = EnumerationStats()
+    counts = Counter(_walk(positions, mode, stats, stays, before, max_eps_degree))
+    return [(key, count * weight) for key, count in counts.items()], stats.pruned_branches > 0
 
 
 def _side_group(words: tuple[tuple[int, ...], ...], start: int,

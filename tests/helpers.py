@@ -465,8 +465,10 @@ def reference_pairings(legs_a: Sequence[LegId],
     def walk(idx: int) -> Iterator[Scheme]:
         while idx < heads and alpha[idx] != idx:
             idx += 1
+        frontier = idx if idx < heads else n   # the unpaired legs before it stay
         if max_eps_degree is not None and exponent_bound(
-                sigma, alpha, len(chosen), idx if idx < heads else n, first_mate) > max_eps_degree:
+                sigma, alpha, len(chosen), [i < frontier for i in range(n)],
+                first_mate) > max_eps_degree:
             stats.pruned_branches += 1
             return
         if idx == heads:

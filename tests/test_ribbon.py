@@ -38,6 +38,12 @@ def leg_numbers(pair_map):
     return range(heads), range(heads, n) if pair_map.product else None
 
 
+def reference_keys(pair_map, ga, gb, mode):
+    """The census key of each scheme of the frontier walk ``reference_pairings``."""
+    legs_b = None if gb is None else legs_of(gb, side=1)
+    return [census(p, pair_map, mode) for p in reference_pairings(legs_of(ga), legs_b)]
+
+
 def keys_of(ga, gb=None, mode=MATRIX, **options):
     """The census keys ``enumerate_pairings`` yields for one generator pair."""
     pair_map = map_of(ga, gb)
@@ -127,13 +133,16 @@ class TestEnumeration:
         assert len(capped) == stats.yielded <= 8
 
     @pytest.mark.parametrize("shape_a,shape_b,cap,kept,most_cut", [
-        ((7,), (7,), 1, 302, 3962),   # P - F + J_dec alone cuts 17,892
+        ((7,), (7,), 0, 8, 189),   # P - F + J_dec alone cuts 1,386
+        ((7,), (7,), 1, 302, 3962),   # and 17,892
         ((12,), None, 0, 1718, 6744),   # and 12,205
     ])
     def test_lone_faces_cut_branches_early(self, shape_a, shape_b, cap, kept, most_cut):
-        gb = None if shape_b is None else shaped(shape_b, prefix="y")
+        # the bound on the frontier walk, which decides each head in turn
+        a = legs_of(shaped(shape_a))
+        b = None if shape_b is None else legs_of(shaped(shape_b, prefix="y"), side=1)
         stats = EnumerationStats()
-        assert len(keys_of(shaped(shape_a), gb, max_eps_degree=cap, stats=stats)) == kept
+        assert len(list(reference_pairings(a, b, max_eps_degree=cap, stats=stats))) == kept
         assert stats.yielded == kept
         assert 0 < stats.pruned_branches <= most_cut
 
@@ -152,11 +161,53 @@ def test_enumerator_yields_the_census_of_each_reference_scheme_in_order(
                                       max_eps_degree=cap, stats=got_stats))
         want = [census(p, pair_map, mode) for p in reference_pairings(
             legs_a, legs_b, max_eps_degree=cap, stats=want_stats)]
-        if cap is None:   # uncapped, the order is by survivor set
-            assert Counter(got) == Counter(want) and got[0] == want[0]
-        else:
-            assert got == want
-        assert got_stats == want_stats
+        # the order is by survivor set, the empty scheme (exponent 0) first when admitted
+        assert Counter(got) == Counter(want)
+        if cap is None or cap >= 0:
+            assert got[0] == want[0] == census((), pair_map, mode)
+        assert got_stats.yielded == want_stats.yielded == len(want)
+        assert (got_stats.pruned_branches > 0) == (want_stats.pruned_branches > 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES))
+def test_product_exponents_meet_the_euler_floor(data, mode):
+    # every component holds a trace of each side, so the exponent is at least
+    # |V_A - V_B| (touched traces per side), plus one when a touched trace
+    # keeps a leg: that leg lies on a current loop
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4))
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1)
+    legs = legs_a + legs_b
+    for pairing in reference_pairings(legs_a, legs_b):
+        pairs = named(pairing, legs)
+        contracted = {leg for pair in pairs for leg in pair}
+        touched = {(leg.side, leg.trace) for leg in contracted}
+        sides = Counter(side for side, _ in touched)
+        kept = any((leg.side, leg.trace) in touched for leg in legs if leg not in contracted)
+        floor = abs(sides[0] - sides[1]) + kept
+        assert analyze(pairs, ga, gb, mode).exponent >= floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans())
+def test_a_memo_shared_across_caps_keeps_each_caps_keys(data, mode, product_mode):
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4)) if product_mode else None
+    pair_map = map_of(ga, gb)
+    legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
+    patterns: dict = {}
+    for cap in (None, 0, 2, None, 0):
+        want = [census(p, pair_map, mode)
+                for p in reference_pairings(legs_a, legs_b, max_eps_degree=cap)]
+        fresh_stats, shared_stats = EnumerationStats(), EnumerationStats()
+        fresh = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
+                                        max_eps_degree=cap, stats=fresh_stats))
+        shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
+                                         max_eps_degree=cap, stats=shared_stats,
+                                         patterns=patterns))
+        assert Counter(fresh) == Counter(want)
+        assert shared == fresh and shared_stats == fresh_stats
 
 
 def _with_a_repeated_slot(gen, data):
@@ -179,13 +230,11 @@ def test_uncapped_enumeration_equals_the_depth_first_walk(data, mode, product_mo
     gb = data.draw(generators(mode, "y", 5)) if product_mode else None
     pair_map = map_of(ga, gb)
     legs = leg_numbers(pair_map)
-    got_stats, walk_stats = EnumerationStats(), EnumerationStats()
+    got_stats = EnumerationStats()
     got = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, stats=got_stats))
-    # a cap no exponent exceeds (it is at most the pair count) runs the walk, pruning nothing
-    walk = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
-                                   max_eps_degree=len(pair_map.sigma), stats=walk_stats))
+    walk = reference_keys(pair_map, ga, gb, mode)
     assert Counter(got) == Counter(walk)   # weight-zero schemes (None) included
-    assert got_stats == walk_stats and walk_stats.pruned_branches == 0
+    assert got_stats == EnumerationStats(yielded=len(walk))
     assert got[0] == census((), pair_map, mode)
     assert got == list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
     # a memo shared with other maps gives the same keys in the same order
@@ -249,10 +298,8 @@ def test_sorted_touched_patterns_key_every_scheme(data, mode, product_mode):
     other = map_of(gb, ga) if product_mode else map_of(data.draw(repeated_traces(mode, "z", 8)))
     list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode, patterns=patterns))
     shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, patterns=patterns))
-    walk = enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
-                              max_eps_degree=len(pair_map.sigma))
     assert shared == fresh
-    assert Counter(fresh) == Counter(walk)
+    assert Counter(fresh) == Counter(reference_keys(pair_map, ga, gb, mode))
 
 
 @st.composite
@@ -286,13 +333,12 @@ def test_orbit_census_counts_every_matching(data, mode):
     ga = data.draw(symmetric_traces(mode, "x", True))
     gb = data.draw(symmetric_traces(mode, "y", False))
     patterns: dict = {}
-    for pair_map in (map_of(ga, gb), map_of(gb, ga)):
+    for a, b in ((ga, gb), (gb, ga)):
+        pair_map = map_of(a, b)
         legs = leg_numbers(pair_map)
         fresh = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
-        # a cap no exponent exceeds (it is at most the pair count) runs the full walk
-        walk = enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
-                                  max_eps_degree=len(pair_map.sigma))
-        assert Counter(fresh) == Counter(walk)   # weight-zero schemes (None) included
+        # weight-zero schemes (None) included
+        assert Counter(fresh) == Counter(reference_keys(pair_map, a, b, mode))
         # the second map meets the first map's patterns with its sides swapped
         shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
                                          patterns=patterns))
@@ -381,7 +427,8 @@ def _path_bounds(pairing, pair_map, heads):
         chosen = [(i, j) for i, j in edges if i < node]
         for i, j in chosen:
             alpha[i], alpha[j] = j, i
-        bounds.append(exponent_bound(sigma, alpha, len(chosen), node, pair_map.first_mate))
+        bounds.append(exponent_bound(sigma, alpha, len(chosen), [i < node for i in range(n)],
+                                     pair_map.first_mate))
         assert bounds[-1] >= reference_exponent_bound(sigma, alpha, len(chosen), node)
     return bounds
 
