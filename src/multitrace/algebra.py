@@ -18,16 +18,15 @@ generator pair (a job), the pair's map is built on that table
 scheme's integer key (``None`` for weight zero) on its leg numbers; the
 schemes are counted per key.  A key is its output words and its
 monomial part (eps half-units, block ratios, kernels).  All jobs share
-the table, so equal keys of different jobs name the same term.  They
-also share one memo of survivor patterns: the matchings of each pattern
-(the least-rotated words of contracted and surviving legs of the traces
-that hold a contracted leg, sorted) within the eps cap are censused once
-for the call, on a map of leg positions built from the pattern alone,
-so a pattern's keys come in the same order whichever job meets it
-first, and they are relabeled to slot ranks for each survivor set of
-each job, which adds its untouched traces' words; the 727 jobs of the
-``(5)x(5)`` output times ``W{Tr[z1]}`` run the face walk 8 times for
-their 4,037 schemes.  A cap cuts branches inside each pattern's census.
+the table, so equal keys of different jobs name the same term.  The
+matchings of each survivor pattern (the least-rotated words of
+contracted and surviving legs of the traces that hold a contracted leg,
+sorted) within the eps cap are censused on a map of leg positions built
+from the pattern alone, in a bounded cache of the process, and
+relabeled to slot ranks for each survivor set of each job, which adds
+its untouched traces' words; the 727 jobs of the ``(5)x(5)`` output
+times ``W{Tr[z1]}`` run the face walk 8 times for their 4,037 schemes,
+and a second call none.  A cap cuts branches inside each census.
 
 How a key becomes a term: each job's key counts, times the rationals of
 each pair of its scale terms (one from each factor's coefficient), are
@@ -160,7 +159,6 @@ def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
                                    "kernel-mode pair kernels need distinct labels")
     # (scale monomial of side A, of side B) -> {census key: count times rationals}
     sums: dict[tuple[Monomial, Monomial], dict[tuple, RationalLike]] = {}
-    patterns: dict = {}   # the census of each pattern within the cap, for the call
     for gen_a, ca in terms_a:
         scales_a = _rationals(ca)
         for gen_b, scales_b in sides_b:
@@ -169,7 +167,7 @@ def scheme_series(mode: Mode, terms_a: Sequence[tuple[Generator, Coefficient]],
             stats = EnumerationStats()
             counts = Counter(filter(None, enumerate_pairings(
                 range(heads), None if gen_b is None else range(heads, n), pair_map=pair_map,
-                mode=mode, max_eps_degree=max_eps_degree, stats=stats, patterns=patterns)))
+                mode=mode, max_eps_degree=max_eps_degree, stats=stats)))
             if stats.pruned_branches:
                 flags.add("truncated")
             for ma, ra in scales_a:

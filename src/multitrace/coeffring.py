@@ -365,7 +365,8 @@ class Coefficient:
     def _invert(self) -> "Coefficient":
         """Invert a single unit-like monomial (rational times eps power)."""
         if len(self.terms) != 1:
-            raise CoefficientError("only single-term coefficients are invertible")
+            raise CoefficientError("zero is not invertible" if not self.terms
+                                   else "only single-term coefficients are invertible")
         mono, q = self.terms[0]
         if mono.hbar or mono.s or mono.kernels:
             raise CoefficientError(

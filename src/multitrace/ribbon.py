@@ -55,13 +55,12 @@ whose legs are positions, each touched trace numbered from the start of
 its word: exactly the contracted positions pair, each position's color
 is its code's and each position is its own slot rank.  So the census is
 built from the pattern and the cap alone, and its keys, which name
-positions, come in an order that they fix.  They go with their counts
-into a memo, per pattern and cap, that the maps of one call share
-(``algebra.scheme_series`` makes one per call, as it makes one rank
-table).  Every survivor set of the pattern then relabels them:
-positions become slot ranks, the words are least-rotated and sorted
-again with the untouched traces' words, and kernel rank pairs are
-re-oriented and sorted.
+positions, come in an order that they fix.  The process caches them
+with their counts, per mode, kind of map, pattern and cap, in a bounded
+cache that every map and call shares.  Every survivor set of the
+pattern then relabels them: positions become slot ranks, the words are
+least-rotated and sorted again with the untouched traces' words, and
+kernel rank pairs are re-oriented and sorted.
 
 In a matrix-mode product the census walks one matching per orbit of a
 symmetry group of one side of the pattern: rotations of a fully
@@ -74,10 +73,10 @@ weight-zero status, and with them the key.  The walk keeps the
 matchings that an order on a few positions allows, one per orbit, and
 counts each key as often as the group's order.  Kernel keys name the
 positions of their pairs, and a transport's rotation can fix a
-self-matching, so both walk every matching.  So ``(6)x(6)`` runs the
-face walk 572 times for its 13,327 schemes (38 patterns) and
-``(2,2,2)x(3,2,1)`` 188 times, and a transport of ten legs 1,872 times
-for its 9,496 as one trace and 1,372 times as two traces of five.
+self-matching, so both walk every matching.  On an empty cache
+``(6)x(6)`` runs the face walk 572 times for its 13,327 schemes (38
+patterns) and ``(2,2,2)x(3,2,1)`` 188 times, and a transport of ten
+legs 1,872 times for its 9,496 as one trace and 1,372 as two of five.
 
 ``analyze``, the one user of ``LegId`` (side, trace, slot), takes a
 hand-built pairing: it refuses an unknown, reused or self-paired leg
@@ -207,11 +206,7 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
     """
     gens = (gen_a,) if gen_b is None else (gen_a, gen_b)
     traces = [trace for gen in gens for trace in gen]
-    sigma, vertex = [], []
-    for v, trace in enumerate(traces):
-        start, length = len(sigma), len(trace)
-        sigma += [start + (s + 1) % length for s in range(length)]
-        vertex += [v] * length
+    sigma, vertex = _trace_cycles(map(len, traces))
     n, heads = len(sigma), gen_a.size
     first_mate = (list(range(1, n + 1)) if gen_b is None
                   else [heads] * heads + [n] * (n - heads))
@@ -220,6 +215,17 @@ def map_of(gen_a: Generator, gen_b: Generator | None = None,
     return PairMap(heads, sigma, vertex, first_mate,
                    [max(color, 0) for trace in traces for _, _, color in trace],
                    [r for word in vertex_ranks for r in word], vertex_ranks, gen_b is not None)
+
+
+def _trace_cycles(lengths: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``sigma`` and ``vertex`` of traces of ``lengths``, their legs
+    numbered trace by trace: each trace is one cycle of ``sigma``."""
+    sigma, vertex = [], []
+    for v, length in enumerate(lengths):
+        start = len(sigma)
+        sigma += [start + (s + 1) % length for s in range(length)]
+        vertex += [v] * length
+    return sigma, vertex
 
 
 def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
@@ -291,8 +297,7 @@ def exponent_bound(sigma: Sequence[int], alpha: Sequence[int], pairs: int,
 
 def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: PairMap,
                        mode: Mode, max_eps_degree: int | None = None,
-                       stats: EnumerationStats | None = None,
-                       patterns: dict | None = None) -> Iterator[tuple | None]:
+                       stats: EnumerationStats | None = None) -> Iterator[tuple | None]:
     """Yield the census key of every admissible scheme within the eps cap
     exactly once, or ``None`` for a scheme of weight zero.
 
@@ -309,22 +314,18 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     the fixed order of ``_side_patterns``.  Each survivor set yields its
     pattern's keys (``_pattern_keys``, the walk on the pattern's own map)
     in the order that census found them, which the pattern and the cap
-    alone fix, each as often as its count, relabeled with its slot ranks
-    and its untouched traces' words.  ``patterns`` is the memo from
-    pattern and cap to its position keys and their counts: a fresh one by
-    default, or one that the maps of a call share, all of one mode; the
-    order is the same either way.  ``stats.yielded`` counts every scheme,
-    and ``stats.pruned_branches`` the survivor sets whose schemes the cap
-    cut, all or some, so it is nonzero exactly when the cap excluded a
-    scheme, whatever that scheme's weight.
+    alone fix, whichever map or call met it first, each as often as its
+    count, relabeled with its slot ranks and its untouched traces' words.
+    ``stats.yielded`` counts every scheme, and ``stats.pruned_branches``
+    the survivor sets whose schemes the cap cut, all or some, so it is
+    nonzero exactly when the cap excluded a scheme, whatever its weight.
     """
     if stats is None:
         stats = EnumerationStats()
     heads, n = pair_map.heads, len(pair_map.sigma)
     if legs_a != range(heads) or legs_b != (range(heads, n) if pair_map.product else None):
         raise RibbonError("the legs must be the legs of the pair map, in order and by side")
-    yield from _by_survivors(pair_map, mode, stats, {} if patterns is None else patterns,
-                             max_eps_degree)
+    yield from _by_survivors(pair_map, mode, stats, max_eps_degree)
 
 
 def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats, stays: Sequence[int],
@@ -420,17 +421,17 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats, stays: Sequenc
             return
 
 
-def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats, patterns: dict,
+def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
                   max_eps_degree: int | None) -> Iterator[tuple | None]:
     """The schemes within the cap, survivor set by survivor set (see
-    ``enumerate_pairings``): each pattern's matchings are censused once
-    into ``patterns``, and their position keys relabeled per survivor set."""
+    ``enumerate_pairings``): each pattern's position keys, from the
+    process's cache of censuses, relabeled per survivor set."""
     heads, n, ranks, colors = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.colors
     vertex_ranks = pair_map.vertex_ranks
     starts = list(accumulate(map(len, vertex_ranks), initial=0))   # each trace's first leg
-    # an untouched trace's rank word goes to the keys without a face walk, so
-    # its leg bookkeeping is checked here, once per job: one rank per leg
-    if [v for v, word in enumerate(vertex_ranks) for _ in word] != pair_map.vertex:
+    # the census walks the pattern's map and an untouched trace's rank word goes to
+    # the keys as it is, so this map is checked once: its traces' cycles and ranks
+    if _trace_cycles(map(len, vertex_ranks)) != (pair_map.sigma, pair_map.vertex):
         raise RibbonError("leg bookkeeping does not match the traces' rank words")
     # a transport has one side, whose sets all pair with no legs of another
     sizes = range(min(heads, n - heads) + 1) if pair_map.product else range(0, n + 1, 2)
@@ -442,7 +443,7 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats, patter
         side_colors = tuple(tuple(colors[starts[v]:starts[v + 1]]) for v in traces)
         side_ranks = ranks[legs.start:]   # by leg, counted from the side's first
         return _side_patterns(side_colors, sizes), lambda parts: [
-            (pattern, kind, order, tuple([side_ranks[i] for i in order]),
+            (pattern, kind, tuple([side_ranks[i] for i in order]),
              tuple([vertex_ranks[traces[t]] for t in untouched]))
             for pattern, kind, order, untouched in parts]
 
@@ -454,23 +455,22 @@ def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats, patter
     else:   # every size pairs with the empty set, whose ranking needs no ranks
         tails_side, ranked_b = [({(0, False)}, [((), (0, False), (), ())])] * len(sizes), ranked_a
     kernel = mode.kind != "matrix"
-    for (kinds_a, sets_a), (kinds_b, sets_b) in zip(heads_side, tails_side):
+    for k, (kinds_a, sets_a), (kinds_b, sets_b) in zip(sizes, heads_side, tails_side):
         if capped and min(abs(va - vb) + (ka or kb) for va, ka in kinds_a
                           for vb, kb in kinds_b) > max_eps_degree:
             stats.pruned_branches += len(sets_a) * len(sets_b)
             continue
+        # a scheme's exponent P - I is at most its P pairs: a cap of P cuts nothing
+        pairs = k if pair_map.product else k // 2
+        cap = None if max_eps_degree is None or max_eps_degree >= pairs else max_eps_degree
         tails = ranked_b(sets_b)
-        for head_pattern, (va, ka), head_order, head_ranks, head_words in ranked_a(sets_a):
-            for tail_pattern, (vb, kb), tail_order, tail_ranks, tail_words in tails:
+        for head_pattern, (va, ka), head_ranks, head_words in ranked_a(sets_a):
+            for tail_pattern, (vb, kb), tail_ranks, tail_words in tails:
                 if capped and abs(va - vb) + (ka or kb) > max_eps_degree:
                     stats.pruned_branches += 1
                     continue
-                entry = patterns.get((head_pattern, tail_pattern, max_eps_degree))
-                if entry is None:
-                    legs = head_order + tuple([heads + i for i in tail_order])
-                    entry = patterns[head_pattern, tail_pattern, max_eps_degree] = _pattern_keys(
-                        pair_map, mode, (head_pattern, tail_pattern), legs, max_eps_degree)
-                keys, cut = entry
+                keys, cut = _pattern_keys(mode, pair_map.product,
+                                          (head_pattern, tail_pattern), cap)
                 stats.pruned_branches += cut
                 rank = head_ranks + tail_ranks   # the slot rank at each position
                 untouched = head_words + tail_words
@@ -553,27 +553,26 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...],
     return tuple(parts)
 
 
-def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple, legs: tuple[int, ...],
-                  max_eps_degree: int | None) -> tuple[list[tuple[tuple | None, int]], bool]:
+@lru_cache(maxsize=1024)
+def _pattern_keys(mode: Mode, product: bool, pattern: tuple, max_eps_degree: int | None
+                  ) -> tuple[tuple[tuple[tuple | None, int], ...], bool]:
     """The census of every matching of one survivor pattern's contracted
     legs within the eps cap, as its distinct position keys and their
-    counts, and whether the cap cut a branch.
+    counts, and whether the cap cut a branch.  The process keeps its last
+    1,024 censuses, which bounds their memory; a cap that cannot cut
+    comes as ``None``.
 
-    ``pattern`` is a survivor set's touched traces, side by side, and
-    ``legs`` the job map's leg at each of their positions.  The walk runs
-    on a map of positions: each touched trace's positions in turn, each
-    numbered from the start of its word.  Its ``sigma`` is the job map's
-    read through ``legs`` (a rotation inside a trace keeps it, so a
-    consistent map gives the pattern's own), its ``vertex``,
-    ``first_mate`` and ``heads`` are fixed by the pattern's trace lengths
-    and sides, each position's color is its code's (``code >> 1``) and
-    its slot rank is itself, each trace's word is its range of positions,
-    and exactly the positions whose code is even pair; the others stay.
-    So the keys and their order depend on the pattern and the cap alone,
-    whichever job meets it first.  Every trace of the map is touched, so
-    a position key's words are its current words; with its eps
-    half-units, block ratios and kernels, whose pairs name positions, it
-    has the shape of a census key.
+    ``pattern`` is a survivor set's touched traces, side by side (a
+    transport's second side is empty).  The walk runs on a map of
+    positions: each touched trace's positions in turn, each numbered from
+    the start of its word, each word one cycle of ``sigma``.  Its
+    ``vertex``, ``first_mate`` and ``heads`` are fixed by the pattern's
+    trace lengths and sides, each position's color is its code's (``code
+    >> 1``) and its slot rank is itself, and exactly the positions whose
+    code is even pair; the others stay.  Every trace of the map is
+    touched, so a position key's words are its current words; with its
+    eps half-units, block ratios and kernels, whose pairs name positions,
+    it has the shape of a census key.
 
     In a matrix-mode product the walk keeps one matching per orbit of
     the symmetry group of one side (``_side_group``; the side of the
@@ -582,20 +581,19 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple, legs: tuple[int
     """
     codes = [word for side in pattern for word in side]   # each trace's codes
     flat = [code for word in codes for code in word]
+    lengths = list(map(len, codes))
     n = len(flat)
-    heads = sum(map(len, pattern[0])) if pair_map.product else n
-    where = {leg: p for p, leg in enumerate(legs)}
+    heads = sum(map(len, pattern[0])) if product else n
     positions = PairMap(
-        heads, [where[pair_map.sigma[leg]] for leg in legs],
-        [v for v, word in enumerate(codes) for _ in word],
-        [heads] * heads + [n] * (n - heads) if pair_map.product else list(range(1, n + 1)),
+        heads, *_trace_cycles(lengths),
+        [heads] * heads + [n] * (n - heads) if product else list(range(1, n + 1)),
         [code >> 1 for code in flat], list(range(n)),
-        [tuple(range(start, start + len(word)))
-         for start, word in zip(accumulate(map(len, codes), initial=0), codes)],
-        pair_map.product)
+        [tuple(range(start, start + length))
+         for start, length in zip(accumulate(lengths, initial=0), lengths)],
+        product)
     stays = [code & 1 for code in flat]
     before, weight = None, 1
-    if pair_map.product and mode.kind == "matrix":
+    if product and mode.kind == "matrix":
         (order_a, links_a), (order_b, links_b) = (_side_group(pattern[0], 0, stays),
                                                   _side_group(pattern[1], heads, stays))
         weight, links = (order_a, links_a) if order_a >= order_b else (order_b, links_b)
@@ -603,11 +601,10 @@ def _pattern_keys(pair_map: PairMap, mode: Mode, pattern: tuple, legs: tuple[int
             before = [-1] * n
             for p, q in links:
                 before[p] = q
-    if max_eps_degree is not None and 2 * max_eps_degree >= n - sum(stays):
-        max_eps_degree = None   # the exponent P - I is at most P: nothing to cut
     stats = EnumerationStats()
     counts = Counter(_walk(positions, mode, stats, stays, before, max_eps_degree))
-    return [(key, count * weight) for key, count in counts.items()], stats.pruned_branches > 0
+    keys = tuple([(key, count * weight) for key, count in counts.items()])
+    return keys, stats.pruned_branches > 0
 
 
 def _side_group(words: tuple[tuple[int, ...], ...], start: int,

@@ -120,6 +120,12 @@ class TestParseErrors:
         message = self.err("hbar^-1")
         assert "negative powers" in message
 
+    def test_negative_power_of_zero(self):
+        # zero is refused by name, not as a coefficient of several terms
+        for text in ("0^-1", "(0*eps)^-2", "(eps - eps)^-1*W{Tr[x1]}"):
+            assert "zero is not invertible" in self.err(text)
+        assert "single-term" in self.err("(1 + eps)^-1")
+
     def test_positions_are_reported(self):
         for text, line, column, char in [
             ("1 + $", 1, 5, "$"),

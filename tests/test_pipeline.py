@@ -20,7 +20,7 @@ from multitrace import (KERNEL, MATRIX, ONE, Coefficient, Generator, KernelSymbo
                         transport)
 from multitrace.algebra import output_generator, scheme_coefficient
 from multitrace.cli import main
-from multitrace.ribbon import census, map_of, rank_table
+from multitrace.ribbon import _pattern_keys, census, map_of, rank_table
 
 from helpers import (MODES, coefficients, generators, harer_zagier, named, product_scheme_count,
                      reference_connected_product, reference_genus_table, reference_pairings,
@@ -349,15 +349,17 @@ def test_face_walks_follow_the_touched_trace_patterns(monkeypatch, mode, shape_a
                                                       walks):
     # one face walk per matching of each distinct pattern: (k-1)!! for a
     # transport's k contracted legs, and k! for a product's pattern pair with
-    # k a side, in matrix mode one per orbit of the larger side group: k!/|G|
+    # k a side, in matrix mode one per orbit of the larger side group: k!/|G|;
+    # a second call finds every pattern in the process's census cache
     reductions = _counted_reductions(monkeypatch)
+    _pattern_keys.cache_clear()
     a = series_of(shape_a, "x", mode)
     (ga, _), = a.terms
     if shape_b is None:
         patterns = {_trace_patterns(ga, cut): k for k in range(0, ga.size + 1, 2)
                     for cut in combinations(range(ga.size), k)}
         expected = sum(prod(range(k - 1, 0, -2)) for k in patterns.values())
-        transport(a)
+        outs = [transport(a) for _ in range(2)]
     else:
         b = series_of(shape_b, "y", mode)
         (gb, _), = b.terms
@@ -368,13 +370,15 @@ def test_face_walks_follow_the_touched_trace_patterns(monkeypatch, mode, shape_a
         orbit = mode.kind == "matrix"
         expected = sum(factorial(k) // (max(map(_group_order, pattern)) if orbit else 1)
                        for pattern, k in patterns.items())
-        product(a, b)
+        outs = [product(a, b) for _ in range(2)]
     assert len(reductions) == expected == walks
+    assert render_series(outs[1]) == render_series(outs[0])
 
 
 def test_each_pattern_is_censused_once_per_call(monkeypatch):
     # the 727-term (5)x(5) output times W{Tr[z1]}: 727 jobs of 4,037 schemes
-    # share one memo, so the face walk runs once per distinct pattern matching
+    # share the process's census cache, so the face walk runs once per
+    # distinct pattern matching, and a second call runs none
     a = product(series_of((5,), "x"), series_of((5,), "y"))
     b = series_of((1,), "z")
     patterns = {}
@@ -384,20 +388,15 @@ def test_each_pattern_is_censused_once_per_call(monkeypatch):
                 for cut_a in combinations(range(ga.size), k):
                     for cut_b in combinations(range(gb.size), k):
                         patterns[_trace_patterns(ga, cut_a), _trace_patterns(gb, cut_b)] = k
-    reductions, memos = _counted_reductions(monkeypatch), []
+    reductions = _counted_reductions(monkeypatch)
     _, stats, drawn = traced(monkeypatch)
-    inner_enumerate = multitrace.algebra.enumerate_pairings
-
-    def kept_memo(*args, **kwargs):
-        memos.append(kwargs["patterns"])
-        return inner_enumerate(*args, **kwargs)
-
-    monkeypatch.setattr(multitrace.algebra, "enumerate_pairings", kept_memo)
-    for calls in (1, 2):   # a second call censuses its patterns again
-        out = product(a, b)
-        assert len(reductions) == calls * sum(factorial(k) for k in patterns.values()) == calls * 8
-    assert len(out.terms) == 1847
-    assert len(memos) == 2 * 727 and len({id(memo) for memo in memos}) == 2
+    _pattern_keys.cache_clear()
+    outs = []
+    for _ in range(2):
+        outs.append(product(a, b))
+        assert len(reductions) == sum(factorial(k) for k in patterns.values()) == 8
+    assert len(outs[0].terms) == 1847
+    assert render_series(outs[1]) == render_series(outs[0])
     jobs = [(ga.size, gb.size) for ga, _ in a.terms for gb, _ in b.terms] * 2
     assert [len(items) for _, _, items in drawn] == [product_scheme_count(*job) for job in jobs]
     assert sum(s.yielded for s in stats) == 2 * 4037

@@ -25,7 +25,7 @@ from multitrace import (
     parse_series,
     result_generator,
 )
-from multitrace.ribbon import census, exponent_bound, map_of, rank_table
+from multitrace.ribbon import _pattern_keys, census, exponent_bound, map_of, rank_table
 
 from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
                      reference_exponent_bound, reference_pairings, shaped, trace_lengths,
@@ -42,6 +42,13 @@ def reference_keys(pair_map, ga, gb, mode):
     """The census key of each scheme of the frontier walk ``reference_pairings``."""
     legs_b = None if gb is None else legs_of(gb, side=1)
     return [census(p, pair_map, mode) for p in reference_pairings(legs_of(ga), legs_b)]
+
+
+def cold_keys(pair_map, mode, **options):
+    """``enumerate_pairings`` of ``pair_map`` on an empty census cache."""
+    _pattern_keys.cache_clear()
+    return list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
+                                   **options))
 
 
 def keys_of(ga, gb=None, mode=MATRIX, **options):
@@ -196,18 +203,56 @@ def test_a_memo_shared_across_caps_keeps_each_caps_keys(data, mode, product_mode
     gb = data.draw(generators(mode, "y", 4)) if product_mode else None
     pair_map = map_of(ga, gb)
     legs_a, legs_b = legs_of(ga), legs_of(gb, side=1) if product_mode else None
-    patterns: dict = {}
+    _pattern_keys.cache_clear()
     for cap in (None, 0, 2, None, 0):
         want = [census(p, pair_map, mode)
                 for p in reference_pairings(legs_a, legs_b, max_eps_degree=cap)]
         fresh_stats, shared_stats = EnumerationStats(), EnumerationStats()
-        fresh = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
-                                        max_eps_degree=cap, stats=fresh_stats))
+        # the cache holds the entries of the cap before
         shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
-                                         max_eps_degree=cap, stats=shared_stats,
-                                         patterns=patterns))
+                                         max_eps_degree=cap, stats=shared_stats))
+        fresh = cold_keys(pair_map, mode, max_eps_degree=cap, stats=fresh_stats)
         assert Counter(fresh) == Counter(want)
         assert shared == fresh and shared_stats == fresh_stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans(),
+       cap=st.sampled_from([None, 0, 2]))
+def test_a_warm_census_cache_gives_the_cold_enumeration(data, mode, product_mode, cap):
+    # the process caches each census on (mode, product, pattern, cap): entries
+    # from the other factor order, the other caps, the other mode kind and the
+    # other kind of map must leave a map's enumeration as on an empty cache
+    ga = data.draw(generators(mode, "x", 5))
+    gb = data.draw(generators(mode, "y", 4))
+    pair_map = map_of(ga, gb) if product_mode else map_of(ga)
+    cold_stats, warm_stats = EnumerationStats(), EnumerationStats()
+    cold = cold_keys(pair_map, mode, max_eps_degree=cap, stats=cold_stats)
+    _pattern_keys.cache_clear()
+    other_kind = Mode("kernel" if mode.kind == "matrix" else "matrix", mode.colors)
+    others = ([map_of(gb, ga), map_of(ga), map_of(gb)] if product_mode
+              else [map_of(ga, gb), map_of(gb, ga)])
+    for other in others + [pair_map]:
+        for m in (other_kind, mode):
+            for c in (None, 0, 2):
+                if (other, m, c) != (pair_map, mode, cap):
+                    list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=m,
+                                            max_eps_degree=c))
+    warm = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
+                                   max_eps_degree=cap, stats=warm_stats))
+    assert warm == cold and warm_stats == cold_stats
+
+
+def test_the_census_cache_keeps_products_and_transports_apart():
+    # the enumerator never meets a pattern as both (a transport's second side
+    # is empty, a product's is not past the empty pattern), so the cache's
+    # product flag is checked here: one trace of two contracted legs pairs
+    # them in a transport (one pair, two pure loops: eps^-1) and has no
+    # side-B leg to pair them with in a product
+    pattern = (((0, 0),), ())
+    _pattern_keys.cache_clear()
+    assert _pattern_keys(MATRIX, False, pattern, None) == (((((), -2, (), 1), 1),), False)
+    assert _pattern_keys(MATRIX, True, pattern, None) == ((), False)
 
 
 def _with_a_repeated_slot(gen, data):
@@ -231,17 +276,16 @@ def test_uncapped_enumeration_equals_the_depth_first_walk(data, mode, product_mo
     pair_map = map_of(ga, gb)
     legs = leg_numbers(pair_map)
     got_stats = EnumerationStats()
-    got = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, stats=got_stats))
+    got = cold_keys(pair_map, mode, stats=got_stats)
     walk = reference_keys(pair_map, ga, gb, mode)
     assert Counter(got) == Counter(walk)   # weight-zero schemes (None) included
     assert got_stats == EnumerationStats(yielded=len(walk))
     assert got[0] == census((), pair_map, mode)
     assert got == list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
-    # a memo shared with other maps gives the same keys in the same order
-    patterns: dict = {}
+    # a cache that other maps filled gives the same keys in the same order
+    _pattern_keys.cache_clear()
     for other in ([map_of(gb, ga)] if product_mode else [map_of(ga)]) + [pair_map]:
-        shared = list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode,
-                                         patterns=patterns))
+        shared = list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode))
     assert shared == got
 
 
@@ -252,12 +296,9 @@ def test_uncapped_order_does_not_depend_on_which_map_filled_the_memo():
     ga, gb = (parse_series(text, mode).terms[0][0] for text in (
         "W{Tr[x1@1 x2@2] Tr[x3@1 x4@2]}", "W{Tr[y1@1 y2@2] Tr[y3@2 y4@1]}"))
     pair_map = map_of(ga, gb)
-    fresh = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode))
-    patterns: dict = {}
-    other = map_of(gb, ga)
-    list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode, patterns=patterns))
-    shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
-                                     patterns=patterns))
+    fresh = cold_keys(pair_map, mode)
+    cold_keys(map_of(gb, ga), mode)
+    shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode))
     assert len(fresh) == product_scheme_count(4, 4)
     assert shared == fresh
 
@@ -293,11 +334,10 @@ def test_sorted_touched_patterns_key_every_scheme(data, mode, product_mode):
     gb = data.draw(repeated_traces(mode, "y", 5)) if product_mode else None
     pair_map = map_of(ga, gb)
     legs = leg_numbers(pair_map)
-    fresh = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
-    patterns: dict = {}
+    fresh = cold_keys(pair_map, mode)
     other = map_of(gb, ga) if product_mode else map_of(data.draw(repeated_traces(mode, "z", 8)))
-    list(enumerate_pairings(*leg_numbers(other), pair_map=other, mode=mode, patterns=patterns))
-    shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode, patterns=patterns))
+    cold_keys(other, mode)
+    shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
     assert shared == fresh
     assert Counter(fresh) == Counter(reference_keys(pair_map, ga, gb, mode))
 
@@ -332,16 +372,14 @@ def test_orbit_census_counts_every_matching(data, mode):
     # reorderings of fully contracted traces and counts its key |G| times
     ga = data.draw(symmetric_traces(mode, "x", True))
     gb = data.draw(symmetric_traces(mode, "y", False))
-    patterns: dict = {}
+    _pattern_keys.cache_clear()
     for a, b in ((ga, gb), (gb, ga)):
         pair_map = map_of(a, b)
-        legs = leg_numbers(pair_map)
-        fresh = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode))
+        # the second map meets the first map's patterns with its sides swapped
+        shared = list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode))
+        fresh = cold_keys(pair_map, mode)
         # weight-zero schemes (None) included
         assert Counter(fresh) == Counter(reference_keys(pair_map, a, b, mode))
-        # the second map meets the first map's patterns with its sides swapped
-        shared = list(enumerate_pairings(*legs, pair_map=pair_map, mode=mode,
-                                         patterns=patterns))
         assert shared == fresh
 
 
@@ -636,20 +674,22 @@ def _shorten_first_trace(pair_map):
     return pair_map._replace(vertex_ranks=[words[0][1:]] + words[1:])
 
 
-@pytest.mark.parametrize("corrupt, pairing, message", [
-    (_split_first_trace, lambda a, b: ((a[0], b[0]),), "Euler relation violated"),
-    (_shorten_first_trace, lambda a, b: (), "leg bookkeeping"),
+@pytest.mark.parametrize("corrupt, pairing, message, enumerator_message", [
+    (_split_first_trace, lambda a, b: ((a[0], b[0]),), "Euler relation violated",
+     "leg bookkeeping"),
+    (_shorten_first_trace, lambda a, b: (), "leg bookkeeping", "leg bookkeeping"),
 ])
-def test_census_refuses_an_inconsistent_map(corrupt, pairing, message):
+def test_census_refuses_an_inconsistent_map(corrupt, pairing, message, enumerator_message):
     ga, gb = shaped((2,)), shaped((2,), prefix="y")
     a, b = [0, 1], [2, 3]   # leg numbers on the map of ga and gb
     pair_map = map_of(ga, gb)
     census(pairing(a, b), pair_map, MATRIX)  # the map as built is consistent
     with pytest.raises(RibbonError, match=message):
         census(pairing(a, b), corrupt(pair_map), MATRIX)
-    # the enumerator reduces its schemes through the same checks
+    # the enumerator's census walks the pattern's own map, so it checks the
+    # job map's bookkeeping (each trace one cycle of sigma) once, up front
     list(enumerate_pairings(range(2), range(2, 4), pair_map=pair_map, mode=MATRIX))
-    with pytest.raises(RibbonError, match=message):
+    with pytest.raises(RibbonError, match=enumerator_message):
         list(enumerate_pairings(range(2), range(2, 4), pair_map=corrupt(pair_map), mode=MATRIX))
 
 
