@@ -27,8 +27,8 @@ from functools import cache
 from .algebra import (commutator, connected_product, expectation, poisson_bracket,
                       product, product_chain)
 from .coeffring import Coefficient
-from .exprparse import (ParseError, Parser, Token, parse_series, render_series,
-                        series_to_json, tokenize)
+from .exprparse import (ParseError, Parser, parse_series, render_series, series_to_json,
+                        token_kind, token_position, tokenize)
 from .observables import Generator, Mode, Series, UNIT_GENERATOR
 # oracle_moment is bound here so the benchmark's tracer (perfbench/tracing.py HOOKS) finds it
 from .oracle import OracleConfig, oracle_check, oracle_moment  # noqa: F401
@@ -188,22 +188,23 @@ class ManifestCheck:
     source: str
 
 
-def _split_config(tokens: list[Token]) -> int:
-    """Index of the config separator: the last '@' that an identifier
-    follows (a slot's color mark is followed by a number)."""
+def _split_config(text: str, tokens: list[str]) -> int:
+    """Index of the config separator among the token texts of ``text``:
+    the last '@' that an identifier follows (a slot's color mark is
+    followed by a number)."""
     for i in range(len(tokens) - 2, -1, -1):
-        if tokens[i].text == "@" and tokens[i + 1].kind == "ident":
+        if tokens[i] == "@" and token_kind(tokens[i + 1]) == "ident":
             return i
     raise ParseError("missing '@ N=..., c=...' configuration",
-                     tokens[-1].line, tokens[-1].column)
+                     *token_position(text, len(tokens) - 1))
 
 
 def _parse_integer(parser: Parser, what: str) -> int:
     """A number that must be an integer (``4/2`` is 2), located if not."""
-    tok = parser.peek()
+    at = parser.pos
     value = parser.parse_rational()
     if value.denominator != 1:
-        raise ParseError(f"{what}{tok.text} is not an integer", tok.line, tok.column)
+        raise parser.error(f"{what}{parser.tokens[at]} is not an integer", at)
     return int(value)
 
 
@@ -211,11 +212,11 @@ def _parse_config(parser: Parser) -> OracleConfig:
     values: dict[str, Fraction] = {}
     blocks: tuple[int, ...] = ()
     while True:
-        key = parser.expect("ident").text
+        key = parser.expect("ident")
         parser.expect("punct", "=")
         if key == "blocks":
             blocks = (_parse_integer(parser, "block size "),)
-            while parser.at_punct(",") and parser.peek(1).kind == "num":
+            while parser.at_punct(",") and token_kind(parser.peek(1)) == "num":
                 parser.advance()
                 blocks += (_parse_integer(parser, "block size "),)
         elif key in ("N", "c", "hbar"):
@@ -235,20 +236,21 @@ def _parse_config(parser: Parser) -> OracleConfig:
 
 
 def parse_manifest_line(line: str) -> ManifestCheck | None:
-    tokens = tokenize(line.rstrip("\r\n"))
-    if tokens[0].kind == "end":
+    text = line.rstrip("\r\n")
+    tokens = tokenize(text)
+    if not tokens[0]:
         return None
-    split = _split_config(tokens)
-    end = tokens[split]._replace(kind="end", text="")   # claim errors point at the '@'
-    config_parser = Parser(tokens[split + 1:], Mode("matrix"))
+    split = _split_config(text, tokens)
+    config_parser = Parser(text, Mode("matrix"), tokens, split + 1)
     cfg = _parse_config(config_parser)
     if not config_parser.done():
         raise config_parser.fail("trailing configuration input")
     mode = Mode("matrix", len(cfg.block_sizes))
-    front = Parser(tokens[:split] + [end], mode)
+    # the claim side ends at the '@': its end sentinel takes the '@''s place and position
+    front = Parser(text, mode, tokens[:split] + [""])
     front.expect("ident", "CHECK")
     gens = []
-    while front.peek().kind == "ident" and front.peek().text == "W":
+    while front.peek() == "W":
         gens.append(front.parse_generator())
     if not gens:
         raise front.fail("CHECK needs at least one generator")
@@ -258,7 +260,7 @@ def parse_manifest_line(line: str) -> ManifestCheck | None:
     if any(gen != UNIT_GENERATOR for gen, _ in claim_series.terms):
         raise front.fail("the claimed value must be scalar")
     if not front.done():
-        raise front.fail(f"trailing input {front.peek().text!r}")
+        raise front.fail(f"trailing input {front.peek()!r}")
     return ManifestCheck(tuple(gens), claim_series.coefficient(UNIT_GENERATOR),
                          cfg, line.strip())
 

@@ -20,6 +20,13 @@ to an exponent) times any parenthesized scalar sums, on at most one
 generator-bearing factor: ``W{}`` is the scalar 1, and contracting two
 generator series is the product engine's job, not the parser's.
 
+Tokens are texts.  One ``re.findall`` pass gives them, blanks, line
+ends and ``#`` comments dropped; a token's kind is read off its first
+character, and ``""`` ends the list.  The parser moves an index along
+the list.  A token keeps no position: the line and column of an error
+are worked out again from the text (``token_position``), so only a
+text that fails pays for them.
+
 The JSON codec (version "1") is lossless and canonical: terms arrive
 sorted, field order is fixed, rationals are strings, so serializing
 the same series twice yields identical bytes.
@@ -34,7 +41,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from string import ascii_letters
+from typing import Iterable
 
 from .coeffring import (IDENTIFIER, Coefficient, CoefficientError, KernelSymbol, Monomial, ONE,
                         SlotRef, ZERO, _collector_paused, monomial_texts, render_sum, render_term,
@@ -50,16 +58,11 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Token(NamedTuple):
-    kind: str  # "num", "ident", "punct", "end"
-    text: str
-    line: int
-    column: int
-
-
-# one alternative per token kind, then any other character; blanks and comments give no token
-_TOKEN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)"
-                       rf"|(?P<ident>{IDENTIFIER})|(?P<punct>[~@+\-*^(),{{}}\[\]=])|(?P<bad>.)")
+# blanks and comments match outside the group, so ``findall`` gives "" for them;
+# a character that starts no token takes the rest of the text, so it comes last
+_TOKEN_RE = re.compile(rf"\s+|#[^\n]*|(\d+(?:/\d+)?|{IDENTIFIER}|[~@+\-*^(),{{}}\[\]=]|[\s\S]+)")
+_IDENT_START = frozenset(ascii_letters + "_")
+_PUNCT = frozenset("~@+-*^(),{}[]=")
 _RESERVED_BLOCK = re.compile(r"s\d+\Z")
 _LOG10_2 = math.log10(2)
 
@@ -76,21 +79,43 @@ def _over_digit_limit(value: int, exponent: int, limit: int) -> bool:
     return value ** exponent >= 10 ** limit   # near the limit: about limit digits
 
 
-def tokenize(text: str) -> list[Token]:
-    # tuple.__new__ builds the same Token without the NamedTuple's Python-level __new__
-    new = tuple.__new__
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
-        elif kind:
-            tokens.append(new(Token, (kind, m[0], line, m.start() - line_start + 1)))
-    tokens.append(Token("end", "", line, len(text) - line_start + 1))
+def token_kind(token: str) -> str:
+    """A token text's kind, from its first character: "num", "ident",
+    "punct", "end" for the empty end sentinel, or "bad"."""
+    if not token:
+        return "end"
+    first = token[0]
+    if first.isdecimal():   # what ``\d`` matches
+        return "num"
+    if first in _IDENT_START:
+        return "ident"
+    return "punct" if first in _PUNCT else "bad"
+
+
+def tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then the end sentinel ``""``; a
+    character that starts no token is a ``ParseError`` at that character."""
+    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    if tokens and token_kind(tokens[-1]) == "bad":
+        raise ParseError(f"unexpected character {tokens[-1][0]!r}",
+                         *token_position(text, len(tokens) - 1))
+    tokens.append("")
     return tokens
+
+
+def token_position(text: str, index: int) -> tuple[int, int]:
+    """The (line, column) where token ``index`` of ``tokenize(text)``
+    starts, the end sentinel's at the end of the text: found again from
+    the tokenizer's matches, so only an error pays for it.  Only ``\n``
+    ends a line, and a column counts characters from 1."""
+    start = len(text)
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastindex:   # a token, not a blank or a comment
+            if not index:
+                start = match.start()
+                break
+            index -= 1
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 def _is_scalar(series: Series) -> bool:
@@ -98,44 +123,63 @@ def _is_scalar(series: Series) -> bool:
 
 
 class Parser:
-    """Cursor over a token list; sub-parsers leave trailing tokens alone."""
+    """Index cursor over the token texts of ``text`` (``tokenize``, or
+    ``tokens`` given); sub-parsers leave trailing tokens alone.  A
+    position is worked out (``token_position``) only for an error."""
 
-    def __init__(self, tokens: list[Token], mode: Mode) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str, mode: Mode, tokens: list[str] | None = None,
+                 pos: int = 0) -> None:
+        self.text = text
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.mode = mode
-        self.pos = 0
+        self.pos = pos
         # one Slot value per distinct slot of the text
         self.slots: dict[tuple[str, bool, int | None], Slot] = {}
 
     # -- cursor helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]  # look ahead only from before the end token
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok != text if text is not None else token_kind(tok) != kind:
             want = text if text is not None else kind
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {want!r}, found {got!r}", tok.line, tok.column)
-        return self.advance()
+            raise self.fail(f"expected {want!r}, found {tok or 'end of input'!r}")
+        if tok:
+            self.pos += 1
+        return tok
+
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` at token ``at``."""
+        return ParseError(message, *token_position(self.text, at))
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return self.error(message, self.pos)
 
     def at_punct(self, text: str) -> bool:
         # a punctuation character is a token of its own kind
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     def done(self) -> bool:
-        return self.peek().kind == "end"
+        return not self.tokens[self.pos]
+
+    def guard_digits(self, values: Iterable[Fraction], exponent: int, at: int,
+                     what: str) -> None:
+        """Refuse, at token ``at``, a rational whose ``exponent``-th power
+        would have a numerator or denominator over the int/str digit
+        limit: such a value could not be rendered, so it is caught before
+        any engine work."""
+        limit = _int_digit_limit()
+        if limit and any(_over_digit_limit(abs(part), exponent, limit)
+                         for q in values for part in (q.numerator, q.denominator)):
+            raise self.error(_too_long(limit, what), at)
 
     # -- grammar -------------------------------------------------------------
 
@@ -147,7 +191,7 @@ class Parser:
             entries.extend(self.parse_term(negate))
             if not (self.at_punct("+") or self.at_punct("-")):
                 return Series.build(self.mode, entries)
-            negate = self.advance().text == "-"
+            negate = self.advance() == "-"
 
     def parse_term(self, negate: bool) -> list[tuple[Generator, Coefficient]]:
         """A term's entries, evaluated as the module docstring says."""
@@ -155,11 +199,11 @@ class Parser:
         mono: dict = {"eps_half": 0, "hbar": 0, "s": [], "kernels": []}
         scalars, bearing, star = [], None, None
         while True:
-            start = self.peek()
+            start = self.pos
             kind, value = self.parse_factor()
             if kind == "q":
                 q *= value
-                _guard_digits((q,), 1, start, "product of rationals")
+                self.guard_digits((q,), 1, start, "product of rationals")
             elif kind in ("eps_half", "hbar"):
                 mono[kind] += value
             elif kind in ("s", "kernels"):
@@ -169,105 +213,106 @@ class Parser:
             elif bearing is None or not all(value for value, _ in scalars):
                 bearing = value  # a term that is zero so far is scalar
             else:
-                raise ParseError("cannot multiply two generator series here; that contraction "
-                                 "needs the product engine", star.line, star.column)
-            if not self.at_punct("*"):
+                raise self.error("cannot multiply two generator series here; that "
+                                 "contraction needs the product engine", star)
+            if self.tokens[self.pos] != "*":
                 break
-            star = self.advance()
+            star = self.pos
+            self.pos += 1
         if not all(value for value, _ in scalars):
             return []
         coeff = Coefficient(((Monomial(**mono), q),))
         for value, start in scalars:
             coeff = value * coeff
-            _guard_digits((r for _, r in coeff.terms), 1, start, "product of rationals")
+            self.guard_digits((r for _, r in coeff.terms), 1, start, "product of rationals")
         return [(gen, coeff if c is ONE else c * coeff)
                 for gen, c in bearing or ((UNIT_GENERATOR, ONE),)]
 
     def parse_factor(self) -> tuple[str, object]:
         """An atom to its power, tagged with the part of a term it enters."""
-        start = self.peek()
+        start = self.pos
         kind, base = self.parse_atom()
         exponent = 1
-        if self.at_punct("^"):
-            caret = self.advance()
+        if self.tokens[self.pos] == "^":
+            caret = self.pos
+            self.pos += 1
             sign = -1 if self.at_punct("-") and self.advance() else 1
+            at = self.pos
             tok = self.expect("num")
-            if "/" in tok.text:
-                raise ParseError("exponents must be integers", tok.line, tok.column)
-            exponent = sign * int(tok.text)
+            if "/" in tok:
+                raise self.error("exponents must be integers", at)
+            exponent = sign * int(tok)
             if kind == "bearing" and exponent != 1:
-                raise ParseError("exponents on generator series are not supported",
-                                 caret.line, caret.column)
+                raise self.error("exponents on generator series are not supported", caret)
             try:
                 if exponent < 0 and kind in ("hbar", "s", "kernels"):
                     raise CoefficientError("negative powers are only supported on "
                                            "rationals and eps")
                 if kind == "scalar":
                     if len(base.terms) == 1:   # q^|e| exactly: judged before the power
-                        _guard_digits((base.terms[0][1],), abs(exponent), start, "scalar power")
+                        self.guard_digits((base.terms[0][1],), abs(exponent), start,
+                                          "scalar power")
                     base = base.power(exponent)
-                    _guard_digits((r for _, r in base.terms), 1, start, "scalar power")
+                    self.guard_digits((r for _, r in base.terms), 1, start, "scalar power")
             except CoefficientError as exc:
-                raise ParseError(str(exc), caret.line, caret.column) from None
+                raise self.error(str(exc), caret) from None
         if kind == "q":
             if abs(exponent) > 1:
-                _guard_digits((base,), abs(exponent), start, "rational literal")
+                self.guard_digits((base,), abs(exponent), start, "rational literal")
             return kind, base ** exponent
         if kind in ("s", "kernels"):
             return kind, (base, exponent)
         return kind, base * exponent if kind in ("eps_half", "hbar") else base
 
     def parse_atom(self) -> tuple[str, object]:
-        tok = self.peek()
-        if tok.kind == "num":
+        tok = self.tokens[self.pos]
+        if tok[:1].isdecimal():
             q = self.parse_rational()
             return ("q", q) if q else ("scalar", ZERO)  # a zero makes its term scalar
-        if self.at_punct("("):
-            self.advance()
+        if tok == "(":
+            self.pos += 1
             inner = self.parse_series()
             self.expect("punct", ")")
             if _is_scalar(inner):
                 return "scalar", inner.coefficient(UNIT_GENERATOR)
             return "bearing", inner.terms
-        if tok.kind == "ident":
-            if tok.text == "W" and self.peek(1).kind == "punct" and self.peek(1).text == "{":
+        if tok[:1] in _IDENT_START:
+            if tok == "W" and self.peek(1) == "{":
                 gen = self.parse_generator()  # W{} is the scalar 1
                 return ("q", Fraction(1)) if gen == UNIT_GENERATOR else ("bearing", ((gen, ONE),))
             return self.parse_symbol()
         raise self.fail(f"expected a number, symbol, W{{...}} or parenthesis, "
-                        f"found {tok.text or 'end of input'!r}")
+                        f"found {tok or 'end of input'!r}")
 
     def parse_rational(self) -> Fraction:
+        at = self.pos
         tok = self.expect("num")
         try:
-            return Fraction(tok.text)
+            return Fraction(tok)
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {tok.text}", tok.line, tok.column) from None
+            raise self.error(f"zero denominator in {tok}", at) from None
         except ValueError:   # the token is digits, so a part is over the digit limit
-            raise ParseError(_too_long(_int_digit_limit()), tok.line, tok.column) from None
+            raise self.error(_too_long(_int_digit_limit()), at) from None
 
     def parse_symbol(self) -> tuple[str, object]:
-        tok = self.expect("ident")
-        name = tok.text
+        at = self.pos
+        name = self.expect("ident")
         if name == "eps":
             return "eps_half", 2
         if name == "hbar":
             return "hbar", 1
         if name == "Tr":
-            raise ParseError("trace words only appear inside W{...}",
-                             tok.line, tok.column)
+            raise self.error("trace words only appear inside W{...}", at)
         if _RESERVED_BLOCK.match(name):
             color = int(name[1:])
             if not self.mode.colored:
-                raise ParseError(f"block ratio {name} in an uncolored mode",
-                                 tok.line, tok.column)
+                raise self.error(f"block ratio {name} in an uncolored mode", at)
             if not (1 <= color <= self.mode.colors):
-                raise ParseError(f"block ratio {name} outside 1..{self.mode.colors}",
-                                 tok.line, tok.column)
+                raise self.error(f"block ratio {name} outside 1..{self.mode.colors}", at)
             return "s", color
         args: tuple[SlotRef, ...] = ()
         if self.at_punct("("):
-            self.advance()
+            self.pos += 1
             first = self.parse_slot_ref()
             self.expect("punct", ",")
             second = self.parse_slot_ref()
@@ -276,31 +321,29 @@ class Parser:
         try:
             return "kernels", KernelSymbol(name, args)
         except CoefficientError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+            raise self.error(str(exc), at) from None
 
     def parse_slot_ref(self) -> SlotRef:
-        conjugated = False
-        if self.at_punct("~"):
-            self.advance()
-            conjugated = True
-        tok = self.expect("ident")
-        return (tok.text, conjugated)
+        conjugated = self.at_punct("~")
+        if conjugated:
+            self.pos += 1
+        return (self.expect("ident"), conjugated)
 
     def parse_generator(self) -> Generator:
-        start = self.expect("ident", "W")
+        start = self.pos
+        self.expect("ident", "W")
         self.expect("punct", "{")
         words: list[list[Slot]] = []
         while not self.at_punct("}"):
             words.append(self.parse_trace())
-        self.expect("punct", "}")
+        self.pos += 1
         labels = [s.label for word in words for s in word]
         if len(labels) != len(set(labels)):
-            raise ParseError("slot labels must be distinct within one generator",
-                             start.line, start.column)
+            raise self.error("slot labels must be distinct within one generator", start)
         try:
             return make_generator(words, self.mode)
         except ObservableError as exc:
-            raise ParseError(str(exc), start.line, start.column) from None
+            raise self.error(str(exc), start) from None
 
     def parse_trace(self) -> list[Slot]:
         self.expect("ident", "Tr")
@@ -308,30 +351,33 @@ class Parser:
         if self.at_punct("]"):
             raise self.fail("empty trace")
         slots = [self.parse_slot()]
-        while not self.at_punct("]"):
+        tokens = self.tokens
+        while tokens[self.pos] != "]":
             slots.append(self.parse_slot())
-        self.expect("punct", "]")
+        self.pos += 1
         return slots
 
     def parse_slot(self) -> Slot:
-        conjugated = False
-        if self.at_punct("~"):
-            self.advance()
-            conjugated = True
-        tok = self.expect("ident")
+        tokens = self.tokens
+        conjugated = tokens[self.pos] == "~"
+        if conjugated:
+            self.pos += 1
+        at = self.pos
+        label = self.expect("ident")
         color: int | None = None
-        if self.at_punct("@"):
-            self.advance()
+        if tokens[self.pos] == "@":
+            self.pos += 1
+            num_at = self.pos
             num = self.expect("num")
-            if "/" in num.text:
-                raise ParseError("colors are integers", num.line, num.column)
-            color = int(num.text)
-        slot = self.slots.get((tok.text, conjugated, color))
+            if "/" in num:
+                raise self.error("colors are integers", num_at)
+            color = int(num)
+        slot = self.slots.get((label, conjugated, color))
         if slot is None:
             try:
-                slot = self.slots[tok.text, conjugated, color] = Slot(tok.text, conjugated, color)
+                slot = self.slots[label, conjugated, color] = Slot(label, conjugated, color)
             except ObservableError as exc:
-                raise ParseError(str(exc), tok.line, tok.column) from None
+                raise self.error(str(exc), at) from None
         return slot
 
 
@@ -345,22 +391,12 @@ def _too_long(limit: int, what: str = "rational literal") -> str:
             "(the int/str limit, see sys.set_int_max_str_digits)")
 
 
-def _guard_digits(values: Iterable[Fraction], exponent: int, at: Token, what: str) -> None:
-    """Refuse, at token ``at``, a rational whose ``exponent``-th power would
-    have a numerator or denominator over the int/str digit limit: such a
-    value could not be rendered, so it is caught before any engine work."""
-    limit = _int_digit_limit()
-    if limit and any(_over_digit_limit(abs(part), exponent, limit)
-                     for q in values for part in (q.numerator, q.denominator)):
-        raise ParseError(_too_long(limit, what), at.line, at.column)
-
-
 @_collector_paused
 def parse_series(text: str, mode: Mode) -> Series:
-    parser = Parser(tokenize(text), mode)
+    parser = Parser(text, mode)
     result = parser.parse_series()
     if not parser.done():
-        raise parser.fail(f"trailing input {parser.peek().text!r}")
+        raise parser.fail(f"trailing input {parser.peek()!r}")
     return result
 
 

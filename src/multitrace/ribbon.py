@@ -56,11 +56,17 @@ its word: exactly the contracted positions pair, each position's color
 is its code's and each position is its own slot rank.  So the census is
 built from the pattern and the cap alone, and its keys, which name
 positions, come in an order that they fix.  The process caches them
-with their counts, per mode, kind of map, pattern and cap, in a bounded
-cache that every map and call shares.  Every survivor set of the
-pattern then relabels them: positions become slot ranks, the words are
-least-rotated and sorted again with the untouched traces' words, and
-kernel rank pairs are re-oriented and sorted.
+with their counts, per mode, kind of map, pattern and cap, in a cache
+of at most 1,024 censuses that every map and call shares.  Every
+survivor set of the pattern then relabels them: positions become slot
+ranks, the words are least-rotated and sorted again with the untouched
+traces' words, and kernel rank pairs are re-oriented and sorted.  The
+survivor sets themselves, their patterns, the cuts of the Euler floors
+below and the census cap of each size depend only on the trace colors
+of each side, the kind of map and the cap, so the process keeps them
+as one plan per such shape, at most 256 plans; a job checks its map
+against its plan, ranks the sets that the plan keeps and looks up
+their censuses.
 
 In a matrix-mode product the census walks one matching per orbit of a
 symmetry group of one side of the pattern: rotations of a fully
@@ -116,9 +122,10 @@ no scheme within it.  Each pattern's census cuts its branches by it.
 In a product every component holds a trace of each side, so the
 component form gives two floors, read off a survivor set's pattern: a
 scheme's exponent is at least ``|V_A - V_B|`` (touched traces per
-side), plus one if a touched trace keeps a leg (a current loop).  They
-skip whole sizes and then single pairs of sets before any census, so
-``(7)x(7)`` at cap 0 runs two: the empty pattern and the full one.
+side), plus one if a touched trace keeps a leg (a current loop).  A
+map's plan drops the pairs of sets that they rule out before any
+census, so ``(7)x(7)`` at cap 0 runs two: the empty pattern and the
+full one.
 """
 
 from __future__ import annotations
@@ -128,7 +135,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .observables import Generator, Mode, Slot, TraceWord, least_rotation
 
@@ -316,6 +323,10 @@ def enumerate_pairings(legs_a: range, legs_b: range | None = None, *, pair_map: 
     in the order that census found them, which the pattern and the cap
     alone fix, whichever map or call met it first, each as often as its
     count, relabeled with its slot ranks and its untouched traces' words.
+    The process keeps two bounded caches that every map and call share:
+    the censuses (at most 1,024, per mode, kind of map, pattern and cap)
+    and the plans of ``_by_survivors`` (at most 256, per trace colors of
+    each side, kind of map and cap), so neither changes what is yielded.
     ``stats.yielded`` counts every scheme, and ``stats.pruned_branches``
     the survivor sets whose schemes the cap cut, all or some, so it is
     nonzero exactly when the cap excluded a scheme, whatever its weight.
@@ -424,62 +435,101 @@ def _walk(pair_map: PairMap, mode: Mode, stats: EnumerationStats, stays: Sequenc
 def _by_survivors(pair_map: PairMap, mode: Mode, stats: EnumerationStats,
                   max_eps_degree: int | None) -> Iterator[tuple | None]:
     """The schemes within the cap, survivor set by survivor set (see
-    ``enumerate_pairings``): each pattern's position keys, from the
-    process's cache of censuses, relabeled per survivor set."""
-    heads, n, ranks, colors = pair_map.heads, len(pair_map.sigma), pair_map.ranks, pair_map.colors
-    vertex_ranks = pair_map.vertex_ranks
-    starts = list(accumulate(map(len, vertex_ranks), initial=0))   # each trace's first leg
+    ``enumerate_pairings``).  What depends only on the map's shape, its
+    sides' trace colors and the cap comes from the process's cache of
+    plans (``_plan``, at most 256); a job ranks the survivor sets that
+    its plan keeps, looks up each pair's census in the process's cache of
+    censuses (``_pattern_keys``, at most 1,024) and relabels its keys."""
+    ranks, vertex_ranks, product = pair_map.ranks, pair_map.vertex_ranks, pair_map.product
+    plan = _plan(pair_map.heads, tuple(map(len, vertex_ranks)), tuple(pair_map.colors),
+                 product, max_eps_degree)
     # the census walks the pattern's map and an untouched trace's rank word goes to
     # the keys as it is, so this map is checked once: its traces' cycles and ranks
-    if _trace_cycles(map(len, vertex_ranks)) != (pair_map.sigma, pair_map.vertex):
+    if plan.sigma != pair_map.sigma or plan.vertex != pair_map.vertex:
         raise RibbonError("leg bookkeeping does not match the traces' rank words")
-    # a transport has one side, whose sets all pair with no legs of another
-    sizes = range(min(heads, n - heads) + 1) if pair_map.product else range(0, n + 1, 2)
-
-    def side(legs: range) -> tuple[tuple, Callable[[tuple], list[tuple]]]:
-        """``_side_patterns`` of ``legs`` (whole traces of the map), and what
-        adds its touched legs' slot ranks and untouched words to a size's sets."""
-        traces = [v for v in range(len(vertex_ranks)) if starts[v] in legs]
-        side_colors = tuple(tuple(colors[starts[v]:starts[v + 1]]) for v in traces)
-        side_ranks = ranks[legs.start:]   # by leg, counted from the side's first
-        return _side_patterns(side_colors, sizes), lambda parts: [
-            (pattern, kind, tuple([side_ranks[i] for i in order]),
-             tuple([vertex_ranks[traces[t]] for t in untouched]))
-            for pattern, kind, order, untouched in parts]
-
-    # the Euler floors (module docstring) need a trace of each side per component
-    capped = max_eps_degree is not None and pair_map.product
-    heads_side, ranked_a = side(range(heads))   # a transport's heads are all its legs
-    if pair_map.product:
-        tails_side, ranked_b = side(range(heads, n))
-    else:   # every size pairs with the empty set, whose ranking needs no ranks
-        tails_side, ranked_b = [({(0, False)}, [((), (0, False), (), ())])] * len(sizes), ranked_a
-    kernel = mode.kind != "matrix"
-    for k, (kinds_a, sets_a), (kinds_b, sets_b) in zip(sizes, heads_side, tails_side):
-        if capped and min(abs(va - vb) + (ka or kb) for va, ka in kinds_a
-                          for vb, kb in kinds_b) > max_eps_degree:
-            stats.pruned_branches += len(sets_a) * len(sets_b)
-            continue
-        # a scheme's exponent P - I is at most its P pairs: a cap of P cuts nothing
-        pairs = k if pair_map.product else k // 2
-        cap = None if max_eps_degree is None or max_eps_degree >= pairs else max_eps_degree
-        tails = ranked_b(sets_b)
-        for head_pattern, (va, ka), head_ranks, head_words in ranked_a(sets_a):
-            for tail_pattern, (vb, kb), tail_ranks, tail_words in tails:
-                if capped and abs(va - vb) + (ka or kb) > max_eps_degree:
-                    stats.pruned_branches += 1
-                    continue
-                keys, cut = _pattern_keys(mode, pair_map.product,
-                                          (head_pattern, tail_pattern), cap)
+    kind, colors = mode.kind, mode.colors
+    kernel = kind != "matrix"
+    for cap, pruned, tails, rows in plan.sizes:
+        stats.pruned_branches += pruned
+        ranked = [(pattern, [ranks[i] for i in legs], [vertex_ranks[t] for t in untouched])
+                  for pattern, legs, untouched in tails]
+        for (head_pattern, head_legs, head_untouched), picks in rows:
+            head_ranks = [ranks[i] for i in head_legs]
+            head_words = [vertex_ranks[t] for t in head_untouched]
+            for j in picks:
+                tail_pattern, tail_ranks, tail_words = ranked[j]
+                keys, cut = _pattern_keys(kind, colors, product, (head_pattern, tail_pattern),
+                                          cap)
                 stats.pruned_branches += cut
                 rank = head_ranks + tail_ranks   # the slot rank at each position
                 untouched = head_words + tail_words
                 for key, count in keys:
                     stats.yielded += count
                     if key is not None:
-                        key = _relabel(key, rank, untouched, pair_map.product, kernel)
+                        key = _relabel(key, rank, untouched, product, kernel)
                     for _ in range(count):
                         yield key
+
+
+class _Plan(NamedTuple):
+    """What ``_by_survivors`` needs of a map's shape: the ``sigma`` and
+    ``vertex`` of its traces, and per size of survivor set, fewest
+    contracted legs first, the census cap (``None`` if it cannot cut),
+    the count of set pairs that the Euler floors skip, the side-B sets
+    that some kept pair uses, and each kept side-A set with the places
+    among those of the side-B sets it pairs with.  A set is its pattern,
+    its touched legs in position order and its untouched traces, by
+    their numbers on the map."""
+
+    sigma: list[int]
+    vertex: list[int]
+    sizes: tuple[tuple[int | None, int, tuple, tuple], ...]
+
+
+@lru_cache(maxsize=256)
+def _plan(heads: int, lengths: tuple[int, ...], colors: tuple[int, ...], product: bool,
+          max_eps_degree: int | None) -> _Plan:
+    """The ``_Plan`` of a map whose traces have ``lengths`` and whose legs
+    have ``colors`` (0 uncolored), the first ``heads`` of them side A's,
+    under the cap.  The process keeps its last 256 plans, which bounds
+    their memory; a map whose ``heads`` or ``colors`` do not fit its
+    traces is refused."""
+    sigma, vertex = _trace_cycles(lengths)
+    n = len(sigma)
+    starts = list(accumulate(lengths, initial=0))
+    if n != len(colors) or heads not in starts:
+        raise RibbonError("leg bookkeeping does not match the traces' rank words")
+    words = [colors[start:end] for start, end in zip(starts, starts[1:])]
+    split = starts.index(heads)   # side A's traces
+    # a transport has one side, whose sets all pair with no legs of another
+    sizes = range(min(heads, n - heads) + 1) if product else range(0, n + 1, 2)
+    heads_side = _side_patterns(tuple(words[:split]), sizes, 0, 0)
+    tails_side = (_side_patterns(tuple(words[split:]), sizes, heads, split) if product
+                  else [[((), (0, False), (), ())]] * len(sizes))
+    # the Euler floors (module docstring) need a trace of each side per component
+    capped = max_eps_degree is not None and product
+    plan = []
+    for k, sets_a, sets_b in zip(sizes, heads_side, tails_side):
+        # a scheme's exponent P - I is at most its P pairs: a cap of P cuts nothing
+        pairs = k if product else k // 2
+        cap = None if max_eps_degree is None or max_eps_degree >= pairs else max_eps_degree
+        every = tuple(range(len(sets_b)))
+        rows, used, pruned = [], set(), 0
+        for pattern, (va, ka), legs, untouched in sets_a:
+            picks = every if not capped else tuple(
+                j for j, (_, (vb, kb), _, _) in enumerate(sets_b)
+                if abs(va - vb) + (ka or kb) <= max_eps_degree)
+            pruned += len(sets_b) - len(picks)
+            if picks:
+                used.update(picks)
+                rows.append(((pattern, legs, untouched), picks))
+        place = {j: i for i, j in enumerate(sorted(used))}
+        if len(place) < len(sets_b):   # number the side-B sets that are kept
+            rows = [(head, tuple(place[j] for j in picks)) for head, picks in rows]
+        tails = tuple((pattern, legs, untouched)
+                      for j, (pattern, _, legs, untouched) in enumerate(sets_b) if j in place)
+        plan.append((cap, pruned, tails, tuple(rows)))
+    return _Plan(sigma, vertex, tuple(plan))
 
 
 def _relabel(key: tuple, rank: tuple[int, ...], untouched: tuple[tuple[int, ...], ...],
@@ -508,15 +558,13 @@ def _relabel(key: tuple, rank: tuple[int, ...], untouched: tuple[tuple[int, ...]
     return tuple(words), half_units, s_exponents, kernels
 
 
-@lru_cache(maxsize=256)
-def _side_patterns(colors: tuple[tuple[int, ...], ...],
-                   sizes: range) -> tuple[tuple[frozenset, tuple[tuple, ...]], ...]:
-    """For each k of ``sizes``, the kinds of size k and each way to
-    contract k legs of a side whose traces' legs have ``colors`` (0
-    uncolored): its pattern, its kind, its touched legs by position,
-    counted from the side's first leg, and its untouched traces, by their
-    place on the side, in ``combinations`` order.  The process keeps the
-    sets of its last 256 sides, which bounds their memory.
+def _side_patterns(colors: tuple[tuple[int, ...], ...], sizes: range, first_leg: int,
+                   first_trace: int) -> list[list[tuple]]:
+    """For each k of ``sizes``, each way to contract k legs of a side
+    whose traces' legs have ``colors`` (0 uncolored): its pattern, its
+    kind, its touched legs by position and its untouched traces, numbered
+    on the map from ``first_leg`` and ``first_trace``, in
+    ``combinations`` order.
 
     A trace is touched when it holds a contracted leg.  Its word is the
     least rotation of its legs' codes, ``2 * color + 1`` for a leg that
@@ -527,7 +575,8 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...],
     the Euler floors read, is (touched traces, one of them keeps a leg).
     """
     codes = [2 * color + 1 for trace in colors for color in trace]
-    spans = list(zip(accumulate(map(len, colors), initial=0), accumulate(map(len, colors))))
+    spans = [(start, start + len(trace)) for start, trace in
+             zip(accumulate(map(len, colors), initial=first_leg), colors)]
     trace_of = [t for t, trace in enumerate(colors) for _ in trace]
     parts = []
     for k in sizes:
@@ -540,7 +589,7 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...],
             touched = []
             for t in hit:
                 start, end = spans[t]
-                trace = word[start:end]
+                trace = word[start - first_leg:end - first_leg]
                 r = least_rotation(trace) if end - start > 1 else 0
                 touched.append((tuple(trace[r:] + trace[:r]),
                                 [*range(start + r, end), *range(start, start + r)]))
@@ -548,19 +597,20 @@ def _side_patterns(colors: tuple[tuple[int, ...], ...],
             kept = len(cut) < sum(len(colors[t]) for t in hit)
             found.append((tuple([trace for trace, _ in touched]), (len(hit), kept),
                           tuple([leg for _, order in touched for leg in order]),
-                          tuple([t for t in range(len(colors)) if t not in hit])))
-        parts.append((frozenset([kind for _, kind, _, _ in found]), tuple(found)))
-    return tuple(parts)
+                          tuple([first_trace + t for t in range(len(colors)) if t not in hit])))
+        parts.append(found)
+    return parts
 
 
 @lru_cache(maxsize=1024)
-def _pattern_keys(mode: Mode, product: bool, pattern: tuple, max_eps_degree: int | None
-                  ) -> tuple[tuple[tuple[tuple | None, int], ...], bool]:
+def _pattern_keys(kind: str, colors: int, product: bool, pattern: tuple,
+                  max_eps_degree: int | None) -> tuple[tuple[tuple[tuple | None, int], ...], bool]:
     """The census of every matching of one survivor pattern's contracted
     legs within the eps cap, as its distinct position keys and their
-    counts, and whether the cap cut a branch.  The process keeps its last
-    1,024 censuses, which bounds their memory; a cap that cannot cut
-    comes as ``None``.
+    counts, and whether the cap cut a branch, under the mode of ``kind``
+    and ``colors`` (plain values, so a lookup hashes its key in C).  The
+    process keeps its last 1,024 censuses, which bounds their memory; a
+    cap that cannot cut comes as ``None``.
 
     ``pattern`` is a survivor set's touched traces, side by side (a
     transport's second side is empty).  The walk runs on a map of
@@ -593,7 +643,7 @@ def _pattern_keys(mode: Mode, product: bool, pattern: tuple, max_eps_degree: int
         product)
     stays = [code & 1 for code in flat]
     before, weight = None, 1
-    if product and mode.kind == "matrix":
+    if product and kind == "matrix":
         (order_a, links_a), (order_b, links_b) = (_side_group(pattern[0], 0, stays),
                                                   _side_group(pattern[1], heads, stays))
         weight, links = (order_a, links_a) if order_a >= order_b else (order_b, links_b)
@@ -602,7 +652,7 @@ def _pattern_keys(mode: Mode, product: bool, pattern: tuple, max_eps_degree: int
             for p, q in links:
                 before[p] = q
     stats = EnumerationStats()
-    counts = Counter(_walk(positions, mode, stats, stays, before, max_eps_degree))
+    counts = Counter(_walk(positions, Mode(kind, colors), stats, stays, before, max_eps_degree))
     keys = tuple([(key, count * weight) for key, count in counts.items()])
     return keys, stats.pruned_branches > 0
 

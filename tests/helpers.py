@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product as cartesian
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import hypothesis.strategies as st
 import numpy as np
@@ -37,7 +38,8 @@ from multitrace import (
     render_series,
     result_generator,
 )
-from multitrace.exprparse import Parser, tokenize
+from multitrace.coeffring import IDENTIFIER
+from multitrace.exprparse import Parser, token_kind
 from multitrace.ribbon import Scheme, exponent_bound
 
 
@@ -858,6 +860,37 @@ def rendered_series(draw, mode):
 # -- reference text parser -------------------------------------------------------
 
 
+class Token(NamedTuple):
+    kind: str  # "num", "ident", "punct", "end"
+    text: str
+    line: int
+    column: int
+
+
+# one alternative per token kind, then any other character; blanks and comments give no token
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>\d+(?:/\d+)?)"
+    rf"|(?P<ident>{IDENTIFIER})|(?P<punct>[~@+\-*^(),{{}}\[\]=])|(?P<bad>.)")
+
+
+def reference_tokenize(text):
+    """The tokens of ``text`` with their kinds, lines and columns, counted
+    as the scanner goes, then an end token; a character that starts no
+    token is a ``ParseError`` there."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
+        elif kind:
+            tokens.append(Token(kind, m[0], line, m.start() - line_start + 1))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
+    return tokens
+
+
 def _is_scalar(series):
     return all(gen == UNIT_GENERATOR for gen, _ in series.terms)
 
@@ -869,57 +902,57 @@ class _ReferenceParser(Parser):
 
     def parse_series(self):
         entries = []
-        op = self.advance().text if self.at_punct("-") else "+"
+        op = self.advance() if self.at_punct("-") else "+"
         while True:
             term = self.parse_term()
             entries.extend((g, -c if op == "-" else c) for g, c in term.terms)
             if not (self.at_punct("+") or self.at_punct("-")):
                 return Series.build(self.mode, entries)
-            op = self.advance().text
+            op = self.advance()
 
     def parse_term(self):
         total = self.parse_factor()
         while self.at_punct("*"):
-            star = self.advance()
+            star = self.pos
+            self.advance()
             factor = self.parse_factor()
             if _is_scalar(factor):
                 total = total.scale(factor.coefficient(UNIT_GENERATOR))
             elif _is_scalar(total):
                 total = factor.scale(total.coefficient(UNIT_GENERATOR))
             else:
-                raise ParseError(
-                    "cannot multiply two generator series here; "
-                    "that contraction needs the product engine",
-                    star.line, star.column)
+                raise self.error("cannot multiply two generator series here; "
+                                 "that contraction needs the product engine", star)
         return total
 
     def parse_factor(self):
         base = self.parse_atom()
         if not self.at_punct("^"):
             return base
-        caret = self.advance()
+        caret = self.pos
+        self.advance()
         sign = 1
         if self.at_punct("-"):
             self.advance()
             sign = -1
+        at = self.pos
         tok = self.expect("num")
-        if "/" in tok.text:
-            raise ParseError("exponents must be integers", tok.line, tok.column)
-        exponent = sign * int(tok.text)
+        if "/" in tok:
+            raise self.error("exponents must be integers", at)
+        exponent = sign * int(tok)
         if _is_scalar(base):
             try:
                 coeff = base.coefficient(UNIT_GENERATOR).power(exponent)
             except CoefficientError as exc:
-                raise ParseError(str(exc), caret.line, caret.column) from None
+                raise self.error(str(exc), caret) from None
             return Series.of(UNIT_GENERATOR, self.mode, coeff)
         if exponent == 1:
             return base
-        raise ParseError("exponents on generator series are not supported",
-                         caret.line, caret.column)
+        raise self.error("exponents on generator series are not supported", caret)
 
     def parse_atom(self):
         tok = self.peek()
-        if tok.kind == "num":
+        if token_kind(tok) == "num":
             return Series.of(UNIT_GENERATOR, self.mode,
                              Coefficient.rational(self.parse_rational()))
         if self.at_punct("("):
@@ -927,12 +960,12 @@ class _ReferenceParser(Parser):
             inner = self.parse_series()
             self.expect("punct", ")")
             return inner
-        if tok.kind == "ident":
-            if tok.text == "W" and self.peek(1).kind == "punct" and self.peek(1).text == "{":
+        if token_kind(tok) == "ident":
+            if tok == "W" and self.peek(1) == "{":
                 return Series.of(self.parse_generator(), self.mode)
             return Series.of(UNIT_GENERATOR, self.mode, self.parse_symbol())
         raise self.fail(f"expected a number, symbol, W{{...}} or parenthesis, "
-                        f"found {tok.text or 'end of input'!r}")
+                        f"found {tok or 'end of input'!r}")
 
     def parse_symbol(self):
         kind, value = super().parse_symbol()
@@ -947,10 +980,10 @@ class _ReferenceParser(Parser):
 
 def reference_parse_series(text, mode):
     """``parse_series`` with one ``Series`` per atom and factor (slow, for tests)."""
-    parser = _ReferenceParser(tokenize(text), mode)
+    parser = _ReferenceParser(text, mode)
     result = parser.parse_series()
     if not parser.done():
-        raise parser.fail(f"trailing input {parser.peek().text!r}")
+        raise parser.fail(f"trailing input {parser.peek()!r}")
     return result
 
 

@@ -32,12 +32,13 @@ from multitrace import (
     series_to_json,
     transport,
 )
-from multitrace.exprparse import Token, tokenize
+from multitrace.exprparse import token_kind, token_position, tokenize
 
 from helpers import MODES as DRAWN_MODES
 from helpers import (expression_texts, generators, random_series, rational_value,
                      reference_parse_series, reference_render_coefficient,
-                     reference_render_series, rendered_series, scalars, series_of)
+                     reference_render_series, reference_tokenize, rendered_series, scalars,
+                     series_of)
 
 
 class TestParsing:
@@ -87,12 +88,14 @@ class TestParsing:
         assert got == parse_series("W{Tr[x1 x2]} + eps*W{}", MATRIX)
 
     def test_tokens_carry_lines_and_columns(self):
-        got = [(t.kind, t.text, t.line, t.column) for t in tokenize("eps # c\n  3/2*W{}")]
+        text = "eps # c\n  3/2*W{}"
+        tokens = tokenize(text)
+        got = [(token_kind(t), t, *token_position(text, i)) for i, t in enumerate(tokens)]
         assert got == [("ident", "eps", 1, 1), ("num", "3/2", 2, 3), ("punct", "*", 2, 6),
                        ("ident", "W", 2, 7), ("punct", "{", 2, 8), ("punct", "}", 2, 9),
                        ("end", "", 2, 10)]
-        assert all(type(t) is Token for t in tokenize("eps # c\n  3/2*W{}"))
-        assert [(t.kind, t.line, t.column) for t in tokenize("")] == [("end", 1, 1)]
+        assert all(type(t) is str for t in tokens)
+        assert tokenize("") == [""] and token_position("", 0) == (1, 1)
 
 
 class TestParseErrors:
@@ -478,3 +481,57 @@ def test_symbol_powers_build_one_monomial(monkeypatch):
     got = parse_coefficient("eps^1000000*hbar^1000000*g^3", MATRIX)
     want = Monomial(eps_half=2000000, hbar=1000000, kernels=((KernelSymbol("g"), 3),))
     assert got == Coefficient.monomial(want)
+
+
+# what may stand between two tokens; "" can join two tokens into one
+_BETWEEN = ("", "", " ", "  ", "\t", "\n", "\r\n", "\u2003", " # a comment\n",
+            "#\r\n", "\n\n  ")
+
+
+@st.composite
+def spaced_texts(draw, mode):
+    """A grammar text, its tokens spaced with drawn blanks, line ends and
+    comments, perhaps one comment at the end, and perhaps one corruption:
+    a '$' or an 'é' put in, or a ']' dropped."""
+    text = draw(expression_texts(mode))
+    tokens = [t.text for t in reference_tokenize(text)][:-1]
+    text = draw(st.sampled_from(_BETWEEN))
+    for token in tokens:
+        text += token + draw(st.sampled_from(_BETWEEN))
+    if draw(st.booleans()):
+        text += "# the end"
+    corruption = draw(st.sampled_from(["none", "none", "$", "\u00e9", "drop ]"]))
+    if corruption == "drop ]" and "]" in text:
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == "]"]))
+        text = text[:at] + text[at + 1:]
+    elif corruption in ("$", "\u00e9"):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + corruption + text[at:]
+    return text
+
+
+def _tokens_outcome(tokens_of, text):
+    try:
+        return tokens_of(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _placed_tokens(text):
+    """Each token text of ``tokenize`` with its position, the end sentinel's last."""
+    return [(t, *token_position(text, i)) for i, t in enumerate(tokenize(text))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(DRAWN_MODES))
+def test_token_texts_and_positions_match_the_reference_tokenizer(data, mode):
+    # the tokenizer keeps texts only; a position is worked out again from the
+    # text, and must be where the scanning reference counted it
+    text = data.draw(spaced_texts(mode), label="text")
+    want = _tokens_outcome(lambda t: [(tok.text, tok.line, tok.column)
+                                      for tok in reference_tokenize(t)], text)
+    assert _tokens_outcome(_placed_tokens, text) == want
+    if isinstance(want, list):
+        assert [token_kind(t) for t, _, _ in want] == [tok.kind for tok in reference_tokenize(text)]
+    assert _parse_outcome(parse_series, text, mode) == \
+        _parse_outcome(reference_parse_series, text, mode)

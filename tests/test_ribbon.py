@@ -23,13 +23,14 @@ from multitrace import (
     legs_of,
     make_generator,
     parse_series,
+    product,
     result_generator,
 )
-from multitrace.ribbon import _pattern_keys, census, exponent_bound, map_of, rank_table
+from multitrace.ribbon import _pattern_keys, _plan, census, exponent_bound, map_of, rank_table
 
 from helpers import (MODES, generators, named, product_scheme_count, reference_analyze,
-                     reference_exponent_bound, reference_pairings, shaped, trace_lengths,
-                     transport_scheme_count)
+                     reference_exponent_bound, reference_pairings, reference_product,
+                     series_of, shaped, trace_lengths, transport_scheme_count)
 
 
 def leg_numbers(pair_map):
@@ -44,9 +45,15 @@ def reference_keys(pair_map, ga, gb, mode):
     return [census(p, pair_map, mode) for p in reference_pairings(legs_of(ga), legs_b)]
 
 
-def cold_keys(pair_map, mode, **options):
-    """``enumerate_pairings`` of ``pair_map`` on an empty census cache."""
+def clear_caches():
+    """Empty the process's census and plan caches."""
     _pattern_keys.cache_clear()
+    _plan.cache_clear()
+
+
+def cold_keys(pair_map, mode, **options):
+    """``enumerate_pairings`` of ``pair_map`` on empty census and plan caches."""
+    clear_caches()
     return list(enumerate_pairings(*leg_numbers(pair_map), pair_map=pair_map, mode=mode,
                                    **options))
 
@@ -216,22 +223,39 @@ def test_a_memo_shared_across_caps_keeps_each_caps_keys(data, mode, product_mode
         assert shared == fresh and shared_stats == fresh_stats
 
 
+def relabeled(gen, prefix, mode, one_color=False):
+    """``gen`` with its slots renamed ``prefix1``, ``prefix2``, ... in
+    reverse slot order, so other labels and ranks, and with
+    ``one_color``, in a colored mode, every slot of color 1."""
+    numbers = iter(range(gen.size, 0, -1))
+    return make_generator([[Slot(f"{prefix}{next(numbers)}", slot.conjugated,
+                                 slot.color and (1 if one_color else slot.color))
+                            for slot in trace.slots] for trace in gen.traces], mode)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(MODES), product_mode=st.booleans(),
-       cap=st.sampled_from([None, 0, 2]))
-def test_a_warm_census_cache_gives_the_cold_enumeration(data, mode, product_mode, cap):
-    # the process caches each census on (mode, product, pattern, cap): entries
-    # from the other factor order, the other caps, the other mode kind and the
-    # other kind of map must leave a map's enumeration as on an empty cache
+       cap=st.sampled_from([None, 0, 2]), clear_plans=st.booleans())
+def test_a_warm_census_cache_gives_the_cold_enumeration(data, mode, product_mode, cap,
+                                                        clear_plans):
+    # the process caches each census on (mode, product, pattern, cap) and each
+    # plan on (trace colors of each side, product, cap): entries from the other
+    # factor order, the other caps, the other mode kind, the other kind of map
+    # and maps of the same trace lengths under other labels and colors must
+    # leave a map's enumeration as on empty caches, with the plans kept or cleared
     ga = data.draw(generators(mode, "x", 5))
     gb = data.draw(generators(mode, "y", 4))
     pair_map = map_of(ga, gb) if product_mode else map_of(ga)
     cold_stats, warm_stats = EnumerationStats(), EnumerationStats()
     cold = cold_keys(pair_map, mode, max_eps_degree=cap, stats=cold_stats)
     _pattern_keys.cache_clear()
+    if clear_plans:
+        _plan.cache_clear()
     other_kind = Mode("kernel" if mode.kind == "matrix" else "matrix", mode.colors)
-    others = ([map_of(gb, ga), map_of(ga), map_of(gb)] if product_mode
-              else [map_of(ga, gb), map_of(gb, ga)])
+    moved = [(relabeled(ga, "u", mode, one_color), relabeled(gb, "v", mode, one_color))
+             for one_color in (True, False)]
+    others = ([map_of(gb, ga), map_of(ga), map_of(gb)] + [map_of(a, b) for a, b in moved]
+              if product_mode else [map_of(ga, gb), map_of(gb, ga)] + [map_of(a) for a, _ in moved])
     for other in others + [pair_map]:
         for m in (other_kind, mode):
             for c in (None, 0, 2):
@@ -243,6 +267,21 @@ def test_a_warm_census_cache_gives_the_cold_enumeration(data, mode, product_mode
     assert warm == cold and warm_stats == cold_stats
 
 
+@pytest.mark.parametrize("mode", MODES, ids=["matrix", "kernel", "mat2", "ker2"])
+@pytest.mark.parametrize("cap", [None, 0, 2])
+def test_jobs_that_share_a_trace_shape_share_a_plan_not_their_labels(mode, cap):
+    # four jobs of one shape pair (a 2-trace times a 2-trace and a 1-trace),
+    # one plan between them, each job with its own labels and ranks
+    colors = [1, 2] if mode.colored else None
+    a = series_of((2,), "x", mode, colors) + series_of((2,), "w", mode, colors)
+    b = series_of((2, 1), "y", mode, colors) + series_of((2, 1), "v", mode, colors)
+    clear_caches()
+    got = product(a, b, max_eps_degree=cap)
+    assert _plan.cache_info().misses == 1 and _plan.cache_info().hits == 3
+    assert got == reference_product(a, b, max_eps_degree=cap)
+    assert product(a, b, max_eps_degree=cap) == got   # on warm caches
+
+
 def test_the_census_cache_keeps_products_and_transports_apart():
     # the enumerator never meets a pattern as both (a transport's second side
     # is empty, a product's is not past the empty pattern), so the cache's
@@ -251,8 +290,8 @@ def test_the_census_cache_keeps_products_and_transports_apart():
     # side-B leg to pair them with in a product
     pattern = (((0, 0),), ())
     _pattern_keys.cache_clear()
-    assert _pattern_keys(MATRIX, False, pattern, None) == (((((), -2, (), 1), 1),), False)
-    assert _pattern_keys(MATRIX, True, pattern, None) == ((), False)
+    assert _pattern_keys("matrix", 0, False, pattern, None) == (((((), -2, (), 1), 1),), False)
+    assert _pattern_keys("matrix", 0, True, pattern, None) == ((), False)
 
 
 def _with_a_repeated_slot(gen, data):
